@@ -2,11 +2,13 @@
 
 Record streams are JSON Lines by default (``--format csv`` for delimited
 output with a documented header).  Data records are byte-deterministic for
-a fixed configuration; timings go to stderr only.
+a fixed configuration; timings go to stderr only.  ``enumerate`` writes its
+records as it walks the simplex, so a failed internal check can leave
+partial output before the exit code.
 
-Exit codes: 0 success, 1 assertion failure in a verify suite, 2 usage or
-validation error, 3 enumeration cap exceeded.  ``CORELATTICE_CAP``
-overrides the default enumeration cap.
+Exit codes: 0 success, 1 assertion failure (a verify suite or an internal
+check), 2 usage or validation error, 3 enumeration cap exceeded.
+``CORELATTICE_CAP`` overrides the default enumeration cap.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import ehrhart, perms, qpoly, qt
+from .abacus import ChargeVector
 from .errors import CapExceededError
 from .simplex import (
     DEFAULT_CAP,
     SimplexSpec,
     armstrong_average,
     core_record,
-    enumerate_cores,
+    iter_cores,
     rational_catalan,
 )
 from .suites import SUITE_NAMES, build_suite
@@ -37,9 +40,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+WRITE_BATCH = 512  # enumerate records per write
+
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 def _json_line(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return _JSON.encode(obj)
 
 
 def _env_cap() -> int:
@@ -50,15 +57,22 @@ def _env_cap() -> int:
         cap = int(raw)
     except ValueError as exc:
         raise ValueError(f"CORELATTICE_CAP must be an integer, got {raw!r}") from exc
+    return _positive_cap(cap, "CORELATTICE_CAP")
+
+
+def _positive_cap(cap: int, source: str) -> int:
     if cap <= 0:
-        raise ValueError("CORELATTICE_CAP must be positive")
+        raise ValueError(f"{source} must be positive")
     return cap
 
 
 def _open_output(path):
     if path in (None, "-"):
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+    try:
+        return open(path, "w", encoding="utf-8"), True
+    except OSError as exc:
+        raise ValueError(f"cannot open --output {path}: {exc.strerror}") from exc
 
 
 def _ints_csv(values) -> str:
@@ -66,51 +80,51 @@ def _ints_csv(values) -> str:
 
 
 def cmd_enumerate(args, out) -> int:
+    """Stream one record per core, then the footer, in a single pass over :func:`iter_cores`."""
     spec = SimplexSpec(args.a, args.b)
-    cores = enumerate_cores(spec, args.cap)
-    records = [core_record(spec, cv) for cv in cores]
-    total = sum(r["size"] for r in records)
-    average = Fraction(total, len(records))
-    if args.summary:
-        summary = {
-            "a": args.a,
-            "b": args.b,
-            "count": len(records),
-            "total_size": total,
-            "average_size": str(average),
-            "average_size_expected": str(armstrong_average(args.a, args.b)),
-        }
-        print(_json_line(summary), file=out)
-        return EXIT_OK
-    if args.format == "csv":
-        print("charges,z,partition,size,length,skew_length,co_skew_length", file=out)
-        for r in records:
-            print(
-                ",".join(
-                    (
-                        _ints_csv(r["charges"]),
-                        _ints_csv(r["z"]),
-                        _ints_csv(r["partition"]),
-                        str(r["size"]),
-                        str(r["length"]),
-                        str(r["skew_length"]),
-                        str(r["co_skew_length"]),
-                    )
-                ),
-                file=out,
+    csv_rows = args.format == "csv" and not args.summary
+    batch = []
+    if csv_rows:
+        # the header goes out with the first batch, after the cap check has passed
+        batch.append("charges,z,partition,size,length,skew_length,co_skew_length\n")
+    count = total = 0
+    for z, charges in iter_cores(spec, args.cap):
+        r = core_record(spec, ChargeVector(args.a, charges), z)
+        count += 1
+        total += r["size"]
+        if args.summary:
+            continue
+        if csv_rows:
+            line = ",".join(
+                (
+                    _ints_csv(r["charges"]),
+                    _ints_csv(r["z"]),
+                    _ints_csv(r["partition"]),
+                    str(r["size"]),
+                    str(r["length"]),
+                    str(r["skew_length"]),
+                    str(r["co_skew_length"]),
+                )
             )
-        print(f"# count={len(records)} total_size={total} average_size={average}", file=out)
-    else:
-        for r in records:
-            print(_json_line({"type": "core", **r}), file=out)
-        footer = {
-            "type": "summary",
-            "count": len(records),
-            "total_size": total,
-            "average_size": str(average),
-            "average_size_expected": str(armstrong_average(args.a, args.b)),
-        }
-        print(_json_line(footer), file=out)
+        else:
+            line = _json_line({"type": "core", **r})
+        batch.append(line + "\n")
+        if len(batch) >= WRITE_BATCH:
+            out.write("".join(batch))
+            batch.clear()
+    out.write("".join(batch))
+    average = Fraction(total, count)
+    if csv_rows:
+        print(f"# count={count} total_size={total} average_size={average}", file=out)
+        return EXIT_OK
+    footer = {
+        **({"a": args.a, "b": args.b} if args.summary else {"type": "summary"}),
+        "count": count,
+        "total_size": total,
+        "average_size": str(average),
+        "average_size_expected": str(armstrong_average(args.a, args.b)),
+    }
+    print(_json_line(footer), file=out)
     return EXIT_OK
 
 
@@ -213,7 +227,7 @@ def cmd_ehrhart(args, out) -> int:
         "count_poly": [str(c) for c in f],
         "size_sum_poly": [str(c) for c in g],
         "average_poly": [str(c) for c in p],
-        "root_structure": ehrhart.check_root_structure(args.a, args.cap),
+        "root_structure": ehrhart.root_structure_ok(args.a, f, g, p),
     }
     print(_json_line(report), file=out)
     return EXIT_OK
@@ -310,8 +324,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cap is None:
-            args.cap = _env_cap()
+        args.cap = _env_cap() if args.cap is None else _positive_cap(args.cap, "--cap")
         out, close = _open_output(args.output)
         try:
             return args.fn(args, out)
@@ -324,6 +337,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: assertion failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -413,7 +413,11 @@ def check_root_structure(a: int, cap: int = DEFAULT_CAP) -> bool:
     ``P(0) = -(a^2-1)/24``); and G satisfies the reflection
     ``G(-a-b) = (-1)^(a-1) G(b)``.
     """
-    f, g, p = fit_core_polynomials(a, cap=cap)
+    return root_structure_ok(a, *fit_core_polynomials(a, cap=cap))
+
+
+def root_structure_ok(a: int, f: Coeffs, g: Coeffs, p: Coeffs) -> bool:
+    """The checks of :func:`check_root_structure` on an existing fit ``(F, G, P)``."""
     for r in range(1, a):
         if poly_eval(f, -r) != 0 or poly_eval(g, -r) != 0:
             return False

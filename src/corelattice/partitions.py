@@ -103,10 +103,13 @@ def is_core(parts: Parts, a: int) -> bool:
     empty, so it suffices to check ``m - a`` for the finitely many filled
     levels above the tail.
     """
+    return _is_core_beta(beta_set(parts), len(parts), a)
+
+
+def _is_core_beta(beta: frozenset[int], n: int, a: int) -> bool:
+    """:func:`is_core` on the beta set of a partition of length ``n``."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    n = len(parts)
-    beta = beta_set(parts)
     return all(m - a in beta or m - a < -n for m in beta)
 
 
@@ -196,16 +199,16 @@ def skew_length(parts: Parts, a: int, b: int) -> int:
     """
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
-    if not (is_core(parts, a) and is_core(parts, b)):
-        raise ValueError("skew length is only defined for (a,b)-cores")
     n = len(parts)
     beta = beta_set(parts)
+    if not (_is_core_beta(beta, n, a) and _is_core_beta(beta, n, b)):
+        raise ValueError("skew length is only defined for (a,b)-cores")
     total = 0
     for i in a_row_indices(parts, a):
         # cells of row i <-> empty levels below beta_i; hook = beta_i - level
         b_i = parts[i - 1] - i
         lo = max(b_i - b + 1, -n)
-        total += sum(1 for f in range(lo, b_i) if f not in beta)
+        total += (b_i - lo) - len(beta.intersection(range(lo, b_i)))
     return total
 
 

@@ -8,18 +8,21 @@ rational simplex.  The change of variables
 
 identifies it with the nonnegative integer vectors summing to ``b`` whose
 weighted sum ``sum i*z_i`` vanishes mod ``a`` (b-dimensional cyclic-group
-representations with trivial determinant).  Enumeration walks that standard
-simplex and maps back, which keeps the loops trivially bounded.
+representations with trivial determinant).  Enumeration walks the points of
+that standard simplex with trivial determinant and maps each back, which
+keeps the loops trivially bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
+from operator import sub
 
 from . import partitions
-from .abacus import ChargeVector, ShiftedPoint, core_from_charges, shift, size_quadratic, unshift
+from .abacus import ChargeVector, ShiftedPoint, core_from_charges, size_quadratic
 from .errors import CapExceededError
 
 DEFAULT_CAP = 10_000_000
@@ -133,14 +136,63 @@ def from_z(spec: SimplexSpec, rv: RepVector) -> ShiftedPoint:
     return ShiftedPoint(a, tuple(tx))
 
 
-def _compositions_lex(total: int, parts: int):
-    """Nonnegative integer compositions, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions_lex(total - head, parts - 1):
-            yield (head, *rest)
+def iter_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP):
+    """Yield every (a,b)-core as a ``(z, charges)`` pair of tuples, lexicographically by z.
+
+    Once ``z_0 .. z_{a-3}`` are chosen, the determinant condition fixes
+    ``z_{a-2}`` mod ``a`` (``z_{a-1}`` takes the rest of ``b``), so the walk
+    steps ``z_{a-2}`` by ``a`` from that residue and never visits a rejected
+    vector.  Each point is mapped to charges in plain integers, as
+    :func:`from_z` followed by :func:`~corelattice.abacus.unshift` would, and
+    mapped back through :func:`to_z`'s formula as a check.
+
+    Raises :class:`CapExceededError` up front when the count exceeds ``cap``;
+    the closed-form count is asserted once the stream is exhausted.
+    """
+    a, b = spec.a, spec.b
+    count = rational_catalan(a, b)
+    if count > cap:
+        raise CapExceededError(f"Cat({a},{b}) = {count} exceeds the cap of {cap}")
+    head = a - 2
+    two_a = 2 * a
+    k = _z_offset(a, b)
+    step = [(j * b + k) % a for j in range(a + 1)]  # runner at step j of the cycle k, k+b, ...
+    runner_step = [step.index(i) for i in range(a)]
+    # With P_j = z_0 + ... + z_{j-1} and w = sum(i z_i), from_z sets
+    # tx[step[j]] = (a-1)b - 2w + 2bj - 2a P_j, and unshift divides
+    # tx[step[j]] - 2 step[j] + a - 1 by 2a.
+    lift = [(a - 1) * (b + 1) + 2 * b * j - 2 * step[j] for j in range(a)]
+    found = 0
+    # The prefixes z_0 .. z_{head-1} with sum <= b are the bar positions of
+    # stars and bars, in the same lexicographic order: P_j = bars[j-1] - (j-1).
+    for bars in combinations(range(b + head), head):
+        sums = [0, *map(sub, bars, range(head))]
+        rest = b - sums[head]
+        # sum(i z_i) over the prefix: z_i is counted in P_{i+1} .. P_head, head - i times
+        weight = head * sums[head] - sum(sums)
+        first = (weight + (a - 1) * rest) % a
+        if first > rest:
+            continue
+        prefix = tuple(map(sub, sums[1:], sums))
+        for zh in range(first, rest + 1, a):
+            z = (*prefix, zh, rest - zh)
+            w = weight + head * zh + (a - 1) * (rest - zh)
+            if w % a:
+                raise AssertionError(f"determinant condition fails for {z}")
+            nums = [lift[j] - 2 * w - two_a * p for j, p in enumerate((*sums, sums[head] + zh))]
+            if any(n % two_a for n in nums):
+                raise AssertionError(f"{z} does not map to the charge lattice")
+            charges = tuple(nums[j] // two_a for j in runner_step)
+            if sum(charges):
+                raise AssertionError(f"charges must sum to 0, got {charges}")
+            # to_z on shift(charges): the shift's constant -(a-1) cancels in the differences
+            tx = [two_a * c + 2 * i for i, c in enumerate(charges)]
+            if any(tx[step[j]] - tx[step[j + 1]] + 2 * b != two_a * z[j] for j in range(a)):
+                raise AssertionError(f"z recomputed from tx disagrees with {z}")
+            found += 1
+            yield z, charges
+    if found != count:
+        raise AssertionError("enumeration disagrees with the closed-form count")
 
 
 def enumerate_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> list[ChargeVector]:
@@ -148,18 +200,7 @@ def enumerate_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> list[ChargeVec
 
     Raises :class:`CapExceededError` when the count exceeds ``cap``.
     """
-    a, b = spec.a, spec.b
-    count = rational_catalan(a, b)
-    if count > cap:
-        raise CapExceededError(f"Cat({a},{b}) = {count} exceeds the cap of {cap}")
-    out = []
-    for z in _compositions_lex(b, a):
-        if sum(i * v for i, v in enumerate(z)) % a:
-            continue
-        out.append(unshift(from_z(spec, RepVector(z))))
-    if len(out) != count:
-        raise AssertionError("enumeration disagrees with the closed-form count")
-    return out
+    return [ChargeVector(spec.a, c) for _, c in iter_cores(spec, cap)]
 
 
 def conjugation_T(cv: ChargeVector) -> ChargeVector:
@@ -199,13 +240,16 @@ def self_conjugate_average_size(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> Fr
     return Fraction(self_conjugate_total_size(spec, cap), self_conjugate_count(spec.a, spec.b))
 
 
-def core_record(spec: SimplexSpec, cv: ChargeVector) -> dict:
-    """The per-core record exposed by the CLI (exact, JSON-serializable)."""
+def core_record(spec: SimplexSpec, cv: ChargeVector, z) -> dict:
+    """The per-core record exposed by the CLI (exact, JSON-serializable).
+
+    ``z`` is the core's representation vector, as :func:`iter_cores` yields it.
+    """
     p = core_from_charges(cv)
     sl = partitions.skew_length(p, spec.a, spec.b)
     return {
         "charges": list(cv.c),
-        "z": list(to_z(spec, shift(cv)).z),
+        "z": list(z),
         "partition": list(p),
         "size": size_quadratic(cv),
         "length": len(p),

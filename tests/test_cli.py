@@ -1,11 +1,13 @@
 """Command-line behavior: records, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from corelattice import simplex
 from corelattice.cli import main
 
 
@@ -56,6 +58,51 @@ def test_bad_env_cap_is_usage_error(capsys, monkeypatch):
 def test_explicit_cap_flag(capsys):
     code, _, err = run_cli(capsys, "enumerate", "3", "4", "--cap", "4")
     assert code == 3
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nonpositive_cap_flag_is_usage_error(capsys, cap):
+    code, out, err = run_cli(capsys, "enumerate", "3", "4", "--cap", cap)
+    assert code == 2 and out == ""
+    assert err == "error: --cap must be positive\n"
+
+
+def test_nonpositive_env_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CORELATTICE_CAP", "0")
+    code, _, err = run_cli(capsys, "enumerate", "3", "4")
+    assert code == 2
+    assert err == "error: CORELATTICE_CAP must be positive\n"
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "enumerate", "3", "4", "--output", str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_internal_assertion_exits_one_without_traceback(capsys, monkeypatch):
+    real = simplex.rational_catalan
+    monkeypatch.setattr(simplex, "rational_catalan", lambda a, b: real(a, b) + 1)
+    code, out, err = run_cli(capsys, "enumerate", "3", "4")
+    assert code == 1
+    assert err.startswith("error: ") and "closed-form count" in err and "Traceback" not in err
+    # records may stream out before the end-of-stream count check fails; the footer never comes
+    assert all(json.loads(line)["type"] == "core" for line in out.splitlines())
+
+
+# sha256 of stdout, recorded before enumeration was rewritten as a stream
+GOLDEN_STDOUT = [
+    (("enumerate", "5", "7"), "ddc906587bee831b1afa02884a668141082986adac4a4d5cf385a5d58b7a82c5"),
+    (("enumerate", "4", "9", "--format", "csv"), "7e799c49b98b343f5028fea1e3b078944acf1937b61f537c1901293e75cf6894"),
+    (("enumerate", "7", "9", "--summary"), "04925e779b3b7b205582004cc3ecbb9ee71fec9c1c1dce1493f8a94defbdb3af"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
+def test_enumerate_stdout_is_byte_identical(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_enumerate_csv(capsys):

@@ -2,14 +2,28 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 
 import pytest
 
 from corelattice import simplex as S
-from corelattice.abacus import ChargeVector, charges_from_core, core_from_charges, shift, size_quadratic, zero_charges
+from corelattice.abacus import (
+    ChargeVector,
+    charges_from_core,
+    core_from_charges,
+    shift,
+    size_quadratic,
+    unshift,
+    zero_charges,
+)
 from corelattice.errors import CapExceededError
 from corelattice.partitions import brute_force_simultaneous_cores, conjugate, is_core
+
+
+def compositions(total, parts):
+    """Nonnegative compositions in lexicographic order, by filtering the whole box (no shared code with the walk)."""
+    return [z for z in product(range(total + 1), repeat=parts) if sum(z) == total]
 
 
 def test_spec_validation():
@@ -84,10 +98,29 @@ def test_z_map_bijection_range():
             zs = {tuple(S.to_z(spec, shift(cv)).z) for cv in S.enumerate_cores(spec)}
             expected = {
                 tuple(z)
-                for z in S._compositions_lex(b, a)
+                for z in compositions(b, a)
                 if sum(i * v for i, v in enumerate(z)) % a == 0
             }
             assert zs == expected
+
+
+def test_iter_cores_matches_enumerate_cores_and_the_z_maps():
+    for a in range(2, 8):
+        for b in range(1, 13):
+            if gcd(a, b) != 1:
+                continue
+            spec = S.SimplexSpec(a, b)
+            walked = list(S.iter_cores(spec))
+            assert [ChargeVector(a, c) for _, c in walked] == S.enumerate_cores(spec)
+            zs = [z for z, _ in walked]
+            assert zs == sorted(set(zs)) and len(zs) == S.rational_catalan(a, b)
+            for z, c in walked:
+                assert unshift(S.from_z(spec, S.RepVector(z))).c == c
+
+
+def test_iter_cores_checks_cap_before_walking():
+    with pytest.raises(CapExceededError):
+        next(S.iter_cores(S.SimplexSpec(3, 4), cap=4))
 
 
 def test_to_z_rejects_outside_points():
@@ -176,7 +209,7 @@ def test_rotation_equidistribution():
         for b in range(a + 1, 13):
             if gcd(a, b) != 1:
                 continue
-            comps = list(S._compositions_lex(b, a))
+            comps = compositions(b, a)
             assert len(comps) == comb(a + b - 1, a - 1)
             seen = set()
             orbits = 0
@@ -194,7 +227,8 @@ def test_rotation_equidistribution():
 
 def test_core_record_fields():
     spec = S.SimplexSpec(3, 4)
-    rec = S.core_record(spec, charges_from_core((3, 1, 1), 3))
+    cv = charges_from_core((3, 1, 1), 3)
+    rec = S.core_record(spec, cv, S.to_z(spec, shift(cv)).z)
     assert rec == {
         "charges": [-1, 0, 1],
         "z": [4, 0, 0],
