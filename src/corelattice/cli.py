@@ -1,7 +1,8 @@
 """Command-line surface: enumeration, polynomials, verification, search.
 
-Record streams are JSON Lines by default (``--format csv`` for delimited
-output with a documented header).  Data records are byte-deterministic for
+Record streams are JSON Lines by default; ``enumerate`` and ``poly`` take
+``--format csv`` for delimited output with a documented header, and the
+other commands reject ``--format``.  Data records are byte-deterministic for
 a fixed configuration; timings go to stderr only.  ``enumerate`` writes its
 records as it walks the simplex, so a failed internal check can leave
 partial output before the exit code.
@@ -66,13 +67,19 @@ def _positive_cap(cap: int, source: str) -> int:
     return cap
 
 
-def _open_output(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    try:
-        return open(path, "w", encoding="utf-8"), True
-    except OSError as exc:
-        raise ValueError(f"cannot open --output {path}: {exc.strerror}") from exc
+class _LazyOutput:
+    """``--output``, opened (and truncated) on the first write: a usage error leaves the file untouched."""
+
+    def __init__(self, path):
+        self.path, self.fh = path, None
+
+    def write(self, text):
+        if self.fh is None:
+            try:
+                self.fh = open(self.path, "w", encoding="utf-8")
+            except OSError as exc:
+                raise ValueError(f"cannot open --output {self.path}: {exc.strerror}") from exc
+        return self.fh.write(text)
 
 
 def _ints_csv(values) -> str:
@@ -269,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json", help="record format")
+    def common(p, formats=False):
+        if formats:
+            p.add_argument("--format", choices=("json", "csv"), default="json", help="record format")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
         p.add_argument("--cap", type=int, default=None, help="enumeration cap (default: CORELATTICE_CAP or 10^7)")
 
@@ -278,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("a", type=int)
     p_enum.add_argument("b", type=int)
     p_enum.add_argument("--summary", action="store_true", help="emit the summary object only")
-    common(p_enum)
+    common(p_enum, formats=True)
     p_enum.set_defaults(fn=cmd_enumerate)
 
     p_poly = sub.add_parser("poly", help="q- and (q,t)-Catalan polynomials and verdicts")
     p_poly.add_argument("a", type=int)
     p_poly.add_argument("b", type=int)
-    common(p_poly)
+    common(p_poly, formats=True)
     p_poly.set_defaults(fn=cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
@@ -325,12 +333,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.cap = _env_cap() if args.cap is None else _positive_cap(args.cap, "--cap")
-        out, close = _open_output(args.output)
+        if args.output in (None, "-"):
+            return args.fn(args, sys.stdout)
+        out = _LazyOutput(args.output)
         try:
             return args.fn(args, out)
         finally:
-            if close:
-                out.close()
+            if out.fh is not None:
+                out.fh.close()
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

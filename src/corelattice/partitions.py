@@ -10,6 +10,11 @@ The Maya diagram of a partition is encoded through its set of filled
 energy levels.  We index the level ``m + 1/2`` by the integer ``m``; for a
 partition ``p`` of length ``L`` at charge ``c`` the filled levels are
 ``{p[i] - (i+1) - c}`` together with every ``m <= -L-1-c``.
+
+First-row lemma: deleting the first row of a partition leaves every other
+cell's arm and leg unchanged, so the hooks of the shorter partition are a
+sub-multiset of the original hooks, and the rest of a t-core is a t-core.
+The brute-force oracle grows cores one row at a time on this basis.
 """
 
 from __future__ import annotations
@@ -217,40 +222,21 @@ def co_skew_length(parts: Parts, a: int, b: int) -> int:
     return (a - 1) * (b - 1) // 2 - skew_length(parts, a, b)
 
 
-def partitions_of(n: int):
-    """Yield all partitions of ``n`` as weakly decreasing tuples.
-
-    Ascending-composition generator (accelAsc), reversed on output.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        yield ()
-        return
-    a = [0] * (n + 1)
-    k = 1
-    a[1] = n
-    while k != 0:
-        x = a[k - 1] + 1
-        y = a[k] - 1
-        k -= 1
-        while x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        a[k] = x + y
-        yield tuple(a[k::-1])
-
-
 def brute_force_simultaneous_cores(a: int, b: int, max_size: int) -> list[Parts]:
-    """All (a,b)-cores of size at most ``max_size``, by exhaustive search.
+    """All (a,b)-cores of size at most ``max_size``, by exhaustive search, in no set order.
 
     Deliberately independent of the abacus machinery; this is the oracle the
-    simplex enumeration is tested against.
+    simplex enumeration is tested against.  By the first-row lemma these cores
+    form a tree rooted at ``()``: the children of ``mu`` are ``(k, *mu)`` for
+    ``mu[0] <= k <= max_size - |mu|``.  The search tests every candidate whole
+    with :func:`is_core` and expands only the cores, so it tests at most
+    ``1 + (#cores) * max_size`` candidates.
     """
     found = []
-    for n in range(max_size + 1):
-        for p in partitions_of(n):
-            if is_core(p, a) and is_core(p, b):
-                found.append(p)
+    stack = [()] if max_size >= 0 else []
+    while stack:
+        mu = stack.pop()
+        if is_core(mu, a) and is_core(mu, b):
+            found.append(mu)
+            stack.extend((k, *mu) for k in range(mu[0] if mu else 1, max_size - sum(mu) + 1))
     return found

@@ -121,15 +121,15 @@ def from_z(spec: SimplexSpec, rv: RepVector) -> ShiftedPoint:
     a, b = spec.a, spec.b
     if rv.a != a or rv.b != b:
         raise ValueError("representation vector does not match the simplex")
+    # sum(offsets) = 2a*sum(i*z_i) - a(a-1)b is a multiple of a for every z: test z itself
+    if sum(i * v for i, v in enumerate(rv.z)) % a:
+        raise ValueError("representation vector is not on the trivial-determinant lattice")
     k = _z_offset(a, b)
     # walk tx along the index cycle k, k+b, k+2b, ...
     offsets = [0]
     for zi in rv.z[:-1]:
         offsets.append(offsets[-1] + 2 * b - 2 * a * zi)
-    total = sum(offsets)
-    if total % a:
-        raise ValueError("representation vector is not on the trivial-determinant lattice")
-    t0 = -total // a
+    t0 = -sum(offsets) // a
     tx = [0] * a
     for j, off in enumerate(offsets):
         tx[(j * b + k) % a] = t0 + off

@@ -80,6 +80,31 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_usage_error_leaves_existing_output_untouched(tmp_path, capsys):
+    target = tmp_path / "cores.jsonl"
+    target.write_text("precious")
+    code, out, err = run_cli(capsys, "enumerate", "4", "6", "--output", str(target))
+    assert code == 2 and out == "" and "coprime" in err
+    assert target.read_text() == "precious"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "sizmaj2", "--n-max", "3"),
+        ("perm", "3"),
+        ("ehrhart", "3"),
+        ("search-age", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_is_rejected_where_not_honoured(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--format", "csv"])
+    assert excinfo.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_internal_assertion_exits_one_without_traceback(capsys, monkeypatch):
     real = simplex.rational_catalan
     monkeypatch.setattr(simplex, "rational_catalan", lambda a, b: real(a, b) + 1)

@@ -13,6 +13,29 @@ from corelattice.abacus import core_from_charges
 from corelattice.simplex import SimplexSpec, enumerate_cores
 
 
+def partitions_of(n):
+    """Yield all partitions of ``n`` as weakly decreasing tuples: the reference enumerator.
+
+    Ascending-composition generator (accelAsc), reversed on output.
+    """
+    if n == 0:
+        yield ()
+        return
+    a = [0] * (n + 1)
+    k = 1
+    a[1] = n
+    while k != 0:
+        x = a[k - 1] + 1
+        y = a[k] - 1
+        k -= 1
+        while x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        a[k] = x + y
+        yield tuple(a[k::-1])
+
+
 def descending_partitions(max_size=24):
     return st.lists(st.integers(1, 9), max_size=6).map(lambda xs: tuple(sorted(xs, reverse=True)))
 
@@ -50,7 +73,7 @@ def test_is_core_examples():
 def test_hook_core_equivalence_exhaustive():
     # no hook equal to a  <=>  no hook equal to any multiple of a
     for n in range(31):
-        for p in P.partitions_of(n):
+        for p in partitions_of(n):
             hooks = set(P.hook_multiset(p))
             for a in range(2, 9):
                 no_a = a not in hooks
@@ -92,7 +115,7 @@ def test_maya_vacuum_and_charge():
 
 def test_maya_round_trip_exhaustive():
     for n in range(31):
-        for p in P.partitions_of(n):
+        for p in partitions_of(n):
             m = P.to_maya(p)
             assert m.energy() == Fraction(n)
             assert P.from_maya(m) == (p, 0)
@@ -134,6 +157,20 @@ def test_skew_length_largest_34_core():
     assert P.skew_length(largest, 3, 4) == 3
 
 
+def test_brute_force_matches_the_partition_filter():
+    # the row-by-row search finds exactly the filtered partitions, once each, coprime or not
+    for a in range(2, 10):
+        for b in range(a + 1, 10):
+            filtered = [
+                p for n in range(21) for p in partitions_of(n) if P.is_core(p, a) and P.is_core(p, b)
+            ]
+            for max_size in range(21):
+                found = P.brute_force_simultaneous_cores(a, b, max_size)
+                assert len(found) == len(set(found)), (a, b, max_size)
+                assert set(found) == {p for p in filtered if sum(p) <= max_size}, (a, b, max_size)
+    assert P.brute_force_simultaneous_cores(3, 4, -1) == []
+
+
 def test_skew_length_requires_core():
     with pytest.raises(ValueError):
         P.skew_length((3, 2, 2, 1), 3, 4)  # not a 3-core
@@ -153,7 +190,7 @@ def test_skew_length_bounded_on_enumerated_cores():
 
 
 def test_partitions_of_counts():
-    counts = [sum(1 for _ in P.partitions_of(n)) for n in range(11)]
+    counts = [sum(1 for _ in partitions_of(n)) for n in range(11)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-    assert all(p == tuple(sorted(p, reverse=True)) for p in P.partitions_of(9))
-    assert Counter(map(sum, P.partitions_of(8))) == {8: 22}
+    assert all(p == tuple(sorted(p, reverse=True)) for p in partitions_of(9))
+    assert Counter(map(sum, partitions_of(8))) == {8: 22}

@@ -89,6 +89,14 @@ def test_z_round_trip_and_characterization():
         assert S.from_z(s37, S.to_z(s37, sp)) == sp
 
 
+def test_from_z_rejects_nontrivial_determinant():
+    # sum(i*z_i) = 10 is not 0 mod 4; build the vector past RepVector's own check
+    rv = object.__new__(S.RepVector)
+    object.__setattr__(rv, "z", (1, 1, 0, 3))
+    with pytest.raises(ValueError, match="trivial-determinant"):
+        S.from_z(S.SimplexSpec(4, 5), rv)
+
+
 def test_z_map_bijection_range():
     for a in range(2, 6):
         for b in range(a + 1, 17):
