@@ -22,6 +22,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import factorial
 
 from . import ehrhart, perms, qpoly, qt
 from .abacus import ChargeVector
@@ -203,6 +204,9 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_perm(args, out) -> int:
+    # n > DISTRIBUTION_CAP is refused by the brute force itself, before n! is worth computing
+    if 0 <= args.n <= perms.DISTRIBUTION_CAP and factorial(args.n) > args.cap:
+        raise CapExceededError(f"n={args.n} has {factorial(args.n)} permutations, over the cap of {args.cap}")
     dist = perms.distribution(args.n)
     report = {
         "n": args.n,
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=cmd_verify)
 
     p_perm = sub.add_parser("perm", help="permutation statistic distribution and identities")
-    p_perm.add_argument("n", type=int)
+    p_perm.add_argument("n", type=int, help=f"walks all n! permutations; n <= {perms.DISTRIBUTION_CAP}, n! <= --cap")
     common(p_perm)
     p_perm.set_defaults(fn=cmd_perm)
 

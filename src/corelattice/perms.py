@@ -8,7 +8,11 @@ weight bookkeeping work (the exhaustive checks pin this down).
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import cache
+from itertools import combinations, product, starmap
 from itertools import permutations as _permutations
+from operator import gt
 
 from .errors import CapExceededError
 from .polys import LaurentPoly2
@@ -38,8 +42,7 @@ def maj(sigma) -> int:
 
 
 def inv(sigma) -> int:
-    n = len(sigma)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
+    return sum(starmap(gt, combinations(sigma, 2)))
 
 
 def siz(sigma) -> int:
@@ -53,16 +56,12 @@ def sqin(sigma) -> int:
     return inv(sigma) + sum(i * i for i in des_set(sigma))
 
 
-def compose(s, t) -> tuple[int, ...]:
-    """``(s * t)(i) = s(t(i))``."""
-    return tuple(s[t[i] - 1] for i in range(len(t)))
-
-
-def decreasing_cycle(k: int, n: int) -> tuple[int, ...]:
-    """The cycle (k, k-1, ..., 1) as an element of S_n: 1 -> k, j -> j-1."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    return (k, *range(1, k), *range(k + 1, n + 1))
+def _maj_siz_sqin(sigma) -> tuple[int, int, int]:
+    """``maj``, ``siz`` and ``sqin`` from one descent set and one inversion count."""
+    n = len(sigma)
+    d = des_set(sigma)
+    i = inv(sigma)
+    return sum(d), sum((n + 1 - k) * k for k in d) - i, i + sum(k * k for k in d)
 
 
 def check_valid_sequence(code) -> tuple[int, ...]:
@@ -76,16 +75,16 @@ def check_valid_sequence(code) -> tuple[int, ...]:
 
 def valid_sequences(n: int):
     """All n! valid sequences of length n, lexicographically."""
+    return product(*(range(i) for i in range(1, n + 1)))
 
-    def extend(prefix):
-        i = len(prefix) + 1
-        if i > n:
-            yield prefix
-            return
-        for v in range(i):
-            yield from extend(prefix + (v,))
 
-    yield from extend(())
+def _cycle_power_left(sigma, k: int, r: int) -> tuple[int, ...]:
+    """``C_k^r * sigma``, where ``C_k`` is the decreasing cycle (k, k-1, ..., 1).
+
+    ``C_k`` sends 1 -> k and j -> j-1 for 2 <= j <= k, so ``C_k^r`` sends a
+    value ``v <= k`` to ``((v - 1 - r) mod k) + 1`` and fixes the rest.
+    """
+    return tuple((v - 1 - r) % k + 1 if v <= k else v for v in sigma)
 
 
 def ld_decode(code) -> tuple[int, ...]:
@@ -94,9 +93,8 @@ def ld_decode(code) -> tuple[int, ...]:
     n = len(c)
     sigma = tuple(range(1, n + 1))
     for k in range(2, n + 1):
-        cyc = decreasing_cycle(k, n)
-        for _ in range(c[k - 1]):
-            sigma = compose(cyc, sigma)
+        if c[k - 1]:
+            sigma = _cycle_power_left(sigma, k, c[k - 1])
     return sigma
 
 
@@ -108,10 +106,9 @@ def ld_encode(sigma) -> tuple[int, ...]:
     for k in range(n, 1, -1):
         a_k = k - sigma[k - 1]
         code[k - 1] = a_k
-        # strip the factor by applying C_k^{-a_k} = C_k^{k - a_k} on the left
-        cyc = decreasing_cycle(k, n)
-        for _ in range((k - a_k) % k):
-            sigma = compose(cyc, sigma)
+        # strip the factor by applying C_k^{-a_k} on the left
+        if a_k:
+            sigma = _cycle_power_left(sigma, k, -a_k)
     if sigma != tuple(range(1, n + 1)):
         raise AssertionError("factorization code did not reduce to the identity")
     return tuple(code)
@@ -120,12 +117,24 @@ def ld_encode(sigma) -> tuple[int, ...]:
 def check_ld_weights(n: int) -> bool:
     """Exhaustively check maj(LD(a)) = sum a_i and siz(LD(a)) = sum (n+1-i) a_i."""
     for code in valid_sequences(n):
-        sigma = ld_decode(code)
-        if maj(sigma) != sum(code):
+        maj_, siz_, _ = _maj_siz_sqin(ld_decode(code))
+        if maj_ != sum(code):
             return False
-        if siz(sigma) != sum((n + 1 - i) * v for i, v in enumerate(code, start=1)):
+        if siz_ != sum((n + 1 - i) * v for i, v in enumerate(code, start=1)):
             return False
     return True
+
+
+@cache
+def _joint_distributions(n: int) -> tuple[LaurentPoly2, LaurentPoly2]:
+    """``sum q^siz t^maj`` and ``sum q^sqin t^maj`` over S_n, tallied in one pass."""
+    siz_maj: Counter = Counter()
+    sqin_maj: Counter = Counter()
+    for sigma in _permutations(range(1, n + 1)):
+        maj_, siz_, sqin_ = _maj_siz_sqin(sigma)
+        siz_maj[siz_, maj_] += 1
+        sqin_maj[sqin_, maj_] += 1
+    return LaurentPoly2(siz_maj), LaurentPoly2(sqin_maj)
 
 
 def distribution(n: int, cap: int = DISTRIBUTION_CAP) -> LaurentPoly2:
@@ -134,11 +143,7 @@ def distribution(n: int, cap: int = DISTRIBUTION_CAP) -> LaurentPoly2:
         raise ValueError("n must be >= 0")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the brute-force cap of {cap}")
-    out: dict[tuple[int, int], int] = {}
-    for sigma in _permutations(range(1, n + 1)):
-        key = (siz(sigma), maj(sigma))
-        out[key] = out.get(key, 0) + 1
-    return LaurentPoly2(out)
+    return _joint_distributions(n)[0]
 
 
 def _q_int2(k: int, qexp: int, texp: int) -> LaurentPoly2:
@@ -168,11 +173,7 @@ def check_sqin_relation(n: int, cap: int = DISTRIBUTION_CAP) -> bool:
     """
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the brute-force cap of {cap}")
-    brute: dict[tuple[int, int], int] = {}
-    for sigma in _permutations(range(1, n + 1)):
-        key = (sqin(sigma), maj(sigma))
-        brute[key] = brute.get(key, 0) + 1
-    sqin_poly = LaurentPoly2(brute)
+    sqin_poly = _joint_distributions(n)[1]
     prod = LaurentPoly2.one()
     for k in range(1, n + 1):
         prod = prod * _q_int2(k, k, 1)

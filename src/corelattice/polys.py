@@ -73,6 +73,21 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
+    def sub_shifted(self, polys, e: int) -> "LaurentPoly":
+        """``self - q^e * sum(polys)``, built in one dict with no temporary polynomials."""
+        c = dict(self._c)
+        for p in polys:
+            for k, v in p._c.items():
+                k += e
+                nv = c.get(k, 0) - v
+                if nv:
+                    c[k] = nv
+                else:
+                    del c[k]
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = c  # canonical already: a coefficient that reaches zero is deleted above
+        return out
+
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPoly({e: v * other for e, v in self._c.items()})

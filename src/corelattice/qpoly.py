@@ -158,7 +158,12 @@ def coset_label(spec: SimplexSpec, cv: ChargeVector) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AgeSearchResult:
-    """Outcome of the shift search; ``found`` is False for a first-class failure.
+    """Outcome of the shift search; a failure is a result, not an exception.
+
+    ``status`` is ``found``, ``no_solution`` (the search finished without one,
+    or the sampled b leave a coset empty) or ``budget_exhausted`` (cut off
+    after ``max_nodes`` nodes: inconclusive).  ``nodes_used`` counts the
+    search nodes expanded.
 
     Cosets of equal simplex size contribute identical polynomials at every
     sampled b, so shifts are only determined up to permutation within each
@@ -167,11 +172,16 @@ class AgeSearchResult:
 
     a: int
     b_list: tuple[int, ...]
-    found: bool
+    status: str
+    nodes_used: int
     shifts: dict[tuple[int, ...], int] | None
     simplex_sizes: dict[tuple[int, ...], int] | None
     age_product_ok: bool | None
     reason: str | None = None
+
+    @property
+    def found(self) -> bool:
+        return self.status == "found"
 
     def shift_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self.shifts.values())) if self.shifts else ()
@@ -262,10 +272,8 @@ def _solve_class(counts: dict[int, int], targets: dict[int, LaurentPoly],
         trial = {}
         ok = True
         for b in bs:
-            residual = targets[b]
-            for m in chosen:
-                residual = residual - LaurentPoly.monomial(e) * polys[(m, b)]
-            if any(v < 0 for _, v in residual.items()):
+            residual = targets[b].sub_shifted([polys[(m, b)] for m in chosen], e)
+            if not residual.nonnegative():
                 ok = False
                 break
             trial[b] = residual
@@ -294,6 +302,8 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
     pins the multiplicities), then solve each class separately, where the
     minimal residual exponent forces each successive shift.
     """
+    if a < 2:
+        raise ValueError("a must be >= 2")
     bs = tuple(sorted(set(int(b) for b in b_list)))
     if not bs:
         raise ValueError("b_list must be nonempty")
@@ -308,7 +318,7 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
     sizes_ref = {lab: (b_ref - sum(lab)) // a for lab in coset_labels(a, b_ref % a)}
     if any(m < 0 for m in sizes_ref.values()):
         missing = sum(1 for m in sizes_ref.values() if m < 0)
-        return AgeSearchResult(a, bs, False, None, None, None,
+        return AgeSearchResult(a, bs, "no_solution", 0, None, None, None,
                                f"{missing} coset(s) empty at every sampled b; raise b_list")
 
     # interchangeable cosets: same size profile across all b
@@ -381,9 +391,10 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
     try:
         found = apportion(0, 0, {}, {b: 0 for b in bs})
     except CapExceededError as exc:
-        return AgeSearchResult(a, bs, False, None, dict(sizes_ref), None, str(exc))
+        return AgeSearchResult(a, bs, "budget_exhausted", max_nodes, None, dict(sizes_ref), None, str(exc))
+    nodes_used = max_nodes - budget[0]
     if not found:
-        return AgeSearchResult(a, bs, False, None, dict(sizes_ref), None,
+        return AgeSearchResult(a, bs, "no_solution", nodes_used, None, dict(sizes_ref), None,
                                "no consistent b-independent shifts exist for these b")
 
     shifts: dict[tuple[int, ...], int] = {}
@@ -403,4 +414,4 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
     expected = LaurentPoly.one()
     for j in range(2, a):
         expected = expected * q_int(a, power=j)
-    return AgeSearchResult(a, bs, True, shifts, dict(sizes_ref), age_poly == expected)
+    return AgeSearchResult(a, bs, "found", nodes_used, shifts, dict(sizes_ref), age_poly == expected)

@@ -230,6 +230,24 @@ def test_perm_command_respects_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap, code", [("100", 3), ("120", 0)])
+def test_perm_honours_cap_flag(capsys, cap, code):
+    # 5! = 120 permutations
+    got, out, err = run_cli(capsys, "perm", "5", "--cap", cap)
+    assert got == code
+    if code:
+        assert "cap" in err and out == ""
+    else:
+        assert json.loads(out)["total"] == 120
+
+
+def test_perm_honours_env_cap(capsys, monkeypatch):
+    monkeypatch.setenv("CORELATTICE_CAP", "100")
+    code, out, err = run_cli(capsys, "perm", "5")
+    assert code == 3 and out == ""
+    assert "cap" in err
+
+
 def test_ehrhart_command(capsys):
     code, out, _ = run_cli(capsys, "ehrhart", "3")
     report = json.loads(out)
@@ -249,6 +267,13 @@ def test_search_age_default_blist(capsys):
     code, out, _ = run_cli(capsys, "search-age", "2")
     report = json.loads(out)
     assert report["found"] and report["b_list"] == [3, 5, 7]
+
+
+@pytest.mark.parametrize("argv", [["search-age", "0"], ["search-age", "0", "--b-list", "3"]])
+def test_search_age_rejects_small_a(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: a must be >= 2\n"
 
 
 def test_search_age_failure_still_exits_zero(capsys):

@@ -1,6 +1,7 @@
 """Permutation statistics, factorization codes, and distribution identities."""
 
 import random
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
@@ -9,6 +10,41 @@ import pytest
 from corelattice import perms as PS
 from corelattice.errors import CapExceededError
 from corelattice.polys import LaurentPoly2
+
+
+def compose(s, t) -> tuple[int, ...]:
+    """``(s * t)(i) = s(t(i))``."""
+    return tuple(s[t[i] - 1] for i in range(len(t)))
+
+
+def decreasing_cycle(k: int, n: int) -> tuple[int, ...]:
+    """The cycle (k, k-1, ..., 1) as an element of S_n: 1 -> k, j -> j-1."""
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    return (k, *range(1, k), *range(k + 1, n + 1))
+
+
+def ld_decode_by_composition(code) -> tuple[int, ...]:
+    """Reference route: multiply ``code[k-1]`` copies of the k-cycle on the left, one at a time."""
+    n = len(code)
+    sigma = tuple(range(1, n + 1))
+    for k in range(2, n + 1):
+        for _ in range(code[k - 1]):
+            sigma = compose(decreasing_cycle(k, n), sigma)
+    return sigma
+
+
+def ld_encode_by_composition(sigma) -> tuple[int, ...]:
+    """Reference route: peel ``C_k^(k - a_k)`` off the left, one cycle at a time."""
+    n = len(sigma)
+    code = [0] * n
+    for k in range(n, 1, -1):
+        a_k = k - sigma[k - 1]
+        code[k - 1] = a_k
+        for _ in range((k - a_k) % k):
+            sigma = compose(decreasing_cycle(k, n), sigma)
+    assert sigma == tuple(range(1, n + 1))
+    return tuple(code)
 
 
 def test_basic_statistics():
@@ -37,9 +73,9 @@ def test_check_permutation():
 
 
 def test_decreasing_cycle():
-    assert PS.decreasing_cycle(2, 2) == (2, 1)
-    assert PS.decreasing_cycle(3, 5) == (3, 1, 2, 4, 5)
-    assert PS.decreasing_cycle(1, 4) == (1, 2, 3, 4)
+    assert decreasing_cycle(2, 2) == (2, 1)
+    assert decreasing_cycle(3, 5) == (3, 1, 2, 4, 5)
+    assert decreasing_cycle(1, 4) == (1, 2, 3, 4)
 
 
 def test_ld_decode_examples():
@@ -57,6 +93,14 @@ def test_ld_code_bijection_exhaustive():
             assert PS.ld_encode(sigma) == code
             images.add(sigma)
         assert len(images) == factorial(n)
+
+
+def test_ld_code_matches_the_composition_route():
+    for n in range(0, 8):
+        for code in PS.valid_sequences(n):
+            sigma = PS.ld_decode(code)
+            assert sigma == ld_decode_by_composition(code)
+            assert PS.ld_encode(sigma) == ld_encode_by_composition(sigma) == code
 
 
 def test_check_ld_weights():
@@ -79,7 +123,7 @@ def test_ld_left_multiplication_step():
             bumped[k - 1] += 1
             before = PS.ld_decode(prefix_code)
             after = PS.ld_decode(tuple(bumped))
-            assert after == PS.compose(PS.decreasing_cycle(k, n), before)
+            assert after == compose(decreasing_cycle(k, n), before)
             assert PS.maj(after) - PS.maj(before) == 1
             assert PS.siz(after) - PS.siz(before) == n + 1 - k
 
@@ -98,6 +142,15 @@ def test_distribution_total_and_cap():
         assert PS.distribution(n).total() == factorial(n)
     with pytest.raises(CapExceededError):
         PS.distribution(10)
+
+
+def test_joint_distributions_match_a_per_permutation_tally():
+    for n in range(0, 7):
+        perms = list(permutations(range(1, n + 1)))
+        siz_maj = Counter((PS.siz(s), PS.maj(s)) for s in perms)
+        sqin_maj = Counter((PS.sqin(s), PS.maj(s)) for s in perms)
+        assert PS.distribution(n) == LaurentPoly2(siz_maj)
+        assert PS._joint_distributions(n) == (LaurentPoly2(siz_maj), LaurentPoly2(sqin_maj))
 
 
 def test_check_sizmaj2_exhaustive():

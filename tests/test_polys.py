@@ -56,6 +56,29 @@ def test_divexact_inverts_multiplication(p, d):
     assert (p * d).divexact(d) == p
 
 
+@settings(max_examples=300, deadline=None)
+@given(laurent_polys, st.lists(laurent_polys, max_size=4), st.integers(-8, 8))
+def test_sub_shifted_matches_the_operator_route(p, ps, e):
+    total = LaurentPoly.zero()
+    for x in ps:
+        total = total + x
+    expected = p - LaurentPoly.monomial(e) * total
+    got = p.sub_shifted(ps, e)
+    assert got == expected
+    assert 0 not in got._c.values()
+    # subtracting a shifted copy of the whole difference cancels everything
+    assert got.sub_shifted([got], 0).is_zero
+    assert (LaurentPoly.monomial(e) * p).sub_shifted([p], e).is_zero
+
+
+def test_sub_shifted_cancels_to_zero_and_leaves_its_inputs():
+    p = LaurentPoly({0: 1, 1: 2, 2: 1})
+    parts = [LaurentPoly({-3: 1, -2: 1}), LaurentPoly({-2: 1, -1: 1})]
+    assert p.sub_shifted(parts, 3).is_zero
+    assert p.sub_shifted(parts[:1], 3) == LaurentPoly({1: 1, 2: 1})
+    assert p == LaurentPoly({0: 1, 1: 2, 2: 1}) and p.sub_shifted([], 5) == p
+
+
 def test_subs_power_and_serialization():
     p = LaurentPoly({0: 1, 1: 2, 3: -1})
     assert p.subs_power(3) == LaurentPoly({0: 1, 3: 2, 9: -1})

@@ -172,3 +172,32 @@ def test_search_age_function_reports_thin_data():
     res = Q.search_age_function(4, [5])
     assert not res.found
     assert "empty" in res.reason
+
+
+# Search nodes for a = 5, pinned as the smallest max_nodes with which the
+# search still finds its solution (measured before the fused residual kernel):
+# equal counts mean the search walks the same tree.
+@pytest.mark.parametrize("b_list, nodes", [([6, 11, 16], 4919), ([7, 12, 17], 64), ([1, 6, 11, 16], 60)])
+def test_search_age_reports_nodes_used(b_list, nodes):
+    res = Q.search_age_function(5, b_list)
+    assert res.status == "found" and res.found and res.age_product_ok
+    assert res.nodes_used == nodes
+    assert Q.search_age_function(5, b_list, max_nodes=nodes).nodes_used == nodes
+
+
+def test_search_age_reports_an_exhausted_budget():
+    res = Q.search_age_function(5, [6, 11, 16], max_nodes=4918)
+    assert res.status == "budget_exhausted" and not res.found
+    assert res.nodes_used == 4918
+    assert res.shifts is None and "work limit" in res.reason
+
+
+def test_search_age_status_without_a_solution():
+    res = Q.search_age_function(4, [5])
+    assert res.status == "no_solution" and res.nodes_used == 0
+
+
+@pytest.mark.parametrize("a", [-1, 0, 1])
+def test_search_age_function_rejects_small_a(a):
+    with pytest.raises(ValueError, match="a must be >= 2"):
+        Q.search_age_function(a, [3])
