@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .partitions import Parts, beta_set, is_core
 
@@ -97,30 +98,33 @@ def unshift(sp: ShiftedPoint) -> ChargeVector:
     return ChargeVector(a, tuple(charges))
 
 
-def core_from_charges(cv: ChargeVector) -> Parts:
-    """The a-core of a charge vector, by direct abacus simulation.
+def filled_levels(a: int, c) -> list[int]:
+    """The beta-set of the a-core with charges ``c``: its filled levels, descending.
 
-    Builds the right-justified filled levels down to the lowest empty level
-    and reads the partition off the boundary path.
+    Runner ``i`` is filled from level ``-a*c_i - i - 1`` downwards.  Every
+    level below the lowest empty one is filled, so the beads listed are the
+    ones above it.  At charge zero there are exactly as many of them as the
+    core has parts, and the k-th largest level is ``part_k - k``; both are
+    asserted (the bookkeeping, and a positive last part).
     """
-    a, c = cv.a, cv.c
-    lowest_empty = min(a * (1 - ci) - i - 1 for i, ci in enumerate(c))
-    filled = []
-    for i, ci in enumerate(c):
-        m = -a * ci - i - 1
-        while m >= lowest_empty:
-            filled.append(m)
-            m -= a
-    filled.sort(reverse=True)
-    if len(filled) + lowest_empty != 0:
+    tops = [-a * ci - i - 1 for i, ci in enumerate(c)]
+    lowest_empty = min(tops) + a
+    levels = []
+    for m in tops:
+        levels.extend(range(m, lowest_empty, -a))
+    levels.sort(reverse=True)
+    n = len(levels)
+    if n + lowest_empty != 0:
         raise AssertionError("abacus bookkeeping is inconsistent")
-    parts = []
-    for k, m in enumerate(filled, start=1):
-        v = m + k
-        if v <= 0:
-            break
-        parts.append(v)
-    return tuple(parts)
+    if n and levels[-1] + n <= 0:
+        raise AssertionError("abacus levels give a nonpositive part")
+    return levels
+
+
+def core_from_charges(cv: ChargeVector) -> Parts:
+    """The a-core of a charge vector, by direct abacus simulation (:func:`filled_levels`)."""
+    levels = filled_levels(cv.a, cv.c)
+    return tuple(map(add, levels, range(1, len(levels) + 1)))
 
 
 def charges_from_core(parts: Parts, a: int) -> ChargeVector:

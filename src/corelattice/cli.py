@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import factorial
 
 from . import ehrhart, perms, qpoly, qt
-from .abacus import ChargeVector
 from .errors import CapExceededError
 from .simplex import (
     DEFAULT_CAP,
@@ -87,6 +86,14 @@ def _ints_csv(values) -> str:
     return " ".join(str(v) for v in values)
 
 
+def _core_json_line(r: dict) -> str:
+    """``_json_line({"type": "core", **r})`` written out directly: every field is an int or a list of ints."""
+    return (
+        '{"type":"core","charges":%s,"z":%s,"partition":%s,"size":%d,"length":%d,"skew_length":%d,"co_skew_length":%d}'
+        % (r["charges"], r["z"], r["partition"], r["size"], r["length"], r["skew_length"], r["co_skew_length"])
+    ).replace(" ", "")
+
+
 def cmd_enumerate(args, out) -> int:
     """Stream one record per core, then the footer, in a single pass over :func:`iter_cores`."""
     spec = SimplexSpec(args.a, args.b)
@@ -97,7 +104,7 @@ def cmd_enumerate(args, out) -> int:
         batch.append("charges,z,partition,size,length,skew_length,co_skew_length\n")
     count = total = 0
     for z, charges in iter_cores(spec, args.cap):
-        r = core_record(spec, ChargeVector(args.a, charges), z)
+        r = core_record(spec, charges, z)
         count += 1
         total += r["size"]
         if args.summary:
@@ -115,14 +122,14 @@ def cmd_enumerate(args, out) -> int:
                 )
             )
         else:
-            line = _json_line({"type": "core", **r})
+            line = _core_json_line(r)
         batch.append(line + "\n")
         if len(batch) >= WRITE_BATCH:
             out.write("".join(batch))
             batch.clear()
     out.write("".join(batch))
     average = Fraction(total, count)
-    if csv_rows:
+    if args.format == "csv":
         print(f"# count={count} total_size={total} average_size={average}", file=out)
         return EXIT_OK
     footer = {
@@ -164,6 +171,8 @@ def cmd_poly(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     checks = build_suite(
         args.suite,
         a_max=args.a_max,
@@ -221,6 +230,8 @@ def cmd_perm(args, out) -> int:
 
 
 def cmd_ehrhart(args, out) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.residue is not None:
         counts = ehrhart.core_count_series(args.a, args.residue, args.samples, cap=args.cap)
         sums = ehrhart.core_qsum_series(args.a, args.residue, args.samples, cap=args.cap)

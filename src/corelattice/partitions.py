@@ -11,6 +11,16 @@ energy levels.  We index the level ``m + 1/2`` by the integer ``m``; for a
 partition ``p`` of length ``L`` at charge ``c`` the filled levels are
 ``{p[i] - (i+1) - c}`` together with every ``m <= -L-1-c``.
 
+At charge 0 the levels above that tail form the beta-set (:func:`beta_set`):
+one level per part, all above the empty level ``-L``, the k-th largest
+being ``p[k-1] - k``.  The beta-set is the representation this module
+shares with the abacus layer.  :func:`corelattice.abacus.filled_levels`
+builds a core's beta-set straight from its charges, and
+:func:`skew_length_of_levels` runs the a-core and b-core tests and counts
+the skew length on it, so one list of levels gives an enumerated core's
+partition, length, size and skew length.  :func:`is_core` and
+:func:`skew_length` take the beta-set of their ``parts``.
+
 First-row lemma: deleting the first row of a partition leaves every other
 cell's arm and leg unchanged, so the hooks of the shorter partition are a
 sub-multiset of the original hooks, and the rest of a t-core is a t-core.
@@ -19,6 +29,7 @@ The brute-force oracle grows cores one row at a time on this basis.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -108,14 +119,24 @@ def is_core(parts: Parts, a: int) -> bool:
     empty, so it suffices to check ``m - a`` for the finitely many filled
     levels above the tail.
     """
-    return _is_core_beta(beta_set(parts), len(parts), a)
-
-
-def _is_core_beta(beta: frozenset[int], n: int, a: int) -> bool:
-    """:func:`is_core` on the beta set of a partition of length ``n``."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    return all(m - a in beta or m - a < -n for m in beta)
+    beads = _bead_mask(beta_set(parts))
+    return not beads >> a & ~beads
+
+
+def _bead_mask(levels: Collection[int]) -> int:
+    """A beta-set of ``n`` levels as the bitset with bit ``m + n`` for each level ``m``.
+
+    Bit 0 is the empty level ``-n``; the filled tail below it has no bits,
+    so ``beads >> t & ~beads`` is the set of empty levels lying ``t`` under
+    a bead: the hooks of length ``t``.
+    """
+    n = len(levels)
+    beads = 0
+    for m in levels:
+        beads |= 1 << (m + n)
+    return beads
 
 
 @dataclass(frozen=True)
@@ -179,20 +200,6 @@ def from_maya(state: MayaState) -> tuple[Parts, int]:
     return tuple(parts), charge
 
 
-def a_row_indices(parts: Parts, a: int) -> list[int]:
-    """1-based rows of the a-parts: the longest row in each class of ``p[i]-i mod a``.
-
-    In an a-core the longest row of a class is unique: ``a+1`` consecutive
-    equal parts would force a hook of length ``a``.
-    """
-    best: dict[int, int] = {}
-    for i, v in enumerate(parts, start=1):
-        r = (v - i) % a
-        if r not in best or v > parts[best[r] - 1]:
-            best[r] = i
-    return sorted(best.values())
-
-
 def skew_length(parts: Parts, a: int, b: int) -> int:
     """Number of cells lying in an a-row and having hook length below ``b``.
 
@@ -204,16 +211,30 @@ def skew_length(parts: Parts, a: int, b: int) -> int:
     """
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
-    n = len(parts)
-    beta = beta_set(parts)
-    if not (_is_core_beta(beta, n, a) and _is_core_beta(beta, n, b)):
+    return skew_length_of_levels(beta_set(parts), a, b)
+
+
+def skew_length_of_levels(levels: Collection[int], a: int, b: int) -> int:
+    """:func:`skew_length` of the (a,b)-core whose beta-set is ``levels``.
+
+    Raises ``ValueError`` unless the levels are those of an a-core and a
+    b-core.  The a-rows are the rows of the top level in each class mod a,
+    the beads ``m`` with ``m + a`` empty (in an a-core the longest row of a
+    class is unique: ``a+1`` consecutive equal parts would force a hook of
+    length ``a``).  The cells of the row at level ``m`` are the empty levels
+    below ``m``, with hook ``m - level``, so the row adds the empty levels
+    in ``[m - b + 1, m)`` above the tail.
+    """
+    beads = _bead_mask(levels)
+    if beads >> a & ~beads or beads >> b & ~beads:
         raise ValueError("skew length is only defined for (a,b)-cores")
+    a_rows = beads & ~(beads >> a)
     total = 0
-    for i in a_row_indices(parts, a):
-        # cells of row i <-> empty levels below beta_i; hook = beta_i - level
-        b_i = parts[i - 1] - i
-        lo = max(b_i - b + 1, -n)
-        total += (b_i - lo) - len(beta.intersection(range(lo, b_i)))
+    while a_rows:
+        top = a_rows.bit_length() - 1
+        a_rows ^= 1 << top
+        lo = max(top - b + 1, 0)
+        total += top - lo - (beads & ((1 << top) - (1 << lo))).bit_count()
     return total
 
 

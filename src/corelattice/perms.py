@@ -32,10 +32,6 @@ def des_set(sigma) -> frozenset[int]:
     return frozenset(i for i in range(1, len(sigma)) if sigma[i - 1] > sigma[i])
 
 
-def des(sigma) -> int:
-    return len(des_set(sigma))
-
-
 def maj(sigma) -> int:
     """Major index: sum of the descent positions."""
     return sum(des_set(sigma))

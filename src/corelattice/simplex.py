@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from operator import sub
+from operator import add, mul, sub
 
 from . import partitions
-from .abacus import ChargeVector, ShiftedPoint, core_from_charges, size_quadratic
+from .abacus import ChargeVector, ShiftedPoint, filled_levels, size_quadratic
 from .errors import CapExceededError
 
 DEFAULT_CAP = 10_000_000
@@ -240,19 +240,27 @@ def self_conjugate_average_size(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> Fr
     return Fraction(self_conjugate_total_size(spec, cap), self_conjugate_count(spec.a, spec.b))
 
 
-def core_record(spec: SimplexSpec, cv: ChargeVector, z) -> dict:
+def core_record(spec: SimplexSpec, charges, z) -> dict:
     """The per-core record exposed by the CLI (exact, JSON-serializable).
 
-    ``z`` is the core's representation vector, as :func:`iter_cores` yields it.
+    ``charges`` and ``z`` are the core's tuples, as :func:`iter_cores` yields
+    them.  The partition, its length, size and skew length all come from one
+    list of filled abacus levels; the size is checked against the quadratic
+    form ``(a/2) sum c_i^2 + sum i*c_i``.
     """
-    p = core_from_charges(cv)
-    sl = partitions.skew_length(p, spec.a, spec.b)
+    a, b = spec.a, spec.b
+    levels = filled_levels(a, charges)
+    parts = list(map(add, levels, range(1, len(levels) + 1)))
+    size = sum(parts)
+    if a * sum(map(mul, charges, charges)) + 2 * sum(map(mul, range(a), charges)) != 2 * size:
+        raise AssertionError("quadratic form must be integral and equal the core size")
+    sl = partitions.skew_length_of_levels(levels, a, b)
     return {
-        "charges": list(cv.c),
+        "charges": list(charges),
         "z": list(z),
-        "partition": list(p),
-        "size": size_quadratic(cv),
-        "length": len(p),
+        "partition": parts,
+        "size": size,
+        "length": len(parts),
         "skew_length": sl,
-        "co_skew_length": (spec.a - 1) * (spec.b - 1) // 2 - sl,
+        "co_skew_length": (a - 1) * (b - 1) // 2 - sl,
     }

@@ -242,25 +242,32 @@ def unimodality_suite(a_max: int, b_max: int) -> list[Check]:
 
 
 def build_suite(name: str, *, a_max, b_max, n_max, k_max, radius, cap) -> list[Check]:
-    """Instantiate a named suite; defaults are applied by the CLI layer."""
+    """Instantiate a named suite; a bound left as ``None`` takes the suite's default, and 0 is honoured."""
+    for flag, value in (("a-max", a_max), ("b-max", b_max), ("n-max", n_max), ("k-max", k_max), ("radius", radius)):
+        if value is not None and value < 0:
+            raise ValueError(f"--{flag} must be >= 0, got {value}")
+
+    def bound(value, default):
+        return default if value is None else value
+
     builders = {
-        "anderson": lambda: anderson_suite(a_max or 6, b_max or 20, cap),
-        "armstrong": lambda: armstrong_suite(a_max or 6, b_max or 20, cap),
-        "self-conjugate": lambda: self_conjugate_suite(a_max or 6, b_max or 20, cap),
-        "quadratic": lambda: quadratic_suite(a_max or 6, radius or 4),
-        "oracle": lambda: oracle_suite(a_max or 4, b_max or 9, cap),
-        "statistics": lambda: statistics_suite(a_max or 5, b_max or 13, cap),
-        "qt3": lambda: qt3_suite(b_max or 20, cap),
-        "qt-symmetry": lambda: qt_symmetry_suite(a_max or 5, b_max or 13, cap),
-        "sizmaj1": lambda: sizmaj1_suite(a_max or 6),
-        "sizmaj2": lambda: sizmaj2_suite(n_max or 7),
-        "ld-weights": lambda: ld_weights_suite(n_max or 7),
-        "sqin": lambda: sqin_suite(n_max or 7),
-        "coset-identities": lambda: coset_identities_suite(k_max or 6),
-        "delta-table": lambda: delta_table_suite(a_max or 5),
+        "anderson": lambda: anderson_suite(bound(a_max, 6), bound(b_max, 20), cap),
+        "armstrong": lambda: armstrong_suite(bound(a_max, 6), bound(b_max, 20), cap),
+        "self-conjugate": lambda: self_conjugate_suite(bound(a_max, 6), bound(b_max, 20), cap),
+        "quadratic": lambda: quadratic_suite(bound(a_max, 6), bound(radius, 4)),
+        "oracle": lambda: oracle_suite(bound(a_max, 4), bound(b_max, 9), cap),
+        "statistics": lambda: statistics_suite(bound(a_max, 5), bound(b_max, 13), cap),
+        "qt3": lambda: qt3_suite(bound(b_max, 20), cap),
+        "qt-symmetry": lambda: qt_symmetry_suite(bound(a_max, 5), bound(b_max, 13), cap),
+        "sizmaj1": lambda: sizmaj1_suite(bound(a_max, 6)),
+        "sizmaj2": lambda: sizmaj2_suite(bound(n_max, 7)),
+        "ld-weights": lambda: ld_weights_suite(bound(n_max, 7)),
+        "sqin": lambda: sqin_suite(bound(n_max, 7)),
+        "coset-identities": lambda: coset_identities_suite(bound(k_max, 6)),
+        "delta-table": lambda: delta_table_suite(bound(a_max, 5)),
         "reciprocity": lambda: reciprocity_suite(),
-        "root-structure": lambda: root_structure_suite(a_max or 5, cap),
-        "unimodality": lambda: unimodality_suite(a_max or 5, b_max or 30),
+        "root-structure": lambda: root_structure_suite(bound(a_max, 5), cap),
+        "unimodality": lambda: unimodality_suite(bound(a_max, 5), bound(b_max, 30)),
     }
     if name == "all":
         checks = []

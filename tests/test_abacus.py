@@ -27,6 +27,23 @@ def test_charge_vector_validation():
         A.ChargeVector(3, (1, -1))
 
 
+def test_filled_levels_are_a_descending_beta_set():
+    for a in range(2, 6):
+        for cv in charge_vectors(a, 2):
+            levels = A.filled_levels(a, cv.c)
+            assert levels == sorted(set(levels), reverse=True)
+            for m in levels:
+                i = (-m - 1) % a
+                assert m <= -a * cv.c[i] - i - 1  # runner i is filled from -a*c_i - i - 1 down
+            assert A.core_from_charges(cv) == tuple(m + k for k, m in enumerate(levels, start=1))
+    assert A.filled_levels(3, (0, 3, -3)) == [6, 3, 0, -1, -3, -4, -6, -7]
+
+
+def test_filled_levels_bookkeeping_rejects_nonzero_charge():
+    with pytest.raises(AssertionError, match="bookkeeping"):
+        A.filled_levels(2, (1, 0))
+
+
 def test_core_from_charges_worked_example():
     assert A.core_from_charges(A.ChargeVector(3, (0, 3, -3))) == (7, 5, 3, 3, 2, 2, 1, 1)
     assert A.core_from_charges(A.zero_charges(5)) == ()

@@ -4,11 +4,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
 from corelattice import simplex
-from corelattice.cli import main
+from corelattice.cli import _core_json_line, main
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +129,59 @@ def test_enumerate_stdout_is_byte_identical(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_core_json_line_matches_the_encoder():
+    seen_empty = seen_negative = False
+    for a in range(2, 8):
+        for b in range(1, 14):
+            if gcd(a, b) != 1:
+                continue
+            spec = simplex.SimplexSpec(a, b)
+            for z, charges in simplex.iter_cores(spec):
+                record = simplex.core_record(spec, charges, z)
+                expected = json.dumps({"type": "core", **record}, separators=(",", ":"))
+                assert _core_json_line(record) == expected
+                seen_empty |= record["partition"] == []
+                seen_negative |= min(charges) < 0
+    assert seen_empty and seen_negative
+
+
+def test_enumerate_summary_honours_csv(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "3", "4", "--summary", "--format", "csv")
+    assert code == 0
+    assert out == "# count=5 total_size=10 average_size=2\n"
+
+
+def test_verify_honours_explicit_zero_bounds(capsys):
+    code, out, _ = run_cli(capsys, "verify", "quadratic", "--radius", "0", "--a-max", "3")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["params"] for r in records[:-1]] == [{"a": 2, "radius": 0}, {"a": 3, "radius": 0}]
+    code, out, _ = run_cli(capsys, "verify", "anderson", "--a-max", "0")
+    assert code == 0
+    assert json.loads(out) == {"type": "summary", "suite": "anderson", "checks": 0, "failures": 0}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "quadratic", "--radius", "-1"),
+        ("verify", "anderson", "--a-max", "-1"),
+        ("verify", "anderson", "--b-max", "-3"),
+        ("verify", "sizmaj2", "--n-max", "-1"),
+        ("verify", "coset-identities", "--k-max", "-1"),
+        ("verify", "anderson", "--jobs", "0"),
+        ("verify", "anderson", "--jobs", "-2"),
+        ("ehrhart", "3", "--residue", "1", "--samples", "-1"),
+        ("ehrhart", "3", "--residue", "1", "--samples", "0"),
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_options_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "must be >= " in err
 
 
 def test_enumerate_csv(capsys):

@@ -178,6 +178,17 @@ def test_skew_length_requires_core():
         P.skew_length((1,), 2, 4)  # not coprime
 
 
+def test_skew_length_of_levels_requires_an_ab_core():
+    assert P.skew_length_of_levels([], 3, 4) == 0
+    assert P.skew_length_of_levels([8, 5, 2, -1, -3, -4, -6, -7], 3, 11) == 9  # (9, 7, 5, 3, 2, 2, 1, 1)
+    with pytest.raises(ValueError):
+        P.skew_length_of_levels([1], 3, 2)  # (2,) is a 3-core but not a 2-core
+    with pytest.raises(ValueError):
+        P.skew_length_of_levels([1], 2, 3)  # the same partition fails the a-core test
+    with pytest.raises(ValueError):
+        P.skew_length_of_levels([2, 0, -1, -3], 3, 4)  # (3, 2, 2, 1): not a 3-core
+
+
 def test_skew_length_bounded_on_enumerated_cores():
     for a in range(2, 7):
         for b in range(a + 1, 14):

@@ -18,7 +18,7 @@ from corelattice.abacus import (
     zero_charges,
 )
 from corelattice.errors import CapExceededError
-from corelattice.partitions import brute_force_simultaneous_cores, conjugate, is_core
+from corelattice.partitions import brute_force_simultaneous_cores, conjugate, is_core, skew_length
 
 
 def compositions(total, parts):
@@ -236,7 +236,7 @@ def test_rotation_equidistribution():
 def test_core_record_fields():
     spec = S.SimplexSpec(3, 4)
     cv = charges_from_core((3, 1, 1), 3)
-    rec = S.core_record(spec, cv, S.to_z(spec, shift(cv)).z)
+    rec = S.core_record(spec, cv.c, S.to_z(spec, shift(cv)).z)
     assert rec == {
         "charges": [-1, 0, 1],
         "z": [4, 0, 0],
@@ -246,3 +246,33 @@ def test_core_record_fields():
         "skew_length": 3,
         "co_skew_length": 0,
     }
+
+
+def skew_length_by_hooks(parts, a, b):
+    """Cells in an a-row with hook length below b, from arms and legs (no beta-set, no abacus)."""
+    a_rows = {}
+    for i, v in enumerate(parts):
+        a_rows.setdefault((v - i) % a, i)  # parts weakly decrease: a class's first row is its longest
+    conj = conjugate(parts)
+    # the hook of cell (r, c) is arm + leg + 1 = (parts[r] - c - 1) + (conj[c] - r - 1) + 1
+    return sum(1 for r in a_rows.values() for c in range(parts[r]) if parts[r] - c + conj[c] - r - 1 < b)
+
+
+def test_core_record_matches_the_partition_routes():
+    # every core of every coprime a <= 7, b <= 13 (b < a too; b = 1 gives only the empty partition)
+    for a in range(2, 8):
+        for b in range(1, 14):
+            if gcd(a, b) != 1:
+                continue
+            spec = S.SimplexSpec(a, b)
+            for z, charges in S.iter_cores(spec):
+                rec = S.core_record(spec, charges, z)
+                cv = ChargeVector(a, charges)
+                p = core_from_charges(cv)
+                assert rec["charges"] == list(charges) and rec["z"] == list(z)
+                assert rec["partition"] == list(p), (a, b, charges)
+                assert rec["length"] == len(p)
+                assert rec["size"] == sum(p) == size_quadratic(cv)
+                assert rec["skew_length"] == skew_length(p, a, b) == skew_length_by_hooks(p, a, b), (a, b, p)
+                assert rec["co_skew_length"] == (a - 1) * (b - 1) // 2 - rec["skew_length"]
+                assert is_core(p, a) and is_core(p, b), (a, b, p)
