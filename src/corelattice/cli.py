@@ -233,13 +233,12 @@ def cmd_ehrhart(args, out) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.residue is not None:
-        counts = ehrhart.core_count_series(args.a, args.residue, args.samples, cap=args.cap)
-        sums = ehrhart.core_qsum_series(args.a, args.residue, args.samples, cap=args.cap)
+        series = sorted(ehrhart.core_series(args.a, args.residue, args.samples, cap=args.cap).items())
         report = {
             "a": args.a,
             "residue": args.residue % args.a,
-            "counts": [[b, n] for b, n in sorted(counts.items())],
-            "size_sums": [[b, n] for b, n in sorted(sums.items())],
+            "counts": [[b, n] for b, (n, _) in series],
+            "size_sums": [[b, total] for b, (_, total) in series],
         }
         print(_json_line(report), file=out)
         return EXIT_OK

@@ -15,9 +15,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd
 
-from .abacus import size_quadratic
 from .errors import FitValidationError
-from .simplex import DEFAULT_CAP, SimplexSpec, enumerate_cores
+from .simplex import DEFAULT_CAP, SimplexSpec, core_moments
 
 Coeffs = tuple[Fraction, ...]
 
@@ -351,23 +350,14 @@ def reciprocity_check(
     return True
 
 
-def core_count_series(a: int, residue: int, num_samples: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
-    """Core counts at the first ``num_samples`` values of b in a residue class."""
-    return {
-        b: len(enumerate_cores(SimplexSpec(a, b), cap))
-        for b in _residue_values(a, residue, num_samples)
-    }
-
-
-def core_qsum_series(a: int, residue: int, num_samples: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
-    """Total core sizes at the first ``num_samples`` values of b in a residue class."""
-    return {
-        b: sum(size_quadratic(cv) for cv in enumerate_cores(SimplexSpec(a, b), cap))
-        for b in _residue_values(a, residue, num_samples)
-    }
+def core_series(a: int, residue: int, num_samples: int, cap: int = DEFAULT_CAP) -> dict[int, tuple[int, int]]:
+    """Core count and size sum at each of the first ``num_samples`` values of b in a residue class."""
+    return {b: core_moments(SimplexSpec(a, b), cap) for b in _residue_values(a, residue, num_samples)}
 
 
 def _residue_values(a: int, residue: int, num_samples: int) -> list[int]:
+    if a < 2:
+        raise ValueError("a must be >= 2")
     if gcd(a, residue) != 1:
         raise ValueError("residue must be coprime to a")
     first = residue % a or a
@@ -375,6 +365,8 @@ def _residue_values(a: int, residue: int, num_samples: int) -> list[int]:
 
 
 def _coprime_values(a: int, count: int) -> list[int]:
+    if a < 2:
+        raise ValueError("a must be >= 2")
     out = []
     b = 1
     while len(out) < count:
@@ -390,17 +382,13 @@ def fit_core_polynomials(a: int, validation: int = 3, cap: int = DEFAULT_CAP) ->
     Samples run over b coprime to ``a`` across all residue classes; fitting
     them as single polynomials (period 1) validates that the classes share
     one polynomial.  F has degree a-1, G degree a+1, and exact division
-    yields the degree-2 average polynomial.
+    yields the degree-2 average polynomial.  Each sample comes from
+    :func:`~corelattice.simplex.core_moments`, so no core is enumerated;
+    ``cap`` still bounds Cat(a,b) at every sampled b.
     """
-    bs = _coprime_values(a, (a + 1) + 1 + validation)
-    counts: dict[int, int] = {}
-    sums: dict[int, int] = {}
-    for b in bs:
-        cores = enumerate_cores(SimplexSpec(a, b), cap)
-        counts[b] = len(cores)
-        sums[b] = sum(size_quadratic(cv) for cv in cores)
-    f = fit_quasipolynomial(counts, 1, a - 1).constituents[0]
-    g = fit_quasipolynomial(sums, 1, a + 1).constituents[0]
+    series = {b: core_moments(SimplexSpec(a, b), cap) for b in _coprime_values(a, (a + 1) + 1 + validation)}
+    f = fit_quasipolynomial({b: n for b, (n, _) in series.items()}, 1, a - 1).constituents[0]
+    g = fit_quasipolynomial({b: total for b, (_, total) in series.items()}, 1, a + 1).constituents[0]
     p = poly_divexact(g, f)
     return f, g, p
 

@@ -136,6 +136,31 @@ def from_z(spec: SimplexSpec, rv: RepVector) -> ShiftedPoint:
     return ShiftedPoint(a, tuple(tx))
 
 
+def _capped_count(spec: SimplexSpec, cap: int) -> int:
+    """Cat(a,b), once it is known not to exceed ``cap`` (else :class:`CapExceededError`)."""
+    count = rational_catalan(spec.a, spec.b)
+    if count > cap:
+        raise CapExceededError(f"Cat({spec.a},{spec.b}) = {count} exceeds the cap of {cap}")
+    return count
+
+
+def _walk_constants(a: int, b: int) -> tuple[list[int], list[int]]:
+    """The runner ``step[j]`` at step j of the cycle k, k+b, ... and the constant ``lift[j]`` of its charge.
+
+    With P_j = z_0 + ... + z_{j-1} and w = sum(i z_i), :func:`from_z` sets
+    tx[step[j]] = (a-1)b - 2w + 2bj - 2a P_j, and unshift divides
+    tx[step[j]] - 2 step[j] + a - 1 = lift[j] - 2w - 2a P_j by 2a.  Once
+    w = 0 (mod a) that numerator is lift[j] (mod 2a), so the lattice test is
+    made here, once per (a,b), instead of once per core.
+    """
+    k = _z_offset(a, b)
+    step = [(j * b + k) % a for j in range(a + 1)]
+    lift = [(a - 1) * (b + 1) + 2 * b * j - 2 * step[j] for j in range(a)]
+    if any(n % (2 * a) for n in lift):
+        raise AssertionError(f"the z-walk of ({a},{b}) does not map to the charge lattice")
+    return step, lift
+
+
 def iter_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP):
     """Yield every (a,b)-core as a ``(z, charges)`` pair of tuples, lexicographically by z.
 
@@ -150,18 +175,11 @@ def iter_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP):
     the closed-form count is asserted once the stream is exhausted.
     """
     a, b = spec.a, spec.b
-    count = rational_catalan(a, b)
-    if count > cap:
-        raise CapExceededError(f"Cat({a},{b}) = {count} exceeds the cap of {cap}")
+    count = _capped_count(spec, cap)
     head = a - 2
     two_a = 2 * a
-    k = _z_offset(a, b)
-    step = [(j * b + k) % a for j in range(a + 1)]  # runner at step j of the cycle k, k+b, ...
+    step, lift = _walk_constants(a, b)
     runner_step = [step.index(i) for i in range(a)]
-    # With P_j = z_0 + ... + z_{j-1} and w = sum(i z_i), from_z sets
-    # tx[step[j]] = (a-1)b - 2w + 2bj - 2a P_j, and unshift divides
-    # tx[step[j]] - 2 step[j] + a - 1 by 2a.
-    lift = [(a - 1) * (b + 1) + 2 * b * j - 2 * step[j] for j in range(a)]
     found = 0
     # The prefixes z_0 .. z_{head-1} with sum <= b are the bar positions of
     # stars and bars, in the same lexicographic order: P_j = bars[j-1] - (j-1).
@@ -180,8 +198,6 @@ def iter_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP):
             if w % a:
                 raise AssertionError(f"determinant condition fails for {z}")
             nums = [lift[j] - 2 * w - two_a * p for j, p in enumerate((*sums, sums[head] + zh))]
-            if any(n % two_a for n in nums):
-                raise AssertionError(f"{z} does not map to the charge lattice")
             charges = tuple(nums[j] // two_a for j in runner_step)
             if sum(charges):
                 raise AssertionError(f"charges must sum to 0, got {charges}")
@@ -193,6 +209,69 @@ def iter_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP):
             yield z, charges
     if found != count:
         raise AssertionError("enumeration disagrees with the closed-form count")
+
+
+def core_moments(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> tuple[int, int]:
+    """The number of (a,b)-cores and the sum of their sizes, without visiting a core.
+
+    In the walk of :func:`iter_cores` the charge on the runner at step j is
+    ``n_j / 2a`` with ``n_j = κ_j + 2S - 2a P_j``, where P_j = z_0 + ... + z_{j-1},
+    S = P_1 + ... + P_{a-1} and κ_j = lift[j] - 2(a-1)b; the cores are the
+    nondecreasing 0 = P_0 <= P_1 <= ... <= P_{a-1} <= b with S = -b (mod a).
+    The quadratic form ``(a/2) sum c_i^2 + sum i c_i`` then reads
+
+        8a size = sum_j f_j(P_j) + (4K + 4a(a-1)) S - 4a S^2,
+        f_j(P) = (κ_j - 2aP)^2 - 8a step_j P + 4 step_j κ_j,   K = sum_j κ_j.
+
+    A dynamic program over j = 1 .. a-1 on the states (P_j, S_j mod a), with
+    S_j = P_1 + ... + P_j, carries four moments per state: the count, the sum
+    of F_j = f_0(0) + ... + f_j(P_j), of S_j and of S_j^2.  A running sum over
+    P_{j-1} <= P_j makes each step O(a b), so the run is O(a^2 b) integer
+    operations however large Cat(a,b) is.
+
+    Raises :class:`CapExceededError` when Cat(a,b) exceeds ``cap``, as
+    :func:`iter_cores` does; asserts that the count is Cat(a,b) and that 8a
+    divides the size numerator.
+    """
+    a, b = spec.a, spec.b
+    catalan = _capped_count(spec, cap)
+    step, lift = _walk_constants(a, b)
+    kappa = [v - 2 * (a - 1) * b for v in lift]
+    two_a = 2 * a
+
+    def zeros():
+        return [[0] * (b + 1) for _ in range(a)]
+
+    # count[r][p], fsum[r][p], ssum[r][p], sqsum[r][p]: the walks with P_j = p and S_j = r (mod a)
+    count, fsum, ssum, sqsum = zeros(), zeros(), zeros(), zeros()
+    count[0][0] = 1
+    fsum[0][0] = kappa[0] * kappa[0] + 4 * step[0] * kappa[0]
+    for j in range(1, a):
+        kj, sj = kappa[j], step[j]
+        new = new_count, new_fsum, new_ssum, new_sqsum = zeros(), zeros(), zeros(), zeros()
+        run_count, run_fsum, run_ssum, run_sqsum = [0] * a, [0] * a, [0] * a, [0] * a
+        for p in range(b + 1):
+            fp = (kj - two_a * p) ** 2 - 4 * two_a * sj * p + 4 * sj * kj
+            for r in range(a):
+                n = run_count[r] = run_count[r] + count[r][p]
+                f = run_fsum[r] = run_fsum[r] + fsum[r][p]
+                s = run_ssum[r] = run_ssum[r] + ssum[r][p]
+                q = run_sqsum[r] = run_sqsum[r] + sqsum[r][p]
+                if n:
+                    t = (r + p) % a
+                    new_count[t][p] = n
+                    new_fsum[t][p] = f + n * fp
+                    new_ssum[t][p] = s + n * p
+                    new_sqsum[t][p] = q + 2 * p * s + n * p * p
+        count, fsum, ssum, sqsum = new
+    end = -b % a
+    n, f, s, q = (sum(moment[end]) for moment in (count, fsum, ssum, sqsum))
+    if n != catalan:
+        raise AssertionError(f"moment recursion counts {n} ({a},{b})-cores, not Cat = {catalan}")
+    numerator = f + (4 * sum(kappa) + 4 * a * (a - 1)) * s - 4 * a * q
+    if numerator % (8 * a):
+        raise AssertionError(f"moment recursion: 8a does not divide the size numerator at ({a},{b})")
+    return n, numerator // (8 * a)
 
 
 def enumerate_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> list[ChargeVector]:
@@ -222,14 +301,6 @@ def self_conjugate_count(a: int, b: int) -> int:
 def armstrong_average(a: int, b: int) -> Fraction:
     """Closed form ``(a+b+1)(a-1)(b-1)/24`` for the average core size."""
     return Fraction((a + b + 1) * (a - 1) * (b - 1), 24)
-
-
-def total_size(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> int:
-    return sum(size_quadratic(cv) for cv in enumerate_cores(spec, cap))
-
-
-def average_size(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> Fraction:
-    return Fraction(total_size(spec, cap), rational_catalan(spec.a, spec.b))
 
 
 def self_conjugate_total_size(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> int:

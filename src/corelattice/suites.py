@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, inf
 from typing import Callable
 
 from . import ehrhart, perms, qpoly, qt
@@ -21,6 +21,7 @@ from .simplex import (
     SimplexSpec,
     armstrong_average,
     conjugation_T,
+    core_moments,
     enumerate_cores,
     rational_catalan,
     self_conjugate_count,
@@ -111,6 +112,38 @@ def oracle_suite(a_max: int, b_max: int, cap: int) -> list[Check]:
         return run
 
     return [Check("oracle", {"a": a, "b": b}, make(a, b)) for a, b in _coprime_pairs(a_max, b_max)]
+
+
+MOMENTS_SCALE_A_MAX = 30  # the closed-form rows of `moments`; (30, 211) has Cat(a,b) near 6.9e35
+
+
+def moments_suite(a_max: int, b_max: int, cap: int) -> list[Check]:
+    """The moment recursion against the enumeration, then against Anderson's and Armstrong's closed forms."""
+
+    def against_walk(a, b):
+        def run():
+            spec = SimplexSpec(a, b)
+            cores = enumerate_cores(spec, cap)
+            walked = (len(cores), sum(size_quadratic(cv) for cv in cores))
+            return core_moments(spec, cap) == walked, {"count": walked[0], "total": walked[1]}
+
+        return run
+
+    def against_closed_forms(a, b):
+        # the recursion costs O(a^2 b) whatever Cat(a,b) is, so the enumeration cap does not apply
+        def run():
+            count, total = core_moments(SimplexSpec(a, b), cap=inf)
+            return count == rational_catalan(a, b) and Fraction(total, count) == armstrong_average(a, b), None
+
+        return run
+
+    checks = [Check("moments", {"a": a, "b": b}, against_walk(a, b)) for a, b in _coprime_pairs(a_max, b_max)]
+    checks += [
+        Check("moments-closed-form", {"a": a, "b": b}, against_closed_forms(a, b))
+        for a in range(2, MOMENTS_SCALE_A_MAX + 1)
+        for b in (a + 1, 2 * a + 1, 7 * a + 1)
+    ]
+    return checks
 
 
 def statistics_suite(a_max: int, b_max: int, cap: int) -> list[Check]:
@@ -241,63 +274,41 @@ def unimodality_suite(a_max: int, b_max: int) -> list[Check]:
     ]
 
 
+# suite name -> its checks, built from the bounds that were given (a bound left as None is absent) and "cap"
+SUITES = {
+    "anderson": lambda o: anderson_suite(o.get("a_max", 6), o.get("b_max", 20), o["cap"]),
+    "armstrong": lambda o: armstrong_suite(o.get("a_max", 6), o.get("b_max", 20), o["cap"]),
+    "self-conjugate": lambda o: self_conjugate_suite(o.get("a_max", 6), o.get("b_max", 20), o["cap"]),
+    "quadratic": lambda o: quadratic_suite(o.get("a_max", 6), o.get("radius", 4)),
+    "oracle": lambda o: oracle_suite(o.get("a_max", 4), o.get("b_max", 9), o["cap"]),
+    "moments": lambda o: moments_suite(o.get("a_max", 5), o.get("b_max", 20), o["cap"]),
+    "statistics": lambda o: statistics_suite(o.get("a_max", 5), o.get("b_max", 13), o["cap"]),
+    "qt3": lambda o: qt3_suite(o.get("b_max", 20), o["cap"]),
+    "qt-symmetry": lambda o: qt_symmetry_suite(o.get("a_max", 5), o.get("b_max", 13), o["cap"]),
+    "sizmaj1": lambda o: sizmaj1_suite(o.get("a_max", 6)),
+    "sizmaj2": lambda o: sizmaj2_suite(o.get("n_max", 7)),
+    "ld-weights": lambda o: ld_weights_suite(o.get("n_max", 7)),
+    "sqin": lambda o: sqin_suite(o.get("n_max", 7)),
+    "coset-identities": lambda o: coset_identities_suite(o.get("k_max", 6)),
+    "delta-table": lambda o: delta_table_suite(o.get("a_max", 5)),
+    "reciprocity": lambda o: reciprocity_suite(),
+    "root-structure": lambda o: root_structure_suite(o.get("a_max", 5), o["cap"]),
+    "unimodality": lambda o: unimodality_suite(o.get("a_max", 5), o.get("b_max", 30)),
+}
+NOT_IN_ALL = ("moments", "oracle")  # kept out so that the output of `all` does not change
+SUITE_NAMES = (*SUITES, "all")
+
+
 def build_suite(name: str, *, a_max, b_max, n_max, k_max, radius, cap) -> list[Check]:
     """Instantiate a named suite; a bound left as ``None`` takes the suite's default, and 0 is honoured."""
-    for flag, value in (("a-max", a_max), ("b-max", b_max), ("n-max", n_max), ("k-max", k_max), ("radius", radius)):
+    bounds = {"a_max": a_max, "b_max": b_max, "n_max": n_max, "k_max": k_max, "radius": radius}
+    for key, value in bounds.items():
         if value is not None and value < 0:
-            raise ValueError(f"--{flag} must be >= 0, got {value}")
-
-    def bound(value, default):
-        return default if value is None else value
-
-    builders = {
-        "anderson": lambda: anderson_suite(bound(a_max, 6), bound(b_max, 20), cap),
-        "armstrong": lambda: armstrong_suite(bound(a_max, 6), bound(b_max, 20), cap),
-        "self-conjugate": lambda: self_conjugate_suite(bound(a_max, 6), bound(b_max, 20), cap),
-        "quadratic": lambda: quadratic_suite(bound(a_max, 6), bound(radius, 4)),
-        "oracle": lambda: oracle_suite(bound(a_max, 4), bound(b_max, 9), cap),
-        "statistics": lambda: statistics_suite(bound(a_max, 5), bound(b_max, 13), cap),
-        "qt3": lambda: qt3_suite(bound(b_max, 20), cap),
-        "qt-symmetry": lambda: qt_symmetry_suite(bound(a_max, 5), bound(b_max, 13), cap),
-        "sizmaj1": lambda: sizmaj1_suite(bound(a_max, 6)),
-        "sizmaj2": lambda: sizmaj2_suite(bound(n_max, 7)),
-        "ld-weights": lambda: ld_weights_suite(bound(n_max, 7)),
-        "sqin": lambda: sqin_suite(bound(n_max, 7)),
-        "coset-identities": lambda: coset_identities_suite(bound(k_max, 6)),
-        "delta-table": lambda: delta_table_suite(bound(a_max, 5)),
-        "reciprocity": lambda: reciprocity_suite(),
-        "root-structure": lambda: root_structure_suite(bound(a_max, 5), cap),
-        "unimodality": lambda: unimodality_suite(bound(a_max, 5), bound(b_max, 30)),
-    }
+            raise ValueError(f"--{key.replace('_', '-')} must be >= 0, got {value}")
+    given = {key: value for key, value in bounds.items() if value is not None}
+    given["cap"] = cap
     if name == "all":
-        checks = []
-        for key in sorted(builders):
-            if key in ("oracle",):  # kept out so that the output of `all` does not change
-                continue
-            checks.extend(builders[key]())
-        return checks
-    if name not in builders:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(builders))} or 'all'")
-    return builders[name]()
-
-
-SUITE_NAMES = (
-    "anderson",
-    "armstrong",
-    "self-conjugate",
-    "quadratic",
-    "oracle",
-    "statistics",
-    "qt3",
-    "qt-symmetry",
-    "sizmaj1",
-    "sizmaj2",
-    "ld-weights",
-    "sqin",
-    "coset-identities",
-    "delta-table",
-    "reciprocity",
-    "root-structure",
-    "unimodality",
-    "all",
-)
+        return [check for key in sorted(SUITES) if key not in NOT_IN_ALL for check in SUITES[key](given)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))} or 'all'")
+    return SUITES[name](given)

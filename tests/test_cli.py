@@ -131,6 +131,35 @@ def test_enumerate_stdout_is_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of stdout, recorded before the fit moved from the enumeration onto the moment recursion
+GOLDEN_EHRHART_STDOUT = [
+    (("ehrhart", "6"), "6e5af01caa8971458505d90c18a7cad1bccfd5962f5ce13d7fb317f7b40eb88b"),
+    (("ehrhart", "8"), "22fb04f834d473f9bab0290e63f0fb73575c0068703d9bace6d5a85a68f28096"),
+    (("ehrhart", "3", "--residue", "1", "--samples", "6"), "26bf4177a15954445ca2537cf6774a10b749de38d6040b0fb0de29d65cffbba9"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_EHRHART_STDOUT)
+def test_ehrhart_stdout_is_byte_identical(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("ehrhart", "6", "--cap", "1000"), "error: Cat(6,13) = 1428 exceeds the cap of 1000\n"),
+        (("ehrhart", "3", "--residue", "1", "--cap", "3"), "error: Cat(3,4) = 5 exceeds the cap of 3\n"),
+    ],
+    ids=["fit", "residue"],
+)
+def test_ehrhart_checks_the_cap_on_the_closed_form_count(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == message
+
+
 def test_core_json_line_matches_the_encoder():
     seen_empty = seen_negative = False
     for a in range(2, 8):
@@ -175,6 +204,8 @@ def test_verify_honours_explicit_zero_bounds(capsys):
         ("verify", "anderson", "--jobs", "-2"),
         ("ehrhart", "3", "--residue", "1", "--samples", "-1"),
         ("ehrhart", "3", "--residue", "1", "--samples", "0"),
+        ("ehrhart", "0"),
+        ("ehrhart", "1", "--residue", "1"),
     ],
     ids=" ".join,
 )

@@ -6,7 +6,10 @@ from math import comb
 import pytest
 
 from corelattice import ehrhart as E
+from corelattice import simplex
+from corelattice.abacus import size_quadratic
 from corelattice.errors import FitValidationError
+from corelattice.simplex import SimplexSpec, enumerate_cores
 
 
 def test_lagrange_coefficients():
@@ -115,11 +118,34 @@ def test_weighted_sums():
 
 
 def test_core_series():
-    assert E.core_count_series(3, 1, 4) == {1: 1, 4: 5, 7: 12, 10: 22}
-    assert E.core_count_series(2, 1, 4) == {1: 1, 3: 2, 5: 3, 7: 4}
-    assert E.core_qsum_series(3, 1, 2) == {1: 0, 4: 10}
+    assert E.core_series(3, 1, 4) == {1: (1, 0), 4: (5, 10), 7: (12, 66), 10: (22, 231)}
+    assert E.core_series(2, 1, 4) == {1: (1, 0), 3: (2, 1), 5: (3, 4), 7: (4, 10)}
     with pytest.raises(ValueError):
-        E.core_count_series(4, 2, 3)
+        E.core_series(4, 2, 3)
+    with pytest.raises(ValueError, match="a must be >= 2"):
+        E.core_series(0, 1, 3)
+    with pytest.raises(ValueError, match="a must be >= 2"):
+        E.fit_core_polynomials(0)
+
+
+def test_fit_core_polynomials_equal_the_fit_of_the_enumeration(monkeypatch):
+    expected = {}
+    for a in range(2, 6):
+        counts, sums = {}, {}
+        for b in E._coprime_values(a, a + 5):
+            cores = enumerate_cores(SimplexSpec(a, b))
+            counts[b] = len(cores)
+            sums[b] = sum(size_quadratic(cv) for cv in cores)
+        f = E.fit_quasipolynomial(counts, 1, a - 1).constituents[0]
+        g = E.fit_quasipolynomial(sums, 1, a + 1).constituents[0]
+        expected[a] = (f, g, E.poly_divexact(g, f))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the fit must not enumerate cores")
+
+    monkeypatch.setattr(simplex, "iter_cores", no_walk)
+    for a, fit in expected.items():
+        assert E.fit_core_polynomials(a) == fit, a
 
 
 def test_fit_core_polynomials():

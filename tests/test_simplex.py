@@ -172,12 +172,54 @@ def test_self_conjugate_counts():
 
 def test_sizes_and_averages():
     s34 = S.SimplexSpec(3, 4)
-    assert S.total_size(s34) == 10
-    assert S.average_size(s34) == 2 == S.armstrong_average(3, 4)
-    s23 = S.SimplexSpec(2, 3)
-    assert S.average_size(s23) == Fraction(1, 2) == S.armstrong_average(2, 3)
-    assert S.total_size(S.SimplexSpec(4, 1)) == 0 and S.armstrong_average(4, 1) == 0
+    count, total = S.core_moments(s34)
+    assert (count, total) == (5, 10)
+    assert Fraction(total, count) == 2 == S.armstrong_average(3, 4)
+    count, total = S.core_moments(S.SimplexSpec(2, 3))
+    assert Fraction(total, count) == Fraction(1, 2) == S.armstrong_average(2, 3)
+    assert S.core_moments(S.SimplexSpec(4, 1)) == (1, 0) and S.armstrong_average(4, 1) == 0
     assert S.self_conjugate_average_size(s34) == S.armstrong_average(3, 4)
+
+
+def test_core_moments_match_the_walk():
+    # every coprime b from 1, so b < a and b = 1 are covered too
+    for a in range(2, 8):
+        for b in range(1, 20 if a <= 6 else 15):
+            if gcd(a, b) != 1:
+                continue
+            spec = S.SimplexSpec(a, b)
+            count = total = 0
+            for _, c in S.iter_cores(spec):
+                count += 1
+                total += size_quadratic(ChargeVector(a, c))
+            assert S.core_moments(spec) == (count, total), (a, b)
+
+
+@pytest.mark.parametrize("a,b", [(12, 61), (20, 101), (30, 211)])
+def test_core_moments_give_the_closed_forms_at_scale(a, b):
+    catalan = S.rational_catalan(a, b)
+    # a cap equal to the count is not exceeded
+    count, total = S.core_moments(S.SimplexSpec(a, b), cap=catalan)
+    assert count == catalan
+    assert Fraction(total, count) == S.armstrong_average(a, b) == Fraction((a + b + 1) * (a - 1) * (b - 1), 24)
+
+
+def test_core_moments_honour_the_cap():
+    with pytest.raises(CapExceededError, match=r"Cat\(3,4\) = 5 exceeds the cap of 4"):
+        S.core_moments(S.SimplexSpec(3, 4), cap=4)
+    with pytest.raises(CapExceededError):
+        S.core_moments(S.SimplexSpec(12, 61))
+
+
+def test_an_off_lattice_walk_is_refused_before_any_core(monkeypatch):
+    # a wrong index offset k puts lift[j] off 2a*Z: both routes refuse the (a,b) as a whole
+    real = S._z_offset
+    monkeypatch.setattr(S, "_z_offset", lambda a, b: real(a, b) + 1)
+    walk = S.iter_cores(S.SimplexSpec(5, 7))
+    with pytest.raises(AssertionError, match="does not map to the charge lattice"):
+        next(walk)
+    with pytest.raises(AssertionError, match="does not map to the charge lattice"):
+        S.core_moments(S.SimplexSpec(5, 7))
 
 
 def test_count_and_armstrong_medium_range():
