@@ -146,6 +146,24 @@ def test_ehrhart_stdout_is_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of the full stdout, recorded before the checks became module-level functions run in one serial loop
+GOLDEN_VERIFY_AND_POLY_STDOUT = [
+    (("verify", "all"), "3c9c2820179a9474adf4f924f614c24409a54fe24564fdba6cdc681296e59a7b"),
+    (("verify", "oracle"), "a7157da042c21aa7eaeb0148dcde173d067c2207c4494b2ed7d0fecd785699a3"),
+    (("verify", "moments"), "84c9f8187203dd892a71ebbb5f15b7920edc931e940eea0a5b115696cd077ca1"),
+    (("poly", "5", "12"), "a48b61e9a127a505faa2f70a37de2a8acf5ce2058a70aeda645e8eef7b527612"),
+    (("poly", "7", "17"), "11a678ee495a3b50872ed7d19409b58170050d720b2862ad3b84a934f5817b37"),
+    (("poly", "4", "9", "--format", "csv"), "aecb2aa4bfae05ea1ed1f47581718e54a7d04771fe430250ad288fe2d3e2dd1a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_VERIFY_AND_POLY_STDOUT, ids=" ".join)
+def test_verify_and_poly_stdout_is_byte_identical(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
