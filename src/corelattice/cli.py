@@ -4,8 +4,10 @@ Record streams are JSON Lines by default; ``enumerate`` and ``poly`` take
 ``--format csv`` for delimited output with a documented header, and the
 other commands reject ``--format``.  Data records are byte-deterministic for
 a fixed configuration; timings go to stderr only.  ``enumerate`` writes its
-records as it walks the simplex, so a failed internal check can leave
-partial output before the exit code.
+records as it walks the simplex, and ``verify`` writes each check's record
+as the check ends (the checks run serially, whatever ``--jobs`` says), so a
+failed internal check or an exceeded cap can leave partial output before the
+exit code.
 
 Exit codes: 0 success, 1 assertion failure (a verify suite or an internal
 check), 2 usage or validation error, 3 enumeration cap exceeded.
@@ -20,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 
@@ -146,7 +147,7 @@ def cmd_enumerate(args, out) -> int:
 def cmd_poly(args, out) -> int:
     spec = SimplexSpec(args.a, args.b)
     catq = qpoly.cat_q(args.a, args.b)
-    catqt = qt.cat_qt(spec, args.cap)
+    catqt = qt.cat_qt(spec, args.cap)  # the one walk of the simplex
     report = {
         "a": args.a,
         "b": args.b,
@@ -154,7 +155,7 @@ def cmd_poly(args, out) -> int:
         "cat_q": catq.to_pairs(),
         "cat_qt": catqt.to_triples(),
         "qt_symmetric": catqt == catqt.swapped(),
-        "qt_specialization": qt.check_specialization(spec, args.cap),
+        "qt_specialization": qt.check_specialization(spec, catqt),
         "unimodality": [
             {"residue": r.residue, "coefficients": list(r.coefficients), "unimodal": r.unimodal}
             for r in qpoly.unimodality_report(catq, args.a)
@@ -171,6 +172,10 @@ def cmd_poly(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    """Run the checks one after another, writing each record and its timing as soon as it ends.
+
+    ``--jobs`` is validated but changes nothing: the checks run serially.
+    """
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     checks = build_suite(
@@ -182,21 +187,11 @@ def cmd_verify(args, out) -> int:
         radius=args.radius,
         cap=args.cap,
     )
-    jobs = args.jobs or os.cpu_count() or 1
-
-    def run(check):
+    failures = 0
+    for check in checks:
         start = time.monotonic()
         ok, detail = check.run()
-        return ok, detail, time.monotonic() - start
-
-    if jobs > 1 and len(checks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, checks))
-    else:
-        results = [run(check) for check in checks]
-
-    failures = 0
-    for check, (ok, detail, elapsed) in zip(checks, results):
+        elapsed = time.monotonic() - start
         record = {"check": check.name, "params": check.params, "pass": ok}
         if check.exploration:
             record["exploration"] = True
@@ -316,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--k-max", type=int, default=None)
     p_verify.add_argument("--radius", type=int, default=None, help="charge box radius for the quadratic suite")
-    p_verify.add_argument("--jobs", type=int, default=None, help="parallel checks (default: cpu count)")
+    p_verify.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; checks run serially")
     p_verify.add_argument("--summary", action="store_true", help="emit the summary object only")
     common(p_verify)
     p_verify.set_defaults(fn=cmd_verify)

@@ -150,12 +150,11 @@ def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
     return Quasipolynomial(period, tuple(constituents))
 
 
-def _kernel_vector(rows: list[list[Fraction]], n: int) -> list[Fraction]:
-    """A nonzero kernel vector of an under-determined system (< n rows)."""
-    m = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
+def _row_reduce(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of ``m`` in place on its first ``ncols`` columns; returns the pivot columns."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
@@ -167,7 +166,13 @@ def _kernel_vector(rows: list[list[Fraction]], n: int) -> list[Fraction]:
                 f = m[i][col]
                 m[i] = [v - f * w for v, w in zip(m[i], m[r])]
         pivots.append(col)
-        r += 1
+    return pivots
+
+
+def _kernel_vector(rows: list[list[Fraction]], n: int) -> list[Fraction]:
+    """A nonzero kernel vector of an under-determined system (< n rows)."""
+    m = [row[:] for row in rows]
+    pivots = _row_reduce(m, n)
     free = next(col for col in range(n) if col not in pivots)
     vec = [Fraction(0)] * n
     vec[free] = Fraction(1)
@@ -180,18 +185,9 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
     """Solve a square system exactly; None when singular."""
     n = len(rows)
     m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [v / pv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    if len(_row_reduce(m, n)) < n:
+        return None
+    return [row[n] for row in m]
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,15 @@ def ld_encode(sigma) -> tuple[int, ...]:
     return tuple(code)
 
 
+def require_within_cap(n: int, cap: int = DISTRIBUTION_CAP) -> None:
+    """Refuse a brute force over S_n beyond ``n = cap`` (exit 3 on the command line)."""
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds the brute-force cap of {cap}")
+
+
 def check_ld_weights(n: int) -> bool:
     """Exhaustively check maj(LD(a)) = sum a_i and siz(LD(a)) = sum (n+1-i) a_i."""
+    require_within_cap(n)
     for code in valid_sequences(n):
         maj_, siz_, _ = _maj_siz_sqin(ld_decode(code))
         if maj_ != sum(code):
@@ -137,8 +144,7 @@ def distribution(n: int, cap: int = DISTRIBUTION_CAP) -> LaurentPoly2:
     """Joint distribution ``sum q^siz t^maj`` over S_n, by brute force."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the brute-force cap of {cap}")
+    require_within_cap(n, cap)
     return _joint_distributions(n)[0]
 
 
@@ -167,8 +173,7 @@ def check_sqin_relation(n: int, cap: int = DISTRIBUTION_CAP) -> bool:
     ``t -> t q^(n+1)`` turns it into the siz/maj identity (monomials map by
     ``(e, f) -> ((n+1) f - e, f)``).
     """
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the brute-force cap of {cap}")
+    require_within_cap(n, cap)
     sqin_poly = _joint_distributions(n)[1]
     prod = LaurentPoly2.one()
     for k in range(1, n + 1):

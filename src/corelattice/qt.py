@@ -74,13 +74,18 @@ def check_symmetry(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> bool:
     return poly == poly.swapped()
 
 
-def check_specialization(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> bool:
-    """Does ``sum q^(length + skew)`` over cores equal ``cat_q(a, b)``?"""
+def check_specialization(spec: SimplexSpec, poly: LaurentPoly2) -> bool:
+    """Does ``sum q^(length + skew)`` over cores equal ``cat_q(a, b)``?
+
+    The sum is read off ``poly = cat_qt(spec)``: skew is
+    ``(a-1)(b-1)/2 - coskew``, so ``q^e t^f`` becomes
+    ``q^(e + (a-1)(b-1)/2 - f)``.  The other side, :func:`cat_q`, walks no
+    simplex.
+    """
+    half = (spec.a - 1) * (spec.b - 1) // 2
     out: dict[int, int] = {}
-    for cv in enumerate_cores(spec, cap):
-        sp = shift(cv)
-        e = length_from_x(sp) + skew_length_from_x(spec, sp)
-        out[e] = out.get(e, 0) + 1
+    for (e, f), coeff in poly.items():
+        out[e + half - f] = out.get(e + half - f, 0) + coeff
     return LaurentPoly(out) == cat_q(spec.a, spec.b)
 
 

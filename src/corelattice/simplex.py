@@ -22,7 +22,7 @@ from math import comb, gcd
 from operator import add, mul, sub
 
 from . import partitions
-from .abacus import ChargeVector, ShiftedPoint, filled_levels, size_quadratic
+from .abacus import ChargeVector, ShiftedPoint, filled_levels
 from .errors import CapExceededError
 
 DEFAULT_CAP = 10_000_000
@@ -301,14 +301,6 @@ def self_conjugate_count(a: int, b: int) -> int:
 def armstrong_average(a: int, b: int) -> Fraction:
     """Closed form ``(a+b+1)(a-1)(b-1)/24`` for the average core size."""
     return Fraction((a + b + 1) * (a - 1) * (b - 1), 24)
-
-
-def self_conjugate_total_size(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> int:
-    return sum(size_quadratic(cv) for cv in enumerate_self_conjugate(spec, cap))
-
-
-def self_conjugate_average_size(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> Fraction:
-    return Fraction(self_conjugate_total_size(spec, cap), self_conjugate_count(spec.a, spec.b))
 
 
 def core_record(spec: SimplexSpec, charges, z) -> dict:

@@ -135,9 +135,12 @@ def test_criterion_08_qt_polynomials():
     for b in range(4, 14):
         if gcd(3, b) == 1:
             spec = SimplexSpec(3, b)
-            ok = ok and qt.check_symmetry(spec) and qt.check_specialization(spec)
+            ok = ok and qt.check_symmetry(spec) and qt.check_specialization(spec, qt.cat_qt(spec))
     conjectural = {
-        (a, b): (qt.check_symmetry(SimplexSpec(a, b)), qt.check_specialization(SimplexSpec(a, b)))
+        (a, b): (
+            qt.check_symmetry(SimplexSpec(a, b)),
+            qt.check_specialization(SimplexSpec(a, b), qt.cat_qt(SimplexSpec(a, b))),
+        )
         for a in (4, 5)
         for b in range(a + 1, 14)
         if gcd(a, b) == 1

@@ -274,6 +274,22 @@ def test_poly_report(capsys):
     assert all(entry["unimodal"] for entry in report["unimodality"])
 
 
+def test_poly_walks_the_simplex_once(capsys, monkeypatch):
+    calls = []
+    real = simplex.enumerate_cores
+
+    def counted(spec, cap=simplex.DEFAULT_CAP):
+        calls.append((spec.a, spec.b))
+        return real(spec, cap)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("corelattice") and getattr(module, "enumerate_cores", None) is real:
+            monkeypatch.setattr(module, "enumerate_cores", counted)
+    code, out, _ = run_cli(capsys, "poly", "5", "12")
+    assert code == 0 and json.loads(out)["qt_specialization"] is True
+    assert calls == [(5, 12)]
+
+
 def test_poly_trivial_b(capsys):
     code, out, _ = run_cli(capsys, "poly", "5", "1")
     report = json.loads(out)
@@ -304,6 +320,14 @@ def test_verify_parallel_matches_serial(capsys):
     _, serial, _ = run_cli(capsys, "verify", "anderson", "--a-max", "4", "--b-max", "9", "--jobs", "1")
     _, parallel, _ = run_cli(capsys, "verify", "anderson", "--a-max", "4", "--b-max", "9", "--jobs", "4")
     assert serial == parallel
+
+
+def test_verify_streams_the_records_before_an_exceeded_cap(capsys):
+    # Cat(2,3) = 2 and Cat(2,5) = 3 fit under the cap, Cat(3,4) = 5 does not
+    code, out, err = run_cli(capsys, "verify", "anderson", "--a-max", "3", "--b-max", "5", "--cap", "4")
+    assert code == 3 and err.endswith("exceeds the cap of 4\n")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["params"] for r in records] == [{"a": 2, "b": 3}, {"a": 2, "b": 5}]
 
 
 def test_verify_exploration_suite_exits_zero(capsys):

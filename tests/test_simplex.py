@@ -178,7 +178,8 @@ def test_sizes_and_averages():
     count, total = S.core_moments(S.SimplexSpec(2, 3))
     assert Fraction(total, count) == Fraction(1, 2) == S.armstrong_average(2, 3)
     assert S.core_moments(S.SimplexSpec(4, 1)) == (1, 0) and S.armstrong_average(4, 1) == 0
-    assert S.self_conjugate_average_size(s34) == S.armstrong_average(3, 4)
+    fixed = S.enumerate_self_conjugate(s34)
+    assert Fraction(sum(map(size_quadratic, fixed)), S.self_conjugate_count(3, 4)) == S.armstrong_average(3, 4)
 
 
 def test_core_moments_match_the_walk():

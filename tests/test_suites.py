@@ -1,12 +1,20 @@
 """Verification suites: what a check catches when the enumeration goes wrong."""
 
-from corelattice import suites
+import pytest
+
+from corelattice import perms, suites
 from corelattice.abacus import size_quadratic
+from corelattice.errors import CapExceededError
 from corelattice.simplex import DEFAULT_CAP
 
 
+def build(name, **given):
+    bounds = dict(a_max=None, b_max=None, n_max=None, k_max=None, radius=None, cap=DEFAULT_CAP)
+    return suites.build_suite(name, **{**bounds, **given})
+
+
 def test_oracle_catches_a_dropped_largest_core(monkeypatch):
-    (check,) = [c for c in suites.oracle_suite(4, 7, DEFAULT_CAP) if c.params == {"a": 4, "b": 7}]
+    (check,) = [c for c in build("oracle", a_max=4, b_max=7) if c.params == {"a": 4, "b": 7}]
     assert check.run() == (True, {"count": 30, "max_size": 30})
     real = suites.enumerate_cores
 
@@ -22,7 +30,7 @@ def test_oracle_catches_a_dropped_largest_core(monkeypatch):
 
 
 def test_moments_catches_a_dropped_largest_core(monkeypatch):
-    checks = suites.moments_suite(4, 7, DEFAULT_CAP)
+    checks = build("moments", a_max=4, b_max=7)
     (check,) = [c for c in checks if c.name == "moments" and c.params == {"a": 4, "b": 7}]
     assert check.run() == (True, {"count": 30, "total": 270})
     real = suites.enumerate_cores
@@ -37,7 +45,7 @@ def test_moments_catches_a_dropped_largest_core(monkeypatch):
 
 
 def test_moments_closed_form_rows_pass_beyond_the_cap():
-    rows = [c for c in suites.moments_suite(0, 0, DEFAULT_CAP) if c.params["a"] <= 12]
+    rows = [c for c in build("moments", a_max=0, b_max=0) if c.params["a"] <= 12]
     assert {c.name for c in rows} == {"moments-closed-form"}
     assert {(12, 85)} <= {(c.params["a"], c.params["b"]) for c in rows}
     assert all(c.run() == (True, None) for c in rows)
@@ -45,7 +53,21 @@ def test_moments_closed_form_rows_pass_beyond_the_cap():
 
 def test_suite_names_come_from_the_registry():
     assert suites.SUITE_NAMES == (*suites.SUITES, "all")
-    bounds = dict(a_max=None, b_max=None, n_max=None, k_max=None, radius=None, cap=DEFAULT_CAP)
-    names = {c.name for c in suites.build_suite("all", **bounds)}
+    names = {c.name for c in build("all")}
     assert not names & {"moments", "moments-closed-form", "oracle"}
     assert {"anderson", "root-structure", "coset-identity-a3"} <= names
+
+
+@pytest.mark.parametrize("name", ["sizmaj2", "ld-weights", "sqin"])
+def test_n_max_above_the_brute_force_ceiling_is_refused_before_any_check(monkeypatch, name):
+    def walked(*args):
+        raise AssertionError("no permutation may be visited")
+
+    monkeypatch.setattr(perms, "_permutations", walked)
+    monkeypatch.setattr(perms, "valid_sequences", walked)
+    cap = perms.DISTRIBUTION_CAP
+    with pytest.raises(CapExceededError, match=f"n={cap + 1} exceeds the brute-force cap of {cap}"):
+        build(name, n_max=cap + 1)
+    with pytest.raises(CapExceededError, match=f"n={cap + 1} exceeds the brute-force cap of {cap}"):
+        perms.check_ld_weights(cap + 1)
+    assert [c.params["n"] for c in build(name, n_max=cap)] == list(range(1, cap + 1))
