@@ -154,7 +154,7 @@ def cmd_poly(args, out) -> int:
         "catalan": rational_catalan(args.a, args.b),
         "cat_q": catq.to_pairs(),
         "cat_qt": catqt.to_triples(),
-        "qt_symmetric": catqt == catqt.swapped(),
+        "qt_symmetric": qt.check_symmetry(catqt),
         "qt_specialization": qt.check_specialization(spec, catqt),
         "unimodality": [
             {"residue": r.residue, "coefficients": list(r.coefficients), "unimodal": r.unimodal}

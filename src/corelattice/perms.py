@@ -110,10 +110,10 @@ def ld_encode(sigma) -> tuple[int, ...]:
     return tuple(code)
 
 
-def require_within_cap(n: int, cap: int = DISTRIBUTION_CAP) -> None:
-    """Refuse a brute force over S_n beyond ``n = cap`` (exit 3 on the command line)."""
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the brute-force cap of {cap}")
+def require_within_cap(n: int) -> None:
+    """Refuse a brute force over S_n beyond ``n = DISTRIBUTION_CAP`` (exit 3 on the command line)."""
+    if n > DISTRIBUTION_CAP:
+        raise CapExceededError(f"n={n} exceeds the brute-force cap of {DISTRIBUTION_CAP}")
 
 
 def check_ld_weights(n: int) -> bool:
@@ -140,11 +140,11 @@ def _joint_distributions(n: int) -> tuple[LaurentPoly2, LaurentPoly2]:
     return LaurentPoly2(siz_maj), LaurentPoly2(sqin_maj)
 
 
-def distribution(n: int, cap: int = DISTRIBUTION_CAP) -> LaurentPoly2:
+def distribution(n: int) -> LaurentPoly2:
     """Joint distribution ``sum q^siz t^maj`` over S_n, by brute force."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    require_within_cap(n, cap)
+    require_within_cap(n)
     return _joint_distributions(n)[0]
 
 
@@ -161,19 +161,19 @@ def sizmaj_product(n: int) -> LaurentPoly2:
     return out
 
 
-def check_sizmaj2(n: int, cap: int = DISTRIBUTION_CAP) -> bool:
+def check_sizmaj2(n: int) -> bool:
     """Brute-force distribution against the product formula."""
-    return distribution(n, cap) == sizmaj_product(n)
+    return distribution(n) == sizmaj_product(n)
 
 
-def check_sqin_relation(n: int, cap: int = DISTRIBUTION_CAP) -> bool:
+def check_sqin_relation(n: int) -> bool:
     """The sqin/maj product formula, and its substitution into the siz/maj one.
 
     ``sum q^sqin t^maj = prod [k]_{t q^k}``, and replacing ``q -> 1/q``,
     ``t -> t q^(n+1)`` turns it into the siz/maj identity (monomials map by
     ``(e, f) -> ((n+1) f - e, f)``).
     """
-    require_within_cap(n, cap)
+    require_within_cap(n)
     sqin_poly = _joint_distributions(n)[1]
     prod = LaurentPoly2.one()
     for k in range(1, n + 1):
@@ -181,4 +181,4 @@ def check_sqin_relation(n: int, cap: int = DISTRIBUTION_CAP) -> bool:
     if sqin_poly != prod:
         return False
     substituted = sqin_poly.map_exponents(lambda e, f: ((n + 1) * f - e, f))
-    return substituted == distribution(n, cap)
+    return substituted == distribution(n)

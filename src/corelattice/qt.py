@@ -68,9 +68,8 @@ def cat_qt(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> LaurentPoly2:
     return LaurentPoly2(out)
 
 
-def check_symmetry(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> bool:
-    """Is the (q,t)-polynomial symmetric under exchanging q and t?"""
-    poly = cat_qt(spec, cap)
+def check_symmetry(poly: LaurentPoly2) -> bool:
+    """Is ``poly = cat_qt(spec)`` symmetric under exchanging q and t?"""
     return poly == poly.swapped()
 
 

@@ -135,15 +135,12 @@ def test_criterion_08_qt_polynomials():
     for b in range(4, 14):
         if gcd(3, b) == 1:
             spec = SimplexSpec(3, b)
-            ok = ok and qt.check_symmetry(spec) and qt.check_specialization(spec, qt.cat_qt(spec))
+            poly = qt.cat_qt(spec)
+            ok = ok and qt.check_symmetry(poly) and qt.check_specialization(spec, poly)
+    polys = {(a, b): qt.cat_qt(SimplexSpec(a, b)) for a in (4, 5) for b in range(a + 1, 14) if gcd(a, b) == 1}
     conjectural = {
-        (a, b): (
-            qt.check_symmetry(SimplexSpec(a, b)),
-            qt.check_specialization(SimplexSpec(a, b), qt.cat_qt(SimplexSpec(a, b))),
-        )
-        for a in (4, 5)
-        for b in range(a + 1, 14)
-        if gcd(a, b) == 1
+        (a, b): (qt.check_symmetry(poly), qt.check_specialization(SimplexSpec(a, b), poly))
+        for (a, b), poly in polys.items()
     }
     print(f"  qt symmetry/specialization sweep at a=4,5 (reported): {sorted(conjectural.items())}")
     for b in range(4, 21):

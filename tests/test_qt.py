@@ -52,12 +52,12 @@ def test_cat_qt_total_and_max_statistics():
 
 
 def test_symmetry_and_specialization():
-    assert qt.check_symmetry(SimplexSpec(3, 4))
+    assert qt.check_symmetry(qt.cat_qt(SimplexSpec(3, 4)))
     assert qt.check_specialization(SimplexSpec(3, 4), qt.cat_qt(SimplexSpec(3, 4)))
     for b in range(3, 16, 2):
-        assert qt.check_symmetry(SimplexSpec(2, b))
+        assert qt.check_symmetry(qt.cat_qt(SimplexSpec(2, b)))
         assert qt.check_specialization(SimplexSpec(2, b), qt.cat_qt(SimplexSpec(2, b)))
-    assert qt.check_symmetry(SimplexSpec(5, 1))
+    assert qt.check_symmetry(qt.cat_qt(SimplexSpec(5, 1)))
     assert qt.check_specialization(SimplexSpec(5, 1), qt.cat_qt(SimplexSpec(5, 1)))
     # the specialization is read off the polynomial it is given, so a wrong one must fail
     assert not qt.check_specialization(SimplexSpec(3, 4), qt.cat_qt(SimplexSpec(3, 5)))
