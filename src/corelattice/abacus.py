@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
-from .partitions import Parts, beta_set, is_core
+from .partitions import Parts, _bead_mask, beta_set
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,13 @@ def charges_from_core(parts: Parts, a: int) -> ChargeVector:
     """Runner charges of an a-core; raises ``ValueError`` if not an a-core."""
     if a < 2:
         raise ValueError("a must be >= 2")
-    if not is_core(parts, a):
+    levels = beta_set(parts)
+    beads = _bead_mask(levels)
+    if beads >> a & ~beads:  # a hook of length a, as in is_core
         raise ValueError(f"partition {parts} is not a {a}-core")
     n = len(parts)
     highest: dict[int, int] = {}
-    for m in beta_set(parts):
+    for m in levels:
         r = (-m - 1) % a
         if r not in highest or m > highest[r]:
             highest[r] = m
@@ -156,8 +158,12 @@ def charges_from_core(parts: Parts, a: int) -> ChargeVector:
 
 def size_quadratic(cv: ChargeVector) -> int:
     """Size of the core as the quadratic form ``(a/2) sum c_i^2 + sum i*c_i``."""
-    a, c = cv.a, cv.c
-    num = a * sum(v * v for v in c) + 2 * sum(i * v for i, v in enumerate(c))
+    return size_of_charges(cv.a, cv.c)
+
+
+def size_of_charges(a: int, c) -> int:
+    """:func:`size_quadratic` of the plain charges ``c``, with no :class:`ChargeVector` built."""
+    num = a * sum(map(mul, c, c)) + 2 * sum(map(mul, range(a), c))
     if num % 2:
         raise AssertionError("quadratic form must be integral")
     return num // 2

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import ceil, floor, gcd
+from operator import mul
 
 from .errors import FitValidationError
 from .simplex import DEFAULT_CAP, SimplexSpec, core_moments
@@ -194,9 +196,11 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
 class RationalPolytope:
     """A bounded rational polytope ``{x : A x <= rhs}`` with integer data.
 
-    Scaling by a positive integer ``t`` scales the right-hand sides; counts
-    enumerate integer points in a vertex-derived bounding box, which is the
-    right tool at desk scale.
+    Scaling by a positive integer ``t`` scales the right-hand sides.  Counts
+    run the first ``dim - 1`` coordinates over the box spanned by the
+    vertices (solved once per polytope) and read the range of the last
+    coordinate off the inequalities, so only the points inside are visited,
+    which is the right tool at desk scale.
     """
 
     dim: int
@@ -216,7 +220,7 @@ class RationalPolytope:
         poly = cls(dim, tuple(rows))
         if not poly._is_bounded():
             raise ValueError("polytope is unbounded")
-        poly.vertices()  # fail fast on empty input
+        poly._box  # solve the vertices once; fails fast on empty input
         return poly
 
     def _is_bounded(self) -> bool:
@@ -253,25 +257,38 @@ class RationalPolytope:
             raise ValueError("polytope has no vertices (empty or unbounded input)")
         return sorted(verts)
 
+    @cached_property
+    def _box(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The least and greatest value of each coordinate over the vertices."""
+        return tuple((min(col), max(col)) for col in zip(*self.vertices()))
+
     def lattice_points(self, t: int, interior: bool = False):
-        """Integer points of ``tP`` (or of its interior)."""
+        """Integer points of ``tP`` (or of its interior), in lexicographic order.
+
+        For each prefix of the first ``dim - 1`` coordinates in the box of
+        ``tP``, row ``A_i`` bounds the last coordinate x by
+        ``A_i,last * x <= t * rhs_i - A_i,head . prefix`` (minus 1 for the
+        interior): a floor division for a positive coefficient, a ceiling
+        division for a negative one, and for a zero one a test of the prefix.
+        """
         if t < 1:
             raise ValueError("t must be >= 1")
-        verts = self.vertices()
-        ranges = []
-        for i in range(self.dim):
-            lo = min(v[i] for v in verts) * t
-            hi = max(v[i] for v in verts) * t
-            ranges.append(range(ceil(lo), floor(hi) + 1))
-        for point in product(*ranges):
-            ok = True
-            for coeffs, rhs in self.inequalities:
-                val = sum(c * x for c, x in zip(coeffs, point))
-                if val > t * rhs or (interior and val == t * rhs):
-                    ok = False
+        *head, last = (range(ceil(lo * t), floor(hi * t) + 1) for lo, hi in self._box)
+        strict = 1 if interior else 0
+        rows = [(coeffs[:-1], coeffs[-1], t * rhs - strict) for coeffs, rhs in self.inequalities]
+        for prefix in product(*head):
+            lo, hi = last.start, last.stop - 1
+            for coeffs, c, bound in rows:
+                room = bound - sum(map(mul, coeffs, prefix))
+                if c > 0:
+                    hi = min(hi, room // c)
+                elif c < 0:
+                    lo = max(lo, -(room // -c))
+                elif room < 0:
                     break
-            if ok:
-                yield point
+            else:
+                for x in range(lo, hi + 1):
+                    yield (*prefix, x)
 
     def count(self, t: int, interior: bool = False) -> int:
         return sum(1 for _ in self.lattice_points(t, interior))

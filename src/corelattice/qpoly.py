@@ -63,10 +63,16 @@ def q_binomial(n: int, k: int, power: int = 1) -> LaurentPoly:
 
 
 def cat_q(a: int, b: int) -> LaurentPoly:
-    """The q-rational Catalan polynomial ``[a+b choose a]_q / [a+b]_q``."""
+    """The q-rational Catalan polynomial ``[a+b choose a]_q / [a+b]_q``.
+
+    Computed as ``([a+b choose a]_q (1 - q)) / (1 - q^(a+b))``: the same
+    quotient, since ``[n]_q (1 - q) = 1 - q^n``, but each step of the exact
+    division by a binomial costs two terms instead of a+b.
+    """
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
-    return q_binomial(a + b, a).divexact(q_int(a + b))
+    n = a + b
+    return (q_binomial(n, a) * LaurentPoly({0: 1, 1: -1})).divexact(LaurentPoly({0: 1, n: -1}))
 
 
 def check_coset_identity_a3(k: int, delta: int) -> bool:

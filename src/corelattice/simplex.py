@@ -22,7 +22,7 @@ from math import comb, gcd
 from operator import add, mul, sub
 
 from . import partitions
-from .abacus import ChargeVector, ShiftedPoint, filled_levels
+from .abacus import ChargeVector, ShiftedPoint, filled_levels, size_of_charges
 from .errors import CapExceededError
 
 DEFAULT_CAP = 10_000_000
@@ -136,7 +136,7 @@ def from_z(spec: SimplexSpec, rv: RepVector) -> ShiftedPoint:
     return ShiftedPoint(a, tuple(tx))
 
 
-def _capped_count(spec: SimplexSpec, cap: int) -> int:
+def capped_count(spec: SimplexSpec, cap: int) -> int:
     """Cat(a,b), once it is known not to exceed ``cap`` (else :class:`CapExceededError`)."""
     count = rational_catalan(spec.a, spec.b)
     if count > cap:
@@ -175,7 +175,7 @@ def iter_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP):
     the closed-form count is asserted once the stream is exhausted.
     """
     a, b = spec.a, spec.b
-    count = _capped_count(spec, cap)
+    count = capped_count(spec, cap)
     head = a - 2
     two_a = 2 * a
     step, lift = _walk_constants(a, b)
@@ -234,7 +234,7 @@ def core_moments(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> tuple[int, int]:
     divides the size numerator.
     """
     a, b = spec.a, spec.b
-    catalan = _capped_count(spec, cap)
+    catalan = capped_count(spec, cap)
     step, lift = _walk_constants(a, b)
     kappa = [v - 2 * (a - 1) * b for v in lift]
     two_a = 2 * a
@@ -288,9 +288,32 @@ def conjugation_T(cv: ChargeVector) -> ChargeVector:
     return ChargeVector(a, tuple(-cv.c[(-1 - i) % a] for i in range(a)))
 
 
+def is_self_conjugate(c) -> bool:
+    """True iff the charges ``c`` are fixed by :func:`conjugation_T`, ``c_i == -c_{-1-i}``: a self-conjugate core."""
+    return all(v == -c[-1 - i] for i, v in enumerate(c))
+
+
 def enumerate_self_conjugate(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> list[ChargeVector]:
     """The T-fixed subset of :func:`enumerate_cores`."""
-    return [cv for cv in enumerate_cores(spec, cap) if conjugation_T(cv) == cv]
+    return [cv for cv in enumerate_cores(spec, cap) if is_self_conjugate(cv.c)]
+
+
+def core_fold(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> tuple[int, int, int, int]:
+    """``(count, size_sum, self_conjugate_count, self_conjugate_size_sum)`` of the (a,b)-cores, in one walk.
+
+    The walk is :func:`iter_cores`, with every check it makes; the sizes are
+    the quadratic form on its plain charge tuples, so no object is built per core.
+    """
+    a = spec.a
+    count = total = sc_count = sc_total = 0
+    for _, c in iter_cores(spec, cap):
+        size = size_of_charges(a, c)
+        count += 1
+        total += size
+        if is_self_conjugate(c):
+            sc_count += 1
+            sc_total += size
+    return count, total, sc_count, sc_total
 
 
 def self_conjugate_count(a: int, b: int) -> int:

@@ -5,7 +5,9 @@ where it enumerates) that returns ``(ok, detail)``, a thin wrapper over one
 library-level property; a suite is one :data:`SUITES` entry that chooses
 the parameter ranges and binds the function into :class:`Check`.  Checks
 tagged ``exploration`` report findings (conjecture sweeps) and never fail
-a run.
+a run.  ``anderson``, ``armstrong`` and ``self-conjugate`` read one
+:func:`~corelattice.simplex.core_fold` per (a,b), memoised for the one
+:func:`build_suite` call that made them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from .partitions import brute_force_simultaneous_cores, skew_length
 from .simplex import (
     SimplexSpec,
     armstrong_average,
+    capped_count,
+    core_fold,
     core_moments,
     enumerate_cores,
-    enumerate_self_conjugate,
     rational_catalan,
     self_conjugate_count,
 )
@@ -39,21 +42,30 @@ class Check:
     exploration: bool = False
 
 
-def anderson(a: int, b: int, cap: int):
-    return len(enumerate_cores(SimplexSpec(a, b), cap)) == rational_catalan(a, b), None
+def _folded(folds: dict, a: int, b: int, cap: int) -> tuple[int, int, int, int]:
+    """:func:`~corelattice.simplex.core_fold` of (a,b), walked once per suite build (``folds`` is its memo)."""
+    spec = SimplexSpec(a, b)
+    capped_count(spec, cap)  # before the memo is read, so an exceeded cap raises where it would without one
+    if (a, b) not in folds:
+        folds[a, b] = core_fold(spec, cap)
+    return folds[a, b]
 
 
-def armstrong(a: int, b: int, cap: int):
-    total = sum(size_quadratic(cv) for cv in enumerate_cores(SimplexSpec(a, b), cap))
+def anderson(a: int, b: int, cap: int, folds: dict):
+    count, _, _, _ = _folded(folds, a, b, cap)
+    return count == rational_catalan(a, b), None
+
+
+def armstrong(a: int, b: int, cap: int, folds: dict):
+    _, total, _, _ = _folded(folds, a, b, cap)
     return total == rational_catalan(a, b) * armstrong_average(a, b), {"total": total}
 
 
-def self_conjugate(a: int, b: int, cap: int):
-    fixed = enumerate_self_conjugate(SimplexSpec(a, b), cap)
-    if len(fixed) != self_conjugate_count(a, b):
-        return False, {"count": len(fixed)}
-    total = sum(size_quadratic(cv) for cv in fixed)
-    return Fraction(total, len(fixed)) == armstrong_average(a, b), {"count": len(fixed)}
+def self_conjugate(a: int, b: int, cap: int, folds: dict):
+    _, _, count, total = _folded(folds, a, b, cap)
+    if count != self_conjugate_count(a, b):
+        return False, {"count": count}
+    return Fraction(total, count) == armstrong_average(a, b), {"count": count}
 
 
 def quadratic(a: int, radius: int):
@@ -146,12 +158,14 @@ def _ns(o: dict):
     return ({"n": n} for n in range(1, n_max + 1))
 
 
-# suite name -> its checks, built from the bounds that were given (a bound left as None is absent) and "cap";
+# suite name -> its checks, built from the bounds that were given (a bound left as None is absent), "cap" and "folds";
 # the check functions are looked up when a suite is built, never stored here
 SUITES = {
-    "anderson": lambda o: _checks("anderson", anderson, _coprime_pairs(o, 6, 20), cap=o["cap"]),
-    "armstrong": lambda o: _checks("armstrong", armstrong, _coprime_pairs(o, 6, 20), cap=o["cap"]),
-    "self-conjugate": lambda o: _checks("self-conjugate", self_conjugate, _coprime_pairs(o, 6, 20), cap=o["cap"]),
+    "anderson": lambda o: _checks("anderson", anderson, _coprime_pairs(o, 6, 20), cap=o["cap"], folds=o["folds"]),
+    "armstrong": lambda o: _checks("armstrong", armstrong, _coprime_pairs(o, 6, 20), cap=o["cap"], folds=o["folds"]),
+    "self-conjugate": lambda o: _checks(
+        "self-conjugate", self_conjugate, _coprime_pairs(o, 6, 20), cap=o["cap"], folds=o["folds"]
+    ),
     "quadratic": lambda o: _checks(
         "quadratic", quadratic, ({"a": a, "radius": o.get("radius", 4)} for a in range(2, o.get("a_max", 6) + 1))
     ),
@@ -237,6 +251,7 @@ def build_suite(name: str, *, a_max, b_max, n_max, k_max, radius, cap) -> list[C
             raise ValueError(f"--{key.replace('_', '-')} must be >= 0, got {value}")
     given = {key: value for key, value in bounds.items() if value is not None}
     given["cap"] = cap
+    given["folds"] = {}  # (a, b) -> core_fold, shared by anderson, armstrong and self-conjugate for this build only
     if name == "all":
         return [check for key in sorted(SUITES) if key not in NOT_IN_ALL for check in SUITES[key](given)]
     if name not in SUITES:

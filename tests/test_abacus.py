@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from corelattice import abacus as A
 from corelattice.partitions import hook_multiset, is_core
+from test_partitions import partitions_of
 
 
 def charge_vectors(a, radius):
@@ -57,6 +58,34 @@ def test_charges_from_core_inverse_examples():
     assert A.charges_from_core((1,), 2) == A.ChargeVector(2, (1, -1))
     with pytest.raises(ValueError):
         A.charges_from_core((3, 2, 2, 1), 3)
+
+
+def core_counts(a, n_max):
+    """The number of a-cores of each size up to ``n_max``: the coefficients of prod_k (1 - q^(ak))^a / (1 - q^k)."""
+    series = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        for n in range(k, n_max + 1):  # divide by 1 - q^k
+            series[n] += series[n - k]
+    for k in range(a, n_max + 1, a):
+        for _ in range(a):
+            for n in range(n_max, k - 1, -1):  # multiply by 1 - q^k
+                series[n] -= series[n - k]
+    return series
+
+
+def test_charges_from_core_round_trips_the_cores_to_size_30_and_rejects_non_cores_to_size_20():
+    found = {a: [0] * 31 for a in range(2, 6)}
+    for n in range(31):
+        for p in partitions_of(n):
+            for a, counts in found.items():
+                if is_core(p, a):
+                    cv = A.charges_from_core(p, a)
+                    assert A.core_from_charges(cv) == p and A.size_quadratic(cv) == n
+                    counts[n] += 1
+                elif n <= 20:
+                    with pytest.raises(ValueError, match=f"is not a {a}-core"):
+                        A.charges_from_core(p, a)
+    assert found == {a: core_counts(a, 30) for a in found}
 
 
 def test_size_quadratic_examples():

@@ -330,6 +330,15 @@ def test_verify_streams_the_records_before_an_exceeded_cap(capsys):
     assert [r["params"] for r in records] == [{"a": 2, "b": 3}, {"a": 2, "b": 5}]
 
 
+@pytest.mark.parametrize("suite", ["armstrong", "self-conjugate"])
+def test_fold_suites_stop_at_an_exceeded_cap_after_the_records_before_it(capsys, suite):
+    # the (a,b) walk is memoised per run, but the cap is still checked at each check
+    code, out, err = run_cli(capsys, "verify", suite, "--a-max", "3", "--b-max", "5", "--cap", "4")
+    assert code == 3 and err.endswith("\nerror: Cat(3,4) = 5 exceeds the cap of 4\n")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["params"], r["pass"]) for r in records] == [({"a": 2, "b": 3}, True), ({"a": 2, "b": 5}, True)]
+
+
 def test_verify_exploration_suite_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "unimodality", "--a-max", "3", "--b-max", "8")
     assert code == 0

@@ -1,12 +1,13 @@
 """Quasipolynomial fitting, lattice-point counting, and core polynomials."""
 
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import ceil, comb, floor
 
 import pytest
 
 from corelattice import ehrhart as E
-from corelattice import simplex
+from corelattice import simplex, suites
 from corelattice.abacus import size_quadratic
 from corelattice.errors import FitValidationError
 from corelattice.simplex import SimplexSpec, enumerate_cores
@@ -89,6 +90,72 @@ def test_vertices_and_bad_polytopes():
     assert (Fraction(1, 2), Fraction(0)) in tri.vertices()
     with pytest.raises(ValueError):
         E.RationalPolytope.from_inequalities(1, [((1,), 1)])  # unbounded
+
+
+def box_lattice_points(polytope, t, interior=False):
+    """Integer points of ``tP`` (or of its interior): the reference route.
+
+    Filters every point of the vertex bounding box of ``tP`` through all the
+    inequalities, sharing no bound arithmetic with ``lattice_points``.
+    """
+    verts = polytope.vertices()
+    ranges = []
+    for i in range(polytope.dim):
+        ranges.append(range(ceil(min(v[i] for v in verts) * t), floor(max(v[i] for v in verts) * t) + 1))
+    for point in product(*ranges):
+        vals = [(sum(c * x for c, x in zip(coeffs, point)), t * rhs) for coeffs, rhs in polytope.inequalities]
+        if all(val < bound if interior else val <= bound for val, bound in vals):
+            yield point
+
+
+RECIPROCITY_POLYTOPES = {
+    "segment": E.unit_segment(),
+    "triangle-2x+y<=1": E.halved_right_triangle(),
+    "simplex-dim2": E.standard_simplex(2),
+    "simplex-dim3": E.standard_simplex(3),
+}
+# last coefficients of both signs above 1, rational vertices (0,0), (0,2), (12/5, 6/5): 0 <= x <= 2y, x + 3y <= 6
+SKEW_TRIANGLE = E.RationalPolytope.from_inequalities(2, [((-1, 0), 0), ((1, -2), 0), ((1, 3), 6)])
+# x + y <= 1 has a zero last coefficient and cuts the corner (1, 1) off the box of the first two coordinates
+TRIANGULAR_PRISM = E.RationalPolytope.from_inequalities(
+    3, [((-1, 0, 0), 0), ((0, -1, 0), 0), ((1, 1, 0), 1), ((0, 0, -1), 0), ((0, 0, 1), 1)]
+)
+# only negative last coefficients bound z from below: z >= x and z >= 1 - x/2, z <= 1, 0 <= y <= 1
+WEDGE = E.RationalPolytope.from_inequalities(
+    3, [((1, 0, -1), 0), ((-1, 0, -2), -2), ((0, 0, 1), 1), ((0, -1, 0), 0), ((0, 1, 0), 1)]
+)
+
+
+def test_reciprocity_cases_use_the_compared_polytopes():
+    assert set(suites.RECIPROCITY_CASES) == {*RECIPROCITY_POLYTOPES, "segment-weight-x^2"}
+
+
+@pytest.mark.parametrize(
+    "polytope",
+    [*RECIPROCITY_POLYTOPES.values(), SKEW_TRIANGLE, TRIANGULAR_PRISM, WEDGE],
+    ids=[*RECIPROCITY_POLYTOPES, "skew-triangle", "triangular-prism", "wedge"],
+)
+@pytest.mark.parametrize("interior", [False, True], ids=["closed", "interior"])
+def test_lattice_points_equal_the_box_filter(polytope, interior):
+    for t in range(1, 21):
+        assert list(polytope.lattice_points(t, interior)) == list(box_lattice_points(polytope, t, interior)), t
+
+
+def test_vertices_are_solved_once_per_polytope(monkeypatch):
+    solved = []
+    real = E._solve_square
+
+    def counted(rows, rhs):
+        solved.append(1)
+        return real(rows, rhs)
+
+    monkeypatch.setattr(E, "_solve_square", counted)
+    tri = E.halved_right_triangle()
+    after_build = len(solved)
+    assert after_build == 3  # one square subsystem per pair of the three rows
+    assert [tri.count(t) for t in range(1, 5)] == [2, 4, 6, 9]
+    assert E.reciprocity_check(tri, 16, period=2)
+    assert len(solved) == after_build
 
 
 def test_interior_counts():

@@ -68,6 +68,14 @@ def test_cat_q_degree_positivity_count():
             assert p(1) == rational_catalan(a, b)
 
 
+def test_cat_q_equals_the_division_by_the_q_integer():
+    # the reference route: [a+b choose a]_q divided by the dense [a+b]_q
+    for a in range(1, 9):
+        for b in range(1, 40):
+            if gcd(a, b) == 1:
+                assert Q.cat_q(a, b) == Q.q_binomial(a + b, a).divexact(Q.q_int(a + b)), (a, b)
+
+
 def test_divexact_failure_is_loud():
     with pytest.raises(ArithmeticError):
         Q.q_int(5).divexact(Q.q_int(3))

@@ -196,6 +196,31 @@ def test_core_moments_match_the_walk():
             assert S.core_moments(spec) == (count, total), (a, b)
 
 
+def test_core_fold_matches_the_charge_vector_routes():
+    for a in range(2, 7):
+        for b in range(1, 16):
+            if gcd(a, b) != 1:
+                continue
+            spec = S.SimplexSpec(a, b)
+            cores = S.enumerate_cores(spec)
+            fixed = [cv for cv in cores if S.conjugation_T(cv) == cv]
+            expected = (len(cores), sum(map(size_quadratic, cores)), len(fixed), sum(map(size_quadratic, fixed)))
+            assert S.core_fold(spec) == expected, (a, b)
+            assert S.enumerate_self_conjugate(spec) == fixed
+
+
+def test_is_self_conjugate_is_the_conjugation_fixed_point_test():
+    for a in range(2, 7):
+        for cv in (ChargeVector(a, (*head, -sum(head))) for head in product(range(-2, 3), repeat=a - 1)):
+            assert S.is_self_conjugate(cv.c) == (S.conjugation_T(cv) == cv), cv
+
+
+def test_core_fold_honours_the_cap():
+    with pytest.raises(CapExceededError, match="Cat\\(3,4\\) = 5 exceeds the cap of 4"):
+        S.core_fold(S.SimplexSpec(3, 4), cap=4)
+    assert S.core_fold(S.SimplexSpec(3, 4), cap=5) == (5, 10, 3, 6)
+
+
 @pytest.mark.parametrize("a,b", [(12, 61), (20, 101), (30, 211)])
 def test_core_moments_give_the_closed_forms_at_scale(a, b):
     catalan = S.rational_catalan(a, b)

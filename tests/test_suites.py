@@ -1,9 +1,11 @@
 """Verification suites: what a check catches when the enumeration goes wrong."""
 
+from collections import Counter
+
 import pytest
 
-from corelattice import perms, suites
-from corelattice.abacus import size_quadratic
+from corelattice import perms, simplex, suites
+from corelattice.abacus import size_of_charges, size_quadratic
 from corelattice.errors import CapExceededError
 from corelattice.simplex import DEFAULT_CAP
 
@@ -42,6 +44,57 @@ def test_moments_catches_a_dropped_largest_core(monkeypatch):
 
     monkeypatch.setattr(suites, "enumerate_cores", without_largest)
     assert check.run() == (False, {"count": 29, "total": 240})
+
+
+FOLD_SUITES = ("anderson", "armstrong", "self-conjugate")
+
+
+@pytest.mark.parametrize("name", FOLD_SUITES)
+def test_fold_suites_catch_a_dropped_largest_core(monkeypatch, name):
+    def check_4_7():
+        (check,) = [c for c in build(name, a_max=4, b_max=7) if c.params == {"a": 4, "b": 7}]
+        return check
+
+    assert check_4_7().run()[0]
+    real = simplex.iter_cores
+
+    def without_largest(spec, cap=DEFAULT_CAP):
+        cores = list(real(spec, cap))
+        largest = max(cores, key=lambda zc: size_of_charges(spec.a, zc[1]))
+        return iter([zc for zc in cores if zc != largest])
+
+    monkeypatch.setattr(simplex, "iter_cores", without_largest)
+    # a fresh build walks again, so the fault is seen
+    ok, detail = check_4_7().run()
+    assert not ok
+    assert detail == {"anderson": None, "armstrong": {"total": 240}, "self-conjugate": {"count": 9}}[name]
+
+
+def test_fold_suites_walk_each_pair_once_per_build(monkeypatch):
+    walks = Counter()
+    real = simplex.iter_cores
+
+    def counted(spec, cap=DEFAULT_CAP):
+        walks[spec.a, spec.b] += 1
+        return real(spec, cap)
+
+    monkeypatch.setattr(simplex, "iter_cores", counted)
+    checks = [c for c in build("all") if c.name in FOLD_SUITES]
+    assert all(c.run()[0] for c in checks)
+    pairs = {(c.params["a"], c.params["b"]) for c in checks}
+    assert len(pairs) == 46 and len(checks) == 3 * 46  # coprime 2 <= a < b, a <= 6, b <= 20
+    assert walks == Counter(dict.fromkeys(pairs, 1))
+    # the memo lives for one build only: the next one walks again
+    assert all(c.run()[0] for c in build("anderson", a_max=3, b_max=5))
+    assert walks[3, 4] == walks[3, 5] == 2
+
+
+@pytest.mark.parametrize("fn", [suites.anderson, suites.armstrong, suites.self_conjugate])
+def test_fold_suites_check_the_cap_before_the_memo(fn):
+    folds = {(3, 4): (5, 10, 3, 6)}
+    assert fn(3, 4, cap=5, folds=folds)[0]
+    with pytest.raises(CapExceededError, match="Cat\\(3,4\\) = 5 exceeds the cap of 4"):
+        fn(3, 4, cap=4, folds=folds)
 
 
 def test_moments_closed_form_rows_pass_beyond_the_cap():
