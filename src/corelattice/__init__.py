@@ -28,7 +28,7 @@ from .partitions import (
     skew_length,
     to_maya,
 )
-from .polys import LaurentPoly, LaurentPoly2
+from .polys import LaurentPoly
 from .qpoly import cat_q, q_binomial, q_factorial, q_int, search_age_function, unimodality_report
 from .qt import cat_qt, length_from_x, skew_length_from_x
 from .simplex import (
@@ -49,7 +49,6 @@ __all__ = [
     "ChargeVector",
     "FitValidationError",
     "LaurentPoly",
-    "LaurentPoly2",
     "MayaState",
     "RepVector",
     "ShiftedPoint",

@@ -152,8 +152,8 @@ def cmd_poly(args, out) -> int:
         "a": args.a,
         "b": args.b,
         "catalan": rational_catalan(args.a, args.b),
-        "cat_q": catq.to_pairs(),
-        "cat_qt": catqt.to_triples(),
+        "cat_q": catq.to_rows(),
+        "cat_qt": catqt.to_rows(),
         "qt_symmetric": qt.check_symmetry(catqt),
         "qt_specialization": qt.check_specialization(spec, catqt),
         "unimodality": [
@@ -214,7 +214,7 @@ def cmd_perm(args, out) -> int:
     dist = perms.distribution(args.n)
     report = {
         "n": args.n,
-        "distribution": dist.to_triples(),
+        "distribution": dist.to_rows(),
         "total": dist.total(),
         "sizmaj2": dist == perms.sizmaj_product(args.n),
         "ld_weights": perms.check_ld_weights(args.n),

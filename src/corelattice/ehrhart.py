@@ -6,6 +6,13 @@ validation: per residue class the first ``degree + 1`` samples determine a
 candidate and every remaining sample must match it exactly, so a wrong
 degree or period hypothesis surfaces as :class:`FitValidationError` rather
 than a silently bad fit.
+
+The fitted polynomials are the one dense exception to the package's sparse
+:class:`~corelattice.polys.LaurentPoly`: :func:`poly_eval`,
+:func:`poly_divexact`, :func:`lagrange_coefficients` and
+:class:`Quasipolynomial` work on coefficient tuples of ``Fraction``, which
+interpolation needs, while ``LaurentPoly`` holds ints and its ``divexact``
+tests integer divisibility.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from itertools import permutations as _permutations
 from operator import gt
 
 from .errors import CapExceededError
-from .polys import LaurentPoly2
+from .polys import LaurentPoly
 
 DISTRIBUTION_CAP = 9
 
@@ -129,7 +129,7 @@ def check_ld_weights(n: int) -> bool:
 
 
 @cache
-def _joint_distributions(n: int) -> tuple[LaurentPoly2, LaurentPoly2]:
+def _joint_distributions(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """``sum q^siz t^maj`` and ``sum q^sqin t^maj`` over S_n, tallied in one pass."""
     siz_maj: Counter = Counter()
     sqin_maj: Counter = Counter()
@@ -137,10 +137,10 @@ def _joint_distributions(n: int) -> tuple[LaurentPoly2, LaurentPoly2]:
         maj_, siz_, sqin_ = _maj_siz_sqin(sigma)
         siz_maj[siz_, maj_] += 1
         sqin_maj[sqin_, maj_] += 1
-    return LaurentPoly2(siz_maj), LaurentPoly2(sqin_maj)
+    return LaurentPoly(siz_maj), LaurentPoly(sqin_maj)
 
 
-def distribution(n: int) -> LaurentPoly2:
+def distribution(n: int) -> LaurentPoly:
     """Joint distribution ``sum q^siz t^maj`` over S_n, by brute force."""
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -148,14 +148,14 @@ def distribution(n: int) -> LaurentPoly2:
     return _joint_distributions(n)[0]
 
 
-def _q_int2(k: int, qexp: int, texp: int) -> LaurentPoly2:
+def _q_int2(k: int, qexp: int, texp: int) -> LaurentPoly:
     """``[k]_x`` with ``x = q^qexp t^texp``."""
-    return LaurentPoly2({(qexp * j, texp * j): 1 for j in range(k)})
+    return LaurentPoly({(qexp * j, texp * j): 1 for j in range(k)})
 
 
-def sizmaj_product(n: int) -> LaurentPoly2:
+def sizmaj_product(n: int) -> LaurentPoly:
     """``prod_{k=1..n} [k]_{q^(n+1-k) t}``."""
-    out = LaurentPoly2.one()
+    out = LaurentPoly.monomial((0, 0))
     for k in range(1, n + 1):
         out = out * _q_int2(k, n + 1 - k, 1)
     return out
@@ -175,10 +175,10 @@ def check_sqin_relation(n: int) -> bool:
     """
     require_within_cap(n)
     sqin_poly = _joint_distributions(n)[1]
-    prod = LaurentPoly2.one()
+    prod = LaurentPoly.monomial((0, 0))
     for k in range(1, n + 1):
         prod = prod * _q_int2(k, k, 1)
     if sqin_poly != prod:
         return False
-    substituted = sqin_poly.map_exponents(lambda e, f: ((n + 1) * f - e, f))
+    substituted = sqin_poly.map_exponents(lambda ef: ((n + 1) * ef[1] - ef[0], ef[1]))
     return substituted == distribution(n)

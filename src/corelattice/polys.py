@@ -1,27 +1,53 @@
-"""Exact Laurent polynomials over the integers, in one and two variables.
+"""Exact sparse Laurent polynomials over the integers, in one or several variables.
 
 Coefficients are Python ints (arbitrary precision); the zero coefficient is
-never stored, so equality is plain map equality.
+never stored, so equality is plain map equality.  An exponent is an int for
+one variable, q, or a tuple for several, (q, t, ...).
 
 >>> p = LaurentPoly({0: 1, 2: 1})
 >>> p * p == LaurentPoly({0: 1, 2: 2, 4: 1})
 True
 >>> LaurentPoly.monomial(-1) * p
 LaurentPoly({-1: 1, 1: 1})
+>>> q, t = LaurentPoly.monomial((1, 0)), LaurentPoly.monomial((0, 1))
+>>> print(q * q + q * t + t * t)
+t^2 + qt + q^2
+>>> (q * t - t).swapped() == q * t - q
+True
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
+
+
+class Exponents(tuple):
+    """An exponent vector (q, t, ...) whose ``+`` adds coordinatewise."""
+
+    __slots__ = ()
+
+    def __add__(self, other) -> "Exponents":
+        return Exponents(map(add, self, other))
 
 
 class LaurentPoly:
-    """Univariate Laurent polynomial ``sum c_e q^e`` with integer coefficients."""
+    """Laurent polynomial ``sum c_e q^e`` (or ``sum c_e q^e_0 t^e_1 ...``) with integer coefficients.
+
+    A tuple exponent is stored as an :class:`Exponents`, so the products and
+    :meth:`sub_shifted` add exponents with one ``+`` in either case.  The
+    exponent bounds, evaluation, ``**``, :meth:`subs_power` and
+    :meth:`divexact` are one-variable operations; :meth:`swapped` exchanges
+    the two variables of a (q, t) polynomial.
+    """
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        self._c = {e: c for e, c in (coeffs or {}).items() if c}
+    def __init__(self, coeffs: dict | None = None):
+        c = {e: v for e, v in (coeffs or {}).items() if v}
+        if c and isinstance(next(iter(c)), tuple):
+            c = {Exponents(e): v for e, v in c.items()}
+        self._c = c
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -32,10 +58,10 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
+    def monomial(cls, exp, coeff: int = 1) -> "LaurentPoly":
         return cls({exp: coeff})
 
-    def coefficient(self, exp: int) -> int:
+    def coefficient(self, exp) -> int:
         return self._c.get(exp, 0)
 
     def items(self):
@@ -73,7 +99,7 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def sub_shifted(self, polys, e: int) -> "LaurentPoly":
+    def sub_shifted(self, polys, e) -> "LaurentPoly":
         """``self - q^e * sum(polys)``, built in one dict with no temporary polynomials."""
         c = dict(self._c)
         for p in polys:
@@ -91,7 +117,7 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPoly({e: v * other for e, v in self._c.items()})
-        c: dict[int, int] = {}
+        c = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
                 e = e1 + e2
@@ -162,13 +188,27 @@ class LaurentPoly:
             raise ArithmeticError("exact division failed (nonzero remainder)")
         return q
 
-    def to_pairs(self) -> list[list]:
-        """Serialization form: ``[exponent, coefficient-as-string]`` sorted by exponent."""
-        return [[e, str(v)] for e, v in self.items()]
+    def total(self) -> int:
+        """Sum of all coefficients (the value at q = t = 1)."""
+        return sum(self._c.values())
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "LaurentPoly":
-        return cls({int(e): int(v) for e, v in pairs})
+    def swapped(self) -> "LaurentPoly":
+        """Exchange q and t."""
+        return LaurentPoly({(f, e): v for (e, f), v in self._c.items()})
+
+    def map_exponents(self, fn) -> "LaurentPoly":
+        """Apply an injective exponent transform ``e -> fn(e)``."""
+        c = {}
+        for e, v in self._c.items():
+            e2 = fn(e)
+            if e2 in c:
+                raise ValueError("exponent transform is not injective")
+            c[e2] = v
+        return LaurentPoly(c)
+
+    def to_rows(self) -> list[list]:
+        """Serialization form: ``[exponent(s)..., coefficient-as-string]`` sorted by exponent."""
+        return [[e, str(v)] if isinstance(e, int) else [*e, str(v)] for e, v in self.items()]
 
     def __repr__(self):
         return f"LaurentPoly({dict(self.items())})"
@@ -176,121 +216,16 @@ class LaurentPoly:
     def __str__(self):
         if self.is_zero:
             return "0"
-        terms = []
-        for e, v in self.items():
-            if e == 0:
-                terms.append(f"{v}")
-            else:
-                coeff = "" if v == 1 else ("-" if v == -1 else f"{v}*")
-                power = "q" if e == 1 else f"q^{e}"
-                terms.append(f"{coeff}{power}")
-        return " + ".join(terms).replace("+ -", "- ")
 
-
-class LaurentPoly2:
-    """Bivariate Laurent polynomial ``sum c_{e,f} q^e t^f`` with integer coefficients."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
-        self._c = {ef: c for ef, c in (coeffs or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly2":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly2":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, qexp: int, texp: int, coeff: int = 1) -> "LaurentPoly2":
-        return cls({(qexp, texp): coeff})
-
-    def coefficient(self, qexp: int, texp: int) -> int:
-        return self._c.get((qexp, texp), 0)
-
-    def items(self):
-        return sorted(self._c.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def total(self) -> int:
-        """Sum of all coefficients (the value at q = t = 1)."""
-        return sum(self._c.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly2) and self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        c = dict(self._c)
-        for ef, v in other._c.items():
-            c[ef] = c.get(ef, 0) + v
-        return LaurentPoly2(c)
-
-    def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2({ef: -v for ef, v in self._c.items()})
-
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly2({ef: v * other for ef, v in self._c.items()})
-        c: dict[tuple[int, int], int] = {}
-        for (e1, f1), v1 in self._c.items():
-            for (e2, f2), v2 in other._c.items():
-                ef = (e1 + e2, f1 + f2)
-                c[ef] = c.get(ef, 0) + v1 * v2
-        return LaurentPoly2(c)
-
-    __rmul__ = __mul__
-
-    def swapped(self) -> "LaurentPoly2":
-        """Exchange the two variables."""
-        return LaurentPoly2({(f, e): v for (e, f), v in self._c.items()})
-
-    def map_exponents(self, fn) -> "LaurentPoly2":
-        """Apply an injective exponent transform ``(e, f) -> (e', f')``."""
-        c: dict[tuple[int, int], int] = {}
-        for ef, v in self._c.items():
-            ef2 = fn(*ef)
-            if ef2 in c:
-                raise ValueError("exponent transform is not injective")
-            c[ef2] = v
-        return LaurentPoly2(c)
-
-    def nonnegative(self) -> bool:
-        return all(v > 0 for v in self._c.values())
-
-    def to_triples(self) -> list[list]:
-        """Serialization form: ``[q-exp, t-exp, coefficient-as-string]`` sorted lexicographically."""
-        return [[e, f, str(v)] for (e, f), v in self.items()]
-
-    @classmethod
-    def from_triples(cls, triples) -> "LaurentPoly2":
-        return cls({(int(e), int(f)): int(v) for e, f, v in triples})
-
-    def __repr__(self):
-        return f"LaurentPoly2({dict(self.items())})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-
-        def var(name, e):
+        def power(name, e):
             if e == 0:
                 return ""
             return name if e == 1 else f"{name}^{e}"
 
         terms = []
-        for (e, f), v in self.items():
-            body = var("q", e) + var("t", f)
+        for e, v in self.items():
+            exps = (e,) if isinstance(e, int) else e
+            body = "".join(power(*ne) for ne in zip("qt"[: len(exps)], exps, strict=True))
             if not body:
                 terms.append(f"{v}")
             else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb, gcd
 
 from .abacus import ChargeVector, shift
@@ -200,18 +200,20 @@ class AgeSearchResult:
 
 
 def coset_labels(a: int, b_residue: int) -> list[tuple[int, ...]]:
-    """All ``a^(a-2)`` coset labels for b in the class ``b_residue`` mod a."""
-    out: list[tuple[int, ...]] = []
+    """All ``a^(a-2)`` coset labels for b in the class ``b_residue`` mod a, lexicographically.
 
-    def extend(prefix: tuple[int, ...]):
-        if len(prefix) == a:
-            if sum(prefix) % a == b_residue % a and sum(i * v for i, v in enumerate(prefix)) % a == 0:
-                out.append(prefix)
-            return
-        for v in range(a):
-            extend(prefix + (v,))
-
-    extend(())
+    A label is a vector in ``[0, a)^a`` with entry sum ``b_residue`` and
+    ``sum i*z_i = 0`` mod a.  Each head ``z_0 .. z_{a-3}`` has exactly one
+    completion: with s and w the head's sum and weighted sum,
+    ``z_{a-1} = -w - (a-2)(r-s)`` and ``z_{a-2} = r - s - z_{a-1}`` (mod a).
+    """
+    r = b_residue % a
+    out = []
+    for head in product(range(a), repeat=a - 2):
+        s = sum(head)
+        w = sum(i * v for i, v in enumerate(head))
+        last = (-w - (a - 2) * (r - s)) % a
+        out.append((*head, (r - s - last) % a, last))
     if len(out) != a ** (a - 2):
         raise AssertionError("coset label census disagrees with the lattice index")
     return out

@@ -23,7 +23,7 @@ from math import gcd
 
 from .abacus import ShiftedPoint, shift
 from .perms import des_set, maj, siz
-from .polys import LaurentPoly, LaurentPoly2
+from .polys import LaurentPoly
 from .qpoly import cat_q
 from .simplex import DEFAULT_CAP, SimplexSpec, enumerate_cores
 
@@ -57,7 +57,7 @@ def co_skew_length_from_x(spec: SimplexSpec, sp: ShiftedPoint) -> int:
     return (spec.a - 1) * (spec.b - 1) // 2 - skew_length_from_x(spec, sp)
 
 
-def cat_qt(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> LaurentPoly2:
+def cat_qt(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> LaurentPoly:
     """``sum q^length t^coskew`` over all (a,b)-cores."""
     out: dict[tuple[int, int], int] = {}
     half = (spec.a - 1) * (spec.b - 1) // 2
@@ -65,15 +65,15 @@ def cat_qt(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> LaurentPoly2:
         sp = shift(cv)
         key = (length_from_x(sp), half - skew_length_from_x(spec, sp))
         out[key] = out.get(key, 0) + 1
-    return LaurentPoly2(out)
+    return LaurentPoly(out)
 
 
-def check_symmetry(poly: LaurentPoly2) -> bool:
+def check_symmetry(poly: LaurentPoly) -> bool:
     """Is ``poly = cat_qt(spec)`` symmetric under exchanging q and t?"""
     return poly == poly.swapped()
 
 
-def check_specialization(spec: SimplexSpec, poly: LaurentPoly2) -> bool:
+def check_specialization(spec: SimplexSpec, poly: LaurentPoly) -> bool:
     """Does ``sum q^(length + skew)`` over cores equal ``cat_q(a, b)``?
 
     The sum is read off ``poly = cat_qt(spec)``: skew is
@@ -88,8 +88,8 @@ def check_specialization(spec: SimplexSpec, poly: LaurentPoly2) -> bool:
     return LaurentPoly(out) == cat_q(spec.a, spec.b)
 
 
-def _qt(qexp: int, texp: int, coeff: int = 1) -> LaurentPoly2:
-    return LaurentPoly2.monomial(qexp, texp, coeff)
+def _qt(qexp: int, texp: int, coeff: int = 1) -> LaurentPoly:
+    return LaurentPoly.monomial((qexp, texp), coeff)
 
 
 def check_qt3_identity(b: int, cap: int = DEFAULT_CAP) -> bool:
@@ -107,7 +107,7 @@ def check_qt3_identity(b: int, cap: int = DEFAULT_CAP) -> bool:
     if b < 4 or gcd(b, 3) != 1:
         raise ValueError("need b >= 4 coprime to 3")
     k, delta = ((b - 1) // 3, 0) if b % 3 == 1 else ((b - 2) // 3, 1)
-    one = LaurentPoly2.one()
+    one = _qt(0, 0)
     f1 = one - _qt(1, -1)   # 1 - q/t
     f2 = one - _qt(1, -2)   # 1 - q/t^2
     f3 = one - _qt(-1, 2)   # 1 - t^2/q

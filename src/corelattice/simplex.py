@@ -216,62 +216,65 @@ def core_moments(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> tuple[int, int]:
 
     In the walk of :func:`iter_cores` the charge on the runner at step j is
     ``n_j / 2a`` with ``n_j = κ_j + 2S - 2a P_j``, where P_j = z_0 + ... + z_{j-1},
-    S = P_1 + ... + P_{a-1} and κ_j = lift[j] - 2(a-1)b; the cores are the
-    nondecreasing 0 = P_0 <= P_1 <= ... <= P_{a-1} <= b with S = -b (mod a).
-    The quadratic form ``(a/2) sum c_i^2 + sum i c_i`` then reads
+    S = P_1 + ... + P_{a-1} and κ_j = lift[j] - 2(a-1)b.  The quadratic form
+    ``(a/2) sum c_i^2 + sum i c_i`` then reads
 
         8a size = sum_j f_j(P_j) + (4K + 4a(a-1)) S - 4a S^2,
         f_j(P) = (κ_j - 2aP)^2 - 8a step_j P + 4 step_j κ_j,   K = sum_j κ_j.
 
-    A dynamic program over j = 1 .. a-1 on the states (P_j, S_j mod a), with
-    S_j = P_1 + ... + P_j, carries four moments per state: the count, the sum
-    of F_j = f_0(0) + ... + f_j(P_j), of S_j and of S_j^2.  A running sum over
-    P_{j-1} <= P_j makes each step O(a b), so the run is O(a^2 b) integer
+    The cores are the paths 0 = P_0 <= P_1 <= ... <= P_{a-1} <= b with
+    S = -b (mod a), but the sum can run over every path, that is every
+    composition z of b into a parts, and divide by a.  For any composition,
+    :func:`from_z`'s offsets satisfy ``o_{j+1} = o_j + 2b - 2a z_j`` and
+    ``o_a = 0``, and the right side above is ``8a`` times
+    ``-(a^2-1)/24 + (a/2) sum x_i^2`` (``abacus.size_from_x``), which is
+    symmetric in the coordinates.  Rotating z to ``(z_1, ..., z_{a-1}, z_0)``
+    gives ``tx'[jb+k] = tx[(j+1)b+k]``, a permutation of the coordinates, so
+    the value is constant on rotation orbits.  A rotation moves
+    ``sum i z_i`` by -b (mod a), and gcd(a,b) = 1, so each orbit has exactly
+    a members and exactly one core.
+
+    A dynamic program over j = 1 .. a-1 on the states P_j carries four
+    moments per state: the count, the sum of F_j = f_0(0) + ... + f_j(P_j),
+    of S_j = P_1 + ... + P_j and of S_j^2.  A running sum over
+    P_{j-1} <= P_j makes each step O(b), so the run is O(a b) integer
     operations however large Cat(a,b) is.
 
     Raises :class:`CapExceededError` when Cat(a,b) exceeds ``cap``, as
-    :func:`iter_cores` does; asserts that the count is Cat(a,b) and that 8a
-    divides the size numerator.
+    :func:`iter_cores` does; asserts that the paths number a·Cat(a,b) and
+    that 8a^2 divides the size numerator.
     """
     a, b = spec.a, spec.b
     catalan = capped_count(spec, cap)
     step, lift = _walk_constants(a, b)
     kappa = [v - 2 * (a - 1) * b for v in lift]
     two_a = 2 * a
-
-    def zeros():
-        return [[0] * (b + 1) for _ in range(a)]
-
-    # count[r][p], fsum[r][p], ssum[r][p], sqsum[r][p]: the walks with P_j = p and S_j = r (mod a)
-    count, fsum, ssum, sqsum = zeros(), zeros(), zeros(), zeros()
-    count[0][0] = 1
-    fsum[0][0] = kappa[0] * kappa[0] + 4 * step[0] * kappa[0]
+    # count[p], fsum[p], ssum[p], sqsum[p]: the paths with P_j = p
+    count = [1] + [0] * b
+    fsum = [kappa[0] * kappa[0] + 4 * step[0] * kappa[0]] + [0] * b
+    ssum = [0] * (b + 1)
+    sqsum = [0] * (b + 1)
     for j in range(1, a):
         kj, sj = kappa[j], step[j]
-        new = new_count, new_fsum, new_ssum, new_sqsum = zeros(), zeros(), zeros(), zeros()
-        run_count, run_fsum, run_ssum, run_sqsum = [0] * a, [0] * a, [0] * a, [0] * a
+        n = f = s = q = 0
+        # in place: the running sums read index p before it is overwritten
         for p in range(b + 1):
+            n += count[p]
+            f += fsum[p]
+            s += ssum[p]
+            q += sqsum[p]
             fp = (kj - two_a * p) ** 2 - 4 * two_a * sj * p + 4 * sj * kj
-            for r in range(a):
-                n = run_count[r] = run_count[r] + count[r][p]
-                f = run_fsum[r] = run_fsum[r] + fsum[r][p]
-                s = run_ssum[r] = run_ssum[r] + ssum[r][p]
-                q = run_sqsum[r] = run_sqsum[r] + sqsum[r][p]
-                if n:
-                    t = (r + p) % a
-                    new_count[t][p] = n
-                    new_fsum[t][p] = f + n * fp
-                    new_ssum[t][p] = s + n * p
-                    new_sqsum[t][p] = q + 2 * p * s + n * p * p
-        count, fsum, ssum, sqsum = new
-    end = -b % a
-    n, f, s, q = (sum(moment[end]) for moment in (count, fsum, ssum, sqsum))
-    if n != catalan:
-        raise AssertionError(f"moment recursion counts {n} ({a},{b})-cores, not Cat = {catalan}")
+            count[p] = n
+            fsum[p] = f + n * fp
+            ssum[p] = s + n * p
+            sqsum[p] = q + 2 * p * s + n * p * p
+    n, f, s, q = sum(count), sum(fsum), sum(ssum), sum(sqsum)
+    if n != a * catalan:
+        raise AssertionError(f"moment recursion counts {n} paths at ({a},{b}), not a·Cat = {a * catalan}")
     numerator = f + (4 * sum(kappa) + 4 * a * (a - 1)) * s - 4 * a * q
-    if numerator % (8 * a):
-        raise AssertionError(f"moment recursion: 8a does not divide the size numerator at ({a},{b})")
-    return n, numerator // (8 * a)
+    if numerator % (8 * a * a):
+        raise AssertionError(f"moment recursion: 8a^2 does not divide the size numerator at ({a},{b})")
+    return catalan, numerator // (8 * a * a)
 
 
 def enumerate_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> list[ChargeVector]:

@@ -13,7 +13,7 @@ import pytest
 from corelattice import ehrhart, perms, qpoly, qt
 from corelattice import partitions as P
 from corelattice.abacus import ChargeVector, charges_from_core, core_from_charges, shift, size_quadratic
-from corelattice.polys import LaurentPoly2
+from corelattice.polys import LaurentPoly
 from corelattice.simplex import (
     SimplexSpec,
     armstrong_average,
@@ -129,7 +129,7 @@ def test_criterion_07_q_identities(enumerated):
 
 
 def test_criterion_08_qt_polynomials():
-    ok = qt.cat_qt(SimplexSpec(3, 4)) == LaurentPoly2(
+    ok = qt.cat_qt(SimplexSpec(3, 4)) == LaurentPoly(
         {(3, 0): 1, (2, 1): 1, (1, 2): 1, (1, 1): 1, (0, 3): 1}
     )
     for b in range(4, 14):

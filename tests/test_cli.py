@@ -157,7 +157,9 @@ GOLDEN_VERIFY_AND_POLY_STDOUT = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_VERIFY_AND_POLY_STDOUT, ids=" ".join)
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_VERIFY_AND_POLY_STDOUT, ids=[" ".join(argv) for argv, _ in GOLDEN_VERIFY_AND_POLY_STDOUT]
+)
 def test_verify_and_poly_stdout_is_byte_identical(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -9,7 +9,7 @@ import pytest
 
 from corelattice import perms as PS
 from corelattice.errors import CapExceededError
-from corelattice.polys import LaurentPoly2
+from corelattice.polys import LaurentPoly
 
 
 def compose(s, t) -> tuple[int, ...]:
@@ -129,9 +129,9 @@ def test_ld_left_multiplication_step():
 
 
 def test_distribution_examples():
-    assert PS.distribution(1) == LaurentPoly2.one()
-    assert PS.distribution(2) == LaurentPoly2({(0, 0): 1, (1, 1): 1})
-    assert PS.distribution(3) == LaurentPoly2(
+    assert PS.distribution(1) == LaurentPoly.monomial((0, 0))
+    assert PS.distribution(2) == LaurentPoly({(0, 0): 1, (1, 1): 1})
+    assert PS.distribution(3) == LaurentPoly(
         {(0, 0): 1, (1, 1): 1, (2, 1): 1, (2, 2): 1, (3, 2): 1, (4, 3): 1}
     )
     assert PS.distribution(3) == PS.sizmaj_product(3)
@@ -149,8 +149,8 @@ def test_joint_distributions_match_a_per_permutation_tally():
         perms = list(permutations(range(1, n + 1)))
         siz_maj = Counter((PS.siz(s), PS.maj(s)) for s in perms)
         sqin_maj = Counter((PS.sqin(s), PS.maj(s)) for s in perms)
-        assert PS.distribution(n) == LaurentPoly2(siz_maj)
-        assert PS._joint_distributions(n) == (LaurentPoly2(siz_maj), LaurentPoly2(sqin_maj))
+        assert PS.distribution(n) == LaurentPoly(siz_maj)
+        assert PS._joint_distributions(n) == (LaurentPoly(siz_maj), LaurentPoly(sqin_maj))
 
 
 def test_check_sizmaj2_exhaustive():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corelattice import polys
-from corelattice.polys import LaurentPoly, LaurentPoly2
+from corelattice.polys import LaurentPoly
 
 laurent_polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5).map(LaurentPoly)
 
@@ -82,31 +82,30 @@ def test_sub_shifted_cancels_to_zero_and_leaves_its_inputs():
 def test_subs_power_and_serialization():
     p = LaurentPoly({0: 1, 1: 2, 3: -1})
     assert p.subs_power(3) == LaurentPoly({0: 1, 3: 2, 9: -1})
-    pairs = p.to_pairs()
-    assert pairs == [[0, "1"], [1, "2"], [3, "-1"]]
-    assert LaurentPoly.from_pairs(pairs) == p
+    assert p.to_rows() == [[0, "1"], [1, "2"], [3, "-1"]]
     assert str(LaurentPoly({0: 1, 2: 1})) == "1 + q^2"
 
 
 def test_bivariate_arithmetic():
-    q = LaurentPoly2.monomial(1, 0)
-    t = LaurentPoly2.monomial(0, 1)
+    q = LaurentPoly.monomial((1, 0))
+    t = LaurentPoly.monomial((0, 1))
     p = q * q + q * t + t * t
     assert p.total() == 3
     assert p.swapped() == p
     asym = q * q + t
     assert asym.swapped() != asym
     assert (p - p).is_zero
-    inv = LaurentPoly2.monomial(-1, 1)
+    inv = LaurentPoly.monomial((-1, 1))
     assert inv * q == t
+    assert p.coefficient((1, 1)) == 1 and p.coefficient((1, 0)) == 0
+    assert p.sub_shifted([q, t], (1, 0)) == t * t
+    assert str(p - 2 * q * t) == "t^2 - qt + q^2"
 
 
 def test_bivariate_serialization_and_transform():
-    p = LaurentPoly2({(0, 0): 1, (2, -1): 3})
-    triples = p.to_triples()
-    assert triples == [[0, 0, "1"], [2, -1, "3"]]
-    assert LaurentPoly2.from_triples(triples) == p
-    mapped = p.map_exponents(lambda e, f: (f, e))
+    p = LaurentPoly({(0, 0): 1, (2, -1): 3})
+    assert p.to_rows() == [[0, 0, "1"], [2, -1, "3"]]
+    mapped = p.map_exponents(lambda ef: (ef[1], ef[0]))
     assert mapped == p.swapped()
     with pytest.raises(ValueError):
-        LaurentPoly2({(0, 0): 1, (1, 0): 1}).map_exponents(lambda e, f: (0, 0))
+        LaurentPoly({(0, 0): 1, (1, 0): 1}).map_exponents(lambda ef: (0, 0))

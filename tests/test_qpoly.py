@@ -136,6 +136,28 @@ def test_coset_labels_census():
     assert len(Q.coset_labels(5, 2)) == 125
 
 
+def _filtered_coset_labels(a, b_residue):
+    """Reference: every vector of ``[0, a)^a``, kept when its sum and weighted sum pass."""
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == a:
+            if sum(prefix) % a == b_residue % a and sum(i * v for i, v in enumerate(prefix)) % a == 0:
+                out.append(prefix)
+            return
+        for v in range(a):
+            extend(prefix + (v,))
+
+    extend(())
+    return out
+
+
+@pytest.mark.parametrize("a", range(2, 7))
+def test_coset_labels_match_the_filtered_box(a):
+    for r in range(a):
+        assert Q.coset_labels(a, r) == _filtered_coset_labels(a, r), (a, r)
+
+
 def test_search_age_function_a3():
     res = Q.search_age_function(3, [4, 7, 10])
     assert res.found and res.age_product_ok

@@ -9,7 +9,7 @@ from corelattice import partitions as P
 from corelattice import qt
 from corelattice.abacus import ShiftedPoint, charges_from_core, core_from_charges, shift
 from corelattice.perms import maj, siz
-from corelattice.polys import LaurentPoly2
+from corelattice.polys import LaurentPoly
 from corelattice.simplex import SimplexSpec, enumerate_cores
 
 
@@ -29,11 +29,11 @@ def test_skew_length_from_x_examples():
 
 
 def test_cat_qt_examples():
-    assert qt.cat_qt(SimplexSpec(3, 4)) == LaurentPoly2(
+    assert qt.cat_qt(SimplexSpec(3, 4)) == LaurentPoly(
         {(3, 0): 1, (2, 1): 1, (1, 2): 1, (1, 1): 1, (0, 3): 1}
     )
-    assert qt.cat_qt(SimplexSpec(2, 3)) == LaurentPoly2({(1, 0): 1, (0, 1): 1})
-    assert qt.cat_qt(SimplexSpec(4, 1)) == LaurentPoly2.one()
+    assert qt.cat_qt(SimplexSpec(2, 3)) == LaurentPoly({(1, 0): 1, (0, 1): 1})
+    assert qt.cat_qt(SimplexSpec(4, 1)) == LaurentPoly.monomial((0, 0))
 
 
 def test_cat_qt_total_and_max_statistics():

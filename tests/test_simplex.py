@@ -196,6 +196,38 @@ def test_core_moments_match_the_walk():
             assert S.core_moments(spec) == (count, total), (a, b)
 
 
+def _tx_of_composition(a, b, z):
+    """from_z's 2a-scaled coordinates for any composition z, core or not (Fractions off the lattice)."""
+    k = S._z_offset(a, b)
+    offsets = [0]
+    for zi in z[:-1]:
+        offsets.append(offsets[-1] + 2 * b - 2 * a * zi)
+    t0 = Fraction(-sum(offsets), a)
+    tx = [0] * a
+    for j, off in enumerate(offsets):
+        tx[(j * b + k) % a] = t0 + off
+    return tx
+
+
+@pytest.mark.parametrize("a", range(2, 7))
+def test_each_rotation_orbit_of_compositions_holds_one_core_of_its_size(a):
+    # the lemma behind core_moments: rotating z permutes tx, and each orbit meets the cores once
+    for b in range(1, 12):
+        if gcd(a, b) != 1:
+            continue
+        k = S._z_offset(a, b)
+        cores = {z: c for z, c in S.iter_cores(S.SimplexSpec(a, b))}
+        for z in compositions(b, a):
+            tx = _tx_of_composition(a, b, z)
+            rotated = _tx_of_composition(a, b, z[1:] + z[:1])
+            assert all(rotated[(j * b + k) % a] == tx[((j + 1) * b + k) % a] for j in range(a)), z
+            orbit = {z[i:] + z[:i] for i in range(a)}
+            assert len(orbit) == a, z
+            (core,) = orbit & cores.keys()
+            size = Fraction(-(a * a - 1), 24) + sum(t * t for t in tx) / (8 * a)
+            assert size == size_quadratic(ChargeVector(a, cores[core])), z
+
+
 def test_core_fold_matches_the_charge_vector_routes():
     for a in range(2, 7):
         for b in range(1, 16):
