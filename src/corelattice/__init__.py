@@ -20,13 +20,10 @@ from .abacus import (
 from .errors import CapExceededError, FitValidationError
 from .partitions import (
     Cell,
-    MayaState,
     conjugate,
-    from_maya,
     hook_lengths,
     is_core,
     skew_length,
-    to_maya,
 )
 from .polys import LaurentPoly
 from .qpoly import cat_q, q_binomial, q_factorial, q_int, search_age_function, unimodality_report
@@ -37,7 +34,6 @@ from .simplex import (
     armstrong_average,
     contains,
     enumerate_cores,
-    enumerate_self_conjugate,
     rational_catalan,
 )
 
@@ -49,7 +45,6 @@ __all__ = [
     "ChargeVector",
     "FitValidationError",
     "LaurentPoly",
-    "MayaState",
     "RepVector",
     "ShiftedPoint",
     "SimplexSpec",
@@ -61,8 +56,6 @@ __all__ = [
     "contains",
     "core_from_charges",
     "enumerate_cores",
-    "enumerate_self_conjugate",
-    "from_maya",
     "hook_lengths",
     "is_core",
     "length_from_x",
@@ -75,7 +68,6 @@ __all__ = [
     "size_quadratic",
     "skew_length",
     "skew_length_from_x",
-    "to_maya",
     "unimodality_report",
     "unshift",
     "zero_charges",

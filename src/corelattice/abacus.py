@@ -41,13 +41,6 @@ class ChargeVector:
         if sum(self.c) != 0:
             raise ValueError(f"charges must sum to 0, got {self.c}")
 
-    def to_json_dict(self) -> dict:
-        return {"a": self.a, "c": list(self.c)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChargeVector":
-        return cls(int(data["a"]), tuple(int(v) for v in data["c"]))
-
 
 def zero_charges(a: int) -> ChargeVector:
     """The origin of the lattice (the empty partition)."""

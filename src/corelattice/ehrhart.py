@@ -115,19 +115,6 @@ class Quasipolynomial:
     def evaluate(self, t: int) -> Fraction:
         return poly_eval(self.constituents[t % self.period], t)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "constituents": [[str(c) for c in cs] for cs in self.constituents],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Quasipolynomial":
-        return cls(
-            int(data["period"]),
-            tuple(tuple(Fraction(c) for c in cs) for cs in data["constituents"]),
-        )
-
 
 def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
     """Fit one degree-``degree`` polynomial per residue class and validate.

@@ -1,4 +1,4 @@
-"""Integer partitions, hook lengths, Maya diagrams, and core statistics.
+"""Integer partitions, hook lengths, beta-sets, and core statistics.
 
 Partitions are plain tuples of weakly decreasing positive integers
 (``(3, 2, 2, 1)``); the empty partition is ``()``.  Everything here is the
@@ -31,21 +31,9 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 Parts = tuple[int, ...]
-
-
-def as_partition(parts) -> Parts:
-    """Validate and normalize an iterable of parts to a partition tuple."""
-    p = tuple(int(v) for v in parts)
-    for i, v in enumerate(p):
-        if v < 1:
-            raise ValueError(f"parts must be positive, got {v}")
-        if i and p[i - 1] < v:
-            raise ValueError(f"parts must be weakly decreasing, got {p}")
-    return p
 
 
 def size(parts: Parts) -> int:
@@ -137,67 +125,6 @@ def _bead_mask(levels: Collection[int]) -> int:
     for m in levels:
         beads |= 1 << (m + n)
     return beads
-
-
-@dataclass(frozen=True)
-class MayaState:
-    """A finite-energy state: electrons above the sea, positron holes in it.
-
-    Energies are positive half-integers stored as odd integers (twice the
-    energy), so all arithmetic stays integral.
-    """
-
-    electrons: frozenset[int]
-    positrons: frozenset[int]
-
-    def __post_init__(self):
-        for v in (*self.electrons, *self.positrons):
-            if v < 1 or v % 2 == 0:
-                raise ValueError(f"energies must be positive odd integers, got {v}")
-
-    @property
-    def charge(self) -> int:
-        """Number of positrons minus number of electrons."""
-        return len(self.positrons) - len(self.electrons)
-
-    def energy(self) -> Fraction:
-        """Total energy of all particles, in half-integer units."""
-        return Fraction(sum(self.electrons) + sum(self.positrons), 2)
-
-
-def to_maya(parts: Parts) -> MayaState:
-    """Charge-0 state of a partition: read the boundary path off ``beta_set``."""
-    n = len(parts)
-    beta = [v - i for i, v in enumerate(parts, start=1)]
-    electrons = frozenset(2 * m + 1 for m in beta if m >= 0)
-    filled_neg = {m for m in beta if m < 0}
-    positrons = frozenset(-2 * m - 1 for m in range(-1, -n - 1, -1) if m not in filled_neg)
-    return MayaState(electrons, positrons)
-
-
-def from_maya(state: MayaState) -> tuple[Parts, int]:
-    """Partition and charge of a state (inverse of ``to_maya`` at charge 0).
-
-    At charge ``c`` the filled levels are ``{p[i] - (i+1) - c}``, so the
-    i-th largest filled level ``m_i`` gives part ``m_i + i + c``; the parts
-    hit 0 exactly when the consecutive tail starts.
-    """
-    charge = state.charge
-    holes = {-(o + 1) // 2 for o in state.positrons}
-    filled = sorted(((o - 1) // 2 for o in state.electrons), reverse=True)
-    floor = min(holes, default=0) - 1
-    filled += [m for m in range(-1, floor - 1, -1) if m not in holes]
-    parts = []
-    for i, m in enumerate(filled, start=1):
-        v = m + i + charge
-        if v < 0:
-            raise AssertionError("inconsistent state")
-        if v == 0:
-            break
-        parts.append(v)
-    else:
-        raise AssertionError("state tail not reached")
-    return tuple(parts), charge
 
 
 def skew_length(parts: Parts, a: int, b: int) -> int:

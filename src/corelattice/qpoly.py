@@ -214,8 +214,6 @@ def coset_labels(a: int, b_residue: int) -> list[tuple[int, ...]]:
         w = sum(i * v for i, v in enumerate(head))
         last = (-w - (a - 2) * (r - s)) % a
         out.append((*head, (r - s - last) % a, last))
-    if len(out) != a ** (a - 2):
-        raise AssertionError("coset label census disagrees with the lattice index")
     return out
 
 

@@ -1,13 +1,24 @@
 """(q,t)-rational Catalan polynomials from lattice statistics.
 
-Length and skew length are computed directly in shifted coordinates:
+:func:`cat_qt` pairs ``q^length t^coskew`` over the (a,b)-cores.  It walks
+:func:`~corelattice.simplex.iter_cores` and scores each core from one list
+of filled abacus levels (:func:`~corelattice.abacus.filled_levels`), as the
+``enumerate`` records do: the length is the number of levels, and the
+co-skew length is ``(a-1)(b-1)/2`` minus
+:func:`~corelattice.partitions.skew_length_of_levels`.
+
+>>> cat_qt(SimplexSpec(3, 4)).to_rows()
+[[0, 3, '1'], [1, 1, '1'], [1, 2, '1'], [2, 1, '1'], [3, 0, '1']]
+
+The same statistics are also computed directly in shifted coordinates, as
+the independent route that the checks compare against:
 
 * ``length(x) = -(a-1)/2 + a * max x_i``;
 * ``skew(x) = sum_{i,j} floor0(x_i - x_j) - floor0(x_i - x_j - b/a)`` over
   ordered pairs, where ``floor0 = max(0, floor)``.
 
 Both run on the 2a-scaled integer representation, so there is no floating
-point anywhere.  The bivariate polynomial pairs ``q^length t^coskew``.
+point anywhere.
 
 The module also carries the identity checkers built on these statistics:
 the a = 3 rational-function form (verified after clearing denominators),
@@ -21,11 +32,12 @@ from dataclasses import dataclass
 from itertools import permutations as _permutations
 from math import gcd
 
-from .abacus import ShiftedPoint, shift
+from .abacus import ShiftedPoint, filled_levels
+from .partitions import skew_length_of_levels
 from .perms import des_set, maj, siz
 from .polys import LaurentPoly
 from .qpoly import cat_q
-from .simplex import DEFAULT_CAP, SimplexSpec, enumerate_cores
+from .simplex import DEFAULT_CAP, SimplexSpec, iter_cores
 
 
 def length_from_x(sp: ShiftedPoint) -> int:
@@ -53,17 +65,14 @@ def skew_length_from_x(spec: SimplexSpec, sp: ShiftedPoint) -> int:
     return total
 
 
-def co_skew_length_from_x(spec: SimplexSpec, sp: ShiftedPoint) -> int:
-    return (spec.a - 1) * (spec.b - 1) // 2 - skew_length_from_x(spec, sp)
-
-
 def cat_qt(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> LaurentPoly:
-    """``sum q^length t^coskew`` over all (a,b)-cores."""
+    """``sum q^length t^coskew`` over all (a,b)-cores, each scored from its filled levels."""
+    a, b = spec.a, spec.b
+    half = (a - 1) * (b - 1) // 2
     out: dict[tuple[int, int], int] = {}
-    half = (spec.a - 1) * (spec.b - 1) // 2
-    for cv in enumerate_cores(spec, cap):
-        sp = shift(cv)
-        key = (length_from_x(sp), half - skew_length_from_x(spec, sp))
+    for _, c in iter_cores(spec, cap):
+        levels = filled_levels(a, c)
+        key = (len(levels), half - skew_length_of_levels(levels, a, b))
         out[key] = out.get(key, 0) + 1
     return LaurentPoly(out)
 

@@ -296,11 +296,6 @@ def is_self_conjugate(c) -> bool:
     return all(v == -c[-1 - i] for i, v in enumerate(c))
 
 
-def enumerate_self_conjugate(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> list[ChargeVector]:
-    """The T-fixed subset of :func:`enumerate_cores`."""
-    return [cv for cv in enumerate_cores(spec, cap) if is_self_conjugate(cv.c)]
-
-
 def core_fold(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> tuple[int, int, int, int]:
     """``(count, size_sum, self_conjugate_count, self_conjugate_size_sum)`` of the (a,b)-cores, in one walk.
 

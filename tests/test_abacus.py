@@ -144,12 +144,6 @@ def test_unshift_rejects_off_lattice_points():
         A.unshift(A.ShiftedPoint(3, (-1, 0, 1)))
 
 
-def test_charge_vector_json_round_trip():
-    cv = A.ChargeVector(3, (0, 3, -3))
-    assert cv.to_json_dict() == {"a": 3, "c": [0, 3, -3]}
-    assert A.ChargeVector.from_json_dict(cv.to_json_dict()) == cv
-
-
 def test_size_in_shifted_coordinates():
     # constant term: (a/2) sum s_i^2 == (a^2 - 1)/24 exactly
     for a in range(2, 51):

@@ -154,6 +154,8 @@ GOLDEN_VERIFY_AND_POLY_STDOUT = [
     (("poly", "5", "12"), "a48b61e9a127a505faa2f70a37de2a8acf5ce2058a70aeda645e8eef7b527612"),
     (("poly", "7", "17"), "11a678ee495a3b50872ed7d19409b58170050d720b2862ad3b84a934f5817b37"),
     (("poly", "4", "9", "--format", "csv"), "aecb2aa4bfae05ea1ed1f47581718e54a7d04771fe430250ad288fe2d3e2dd1a"),
+    # recorded while the suite still clamped a to at most 5: the default bounds print the same 19 checks
+    (("verify", "qt-symmetry"), "455790a9f366b8094504d80e496d8a619e61d9662d9244d7aba861c440124791"),
 ]
 
 
@@ -278,15 +280,15 @@ def test_poly_report(capsys):
 
 def test_poly_walks_the_simplex_once(capsys, monkeypatch):
     calls = []
-    real = simplex.enumerate_cores
+    real = simplex.iter_cores
 
     def counted(spec, cap=simplex.DEFAULT_CAP):
         calls.append((spec.a, spec.b))
         return real(spec, cap)
 
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("corelattice") and getattr(module, "enumerate_cores", None) is real:
-            monkeypatch.setattr(module, "enumerate_cores", counted)
+        if module.__name__.startswith("corelattice") and getattr(module, "iter_cores", None) is real:
+            monkeypatch.setattr(module, "iter_cores", counted)
     code, out, _ = run_cli(capsys, "poly", "5", "12")
     assert code == 0 and json.loads(out)["qt_specialization"] is True
     assert calls == [(5, 12)]
@@ -346,6 +348,15 @@ def test_verify_exploration_suite_exits_zero(capsys):
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert all(rec.get("exploration") for rec in lines[:-1])
+
+
+def test_qt_symmetry_honours_a_max(capsys):
+    code, out, _ = run_cli(capsys, "verify", "qt-symmetry", "--a-max", "7")
+    assert code == 0
+    *records, summary = [json.loads(line) for line in out.splitlines()]
+    assert summary == {"type": "summary", "suite": "qt-symmetry", "checks": 28, "failures": 0}
+    assert {r["params"]["a"] for r in records} == {3, 4, 5, 6, 7}
+    assert all(r.get("exploration", False) == (r["params"]["a"] > 3) for r in records)
 
 
 def test_verify_unknown_suite_is_usage_error():

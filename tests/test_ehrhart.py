@@ -39,23 +39,11 @@ def test_triangle_counts_and_quasipolynomial():
     assert fit.constituents[1] == (Fraction(3, 4), Fraction(1), Fraction(1, 4))
     assert fit.degree == 2
     assert fit.evaluate(10) == (100 + 40 + 4) / 4
-    assert fit.to_json_dict() == {
-        "period": 2,
-        "constituents": [["1", "1", "1/4"], ["3/4", "1", "1/4"]],
-    }
 
 
 def test_fit_constant_series():
     fit = E.fit_quasipolynomial({t: 7 for t in range(1, 6)}, 1, 0)
     assert fit.degree == 0 and fit.evaluate(123) == 7
-
-
-def test_quasipolynomial_json_round_trip():
-    tri = E.halved_right_triangle()
-    fit = E.fit_quasipolynomial({t: tri.count(t) for t in range(1, 9)}, 2, 2)
-    again = E.Quasipolynomial.from_json_dict(fit.to_json_dict())
-    assert again == fit
-    assert again.evaluate(9) == fit.evaluate(9)
 
 
 def test_fitted_count_matches_catalan_formula_beyond_samples():

@@ -1,7 +1,6 @@
 """Partition-level statistics against worked examples and invariants."""
 
 from collections import Counter
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -38,15 +37,6 @@ def partitions_of(n):
 
 def descending_partitions(max_size=24):
     return st.lists(st.integers(1, 9), max_size=6).map(lambda xs: tuple(sorted(xs, reverse=True)))
-
-
-def test_as_partition_validates():
-    assert P.as_partition([3, 2, 2, 1]) == (3, 2, 2, 1)
-    assert P.as_partition([]) == ()
-    with pytest.raises(ValueError):
-        P.as_partition([1, 2])
-    with pytest.raises(ValueError):
-        P.as_partition([2, 0])
 
 
 def test_hook_lengths_worked_example():
@@ -94,51 +84,6 @@ def test_conjugate_involution_preserves_hooks(p):
     assert P.conjugate(q) == p
     assert sum(q) == sum(p)
     assert P.hook_multiset(q) == P.hook_multiset(p)
-
-
-def test_maya_worked_example():
-    m = P.to_maya((3, 2, 2))
-    assert sorted(m.electrons) == [1, 5]  # energies 1/2 and 5/2
-    assert sorted(m.positrons) == [3, 5]  # energies 3/2 and 5/2
-    assert m.charge == 0
-    assert m.energy() == Fraction(7)
-
-
-def test_maya_vacuum_and_charge():
-    vac = P.to_maya(())
-    assert vac.electrons == frozenset() and vac.positrons == frozenset()
-    state = P.MayaState(frozenset({3}), frozenset({1, 5}))
-    parts, charge = P.from_maya(state)
-    assert charge == 1
-    assert parts == (3, 1)
-
-
-def test_maya_round_trip_exhaustive():
-    for n in range(31):
-        for p in partitions_of(n):
-            m = P.to_maya(p)
-            assert m.energy() == Fraction(n)
-            assert P.from_maya(m) == (p, 0)
-
-
-def test_from_maya_at_nonzero_charge():
-    # the state of (p, charge c) fills the levels p[i] - (i+1) - c
-    for p, c in (((4, 2, 1), 2), ((3, 3), -3), ((), 1), ((5,), -1)):
-        tail_top = -len(p) - 1 - c
-        filled = {v - i - c for i, v in enumerate(p, start=1)}
-        filled |= set(range(0, tail_top + 1))  # tail levels above zero (c < 0)
-        electrons = frozenset(2 * m + 1 for m in filled if m >= 0)
-        holes = {m for m in range(-1, tail_top, -1) if m not in filled}
-        positrons = frozenset(-2 * m - 1 for m in holes)
-        state = P.MayaState(electrons, positrons)
-        assert P.from_maya(state) == (p, c), (p, c)
-
-
-def test_maya_rejects_bad_energies():
-    with pytest.raises(ValueError):
-        P.MayaState(frozenset({2}), frozenset())
-    with pytest.raises(ValueError):
-        P.MayaState(frozenset(), frozenset({-1}))
 
 
 def test_skew_length_worked_example():

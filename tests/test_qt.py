@@ -36,6 +36,25 @@ def test_cat_qt_examples():
     assert qt.cat_qt(SimplexSpec(4, 1)) == LaurentPoly.monomial((0, 0))
 
 
+def _cat_qt_from_shifted_points(spec):
+    """cat_qt by the shifted-coordinate route: a ShiftedPoint per core and the floor formulas."""
+    half = (spec.a - 1) * (spec.b - 1) // 2
+    out = {}
+    for cv in enumerate_cores(spec):
+        sp = shift(cv)
+        key = (qt.length_from_x(sp), half - qt.skew_length_from_x(spec, sp))
+        out[key] = out.get(key, 0) + 1
+    return LaurentPoly(out)
+
+
+def test_cat_qt_equals_the_shifted_point_route():
+    pairs = [(a, b) for a in range(2, 7) for b in range(1, 20)] + [(7, b) for b in range(1, 13)]
+    for a, b in pairs:
+        if gcd(a, b) == 1:
+            spec = SimplexSpec(a, b)
+            assert qt.cat_qt(spec) == _cat_qt_from_shifted_points(spec), (a, b)
+
+
 def test_cat_qt_total_and_max_statistics():
     for a, b in ((3, 4), (3, 5), (4, 5), (2, 9), (5, 6)):
         spec = SimplexSpec(a, b)
@@ -103,18 +122,18 @@ def test_delta_table_examples():
     s = qt.origin_point(3)
     moved = ShiftedPoint(3, tuple(t + w for t, w in zip(s.tx, qt.generator_tx(3, 1))))
     assert qt.length_from_x(moved) - qt.length_from_x(s) == 1
-    assert qt.co_skew_length_from_x(spec, moved) - qt.co_skew_length_from_x(spec, s) == -2
+    assert qt.skew_length_from_x(spec, moved) - qt.skew_length_from_x(spec, s) == 2
     # near the far vertex, subtracting generator 1 moves them by (-1, +1)
     far = ShiftedPoint(3, tuple(10 * t for t in s.tx))
     back = ShiftedPoint(3, tuple(t - w for t, w in zip(far.tx, qt.generator_tx(3, 1))))
     assert qt.length_from_x(back) - qt.length_from_x(far) == -1
-    assert qt.co_skew_length_from_x(spec, back) - qt.co_skew_length_from_x(spec, far) == 1
+    assert qt.skew_length_from_x(spec, back) - qt.skew_length_from_x(spec, far) == -1
     # a=4 near the origin, generator 2: (+2, -4)
     spec4 = SimplexSpec(4, 13)
     s4 = qt.origin_point(4)
     moved4 = ShiftedPoint(4, tuple(t + w for t, w in zip(s4.tx, qt.generator_tx(4, 2))))
     assert qt.length_from_x(moved4) - qt.length_from_x(s4) == 2
-    assert qt.co_skew_length_from_x(spec4, moved4) - qt.co_skew_length_from_x(spec4, s4) == -4
+    assert qt.skew_length_from_x(spec4, moved4) - qt.skew_length_from_x(spec4, s4) == 4
 
 
 def test_delta_table_check():

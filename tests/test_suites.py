@@ -35,14 +35,14 @@ def test_moments_catches_a_dropped_largest_core(monkeypatch):
     checks = build("moments", a_max=4, b_max=7)
     (check,) = [c for c in checks if c.name == "moments" and c.params == {"a": 4, "b": 7}]
     assert check.run() == (True, {"count": 30, "total": 270})
-    real = suites.enumerate_cores
+    real = simplex.iter_cores
 
-    def without_largest(spec, cap):
-        cores = real(spec, cap)
-        largest = max(cores, key=size_quadratic)
-        return [cv for cv in cores if cv != largest]
+    def without_largest(spec, cap=DEFAULT_CAP):
+        cores = list(real(spec, cap))
+        largest = max(cores, key=lambda zc: size_of_charges(spec.a, zc[1]))
+        return iter([zc for zc in cores if zc != largest])
 
-    monkeypatch.setattr(suites, "enumerate_cores", without_largest)
+    monkeypatch.setattr(simplex, "iter_cores", without_largest)
     assert check.run() == (False, {"count": 29, "total": 240})
 
 
