@@ -146,8 +146,8 @@ def cmd_enumerate(args, out) -> int:
 
 def cmd_poly(args, out) -> int:
     spec = SimplexSpec(args.a, args.b)
+    catqt = qt.cat_qt(spec, args.cap)  # the one walk of the simplex, which checks the cap first
     catq = qpoly.cat_q(args.a, args.b)
-    catqt = qt.cat_qt(spec, args.cap)  # the one walk of the simplex
     report = {
         "a": args.a,
         "b": args.b,

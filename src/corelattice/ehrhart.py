@@ -362,13 +362,13 @@ def core_series(a: int, residue: int, num_samples: int, cap: int = DEFAULT_CAP) 
     return {b: core_moments(SimplexSpec(a, b), cap) for b in _residue_values(a, residue, num_samples)}
 
 
-def _residue_values(a: int, residue: int, num_samples: int) -> list[int]:
+def _residue_values(a: int, residue: int, num_samples: int) -> range:
     if a < 2:
         raise ValueError("a must be >= 2")
     if gcd(a, residue) != 1:
         raise ValueError("residue must be coprime to a")
     first = residue % a or a
-    return [first + a * j for j in range(num_samples)]
+    return range(first, first + a * num_samples, a)
 
 
 def _coprime_values(a: int, count: int) -> list[int]:
@@ -383,7 +383,10 @@ def _coprime_values(a: int, count: int) -> list[int]:
     return out
 
 
-def fit_core_polynomials(a: int, validation: int = 3, cap: int = DEFAULT_CAP) -> tuple[Coeffs, Coeffs, Coeffs]:
+HELD_OUT_SAMPLES = 3  # samples beyond the a + 2 that determine G; each must match the fit
+
+
+def fit_core_polynomials(a: int, cap: int = DEFAULT_CAP) -> tuple[Coeffs, Coeffs, Coeffs]:
     """Fit the count polynomial F, size-sum polynomial G, and average P = G/F.
 
     Samples run over b coprime to ``a`` across all residue classes; fitting
@@ -393,7 +396,7 @@ def fit_core_polynomials(a: int, validation: int = 3, cap: int = DEFAULT_CAP) ->
     :func:`~corelattice.simplex.core_moments`, so no core is enumerated;
     ``cap`` still bounds Cat(a,b) at every sampled b.
     """
-    series = {b: core_moments(SimplexSpec(a, b), cap) for b in _coprime_values(a, (a + 1) + 1 + validation)}
+    series = {b: core_moments(SimplexSpec(a, b), cap) for b in _coprime_values(a, (a + 1) + 1 + HELD_OUT_SAMPLES)}
     f = fit_quasipolynomial({b: n for b, (n, _) in series.items()}, 1, a - 1).constituents[0]
     g = fit_quasipolynomial({b: total for b, (_, total) in series.items()}, 1, a + 1).constituents[0]
     p = poly_divexact(g, f)

@@ -36,7 +36,7 @@ class LaurentPoly:
 
     A tuple exponent is stored as an :class:`Exponents`, so the products and
     :meth:`sub_shifted` add exponents with one ``+`` in either case.  The
-    exponent bounds, evaluation, ``**``, :meth:`subs_power` and
+    exponent bounds, evaluation, :meth:`subs_power` and
     :meth:`divexact` are one-variable operations; :meth:`swapped` exchanges
     the two variables of a (q, t) polynomial.
     """
@@ -126,18 +126,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, x):
         """Evaluate at ``x`` (int or Fraction; exact)."""
         if self.is_zero:
@@ -156,33 +144,29 @@ class LaurentPoly:
         return all(v > 0 for v in self._c.values())
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ``ArithmeticError`` on a nonzero remainder."""
+        """Exact division; raises ``ArithmeticError`` on a nonzero remainder.
+
+        One descending sweep over the quotient's exponent range,
+        ``max(self) - max(other)`` down to ``min(self) - min(other)``; the
+        quotient is then multiplied back by ``other``, so any remainder is caught.
+        """
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPoly.zero()
-        qmin = self.min_exp() - other.min_exp()
         rem = dict(self._c)
         dmax = other.max_exp()
         dlead = other._c[dmax]
         quot: dict[int, int] = {}
-        while rem:
-            rmax = max(rem)
-            v = rem[rmax]
+        for e in range(self.max_exp() - dmax, self.min_exp() - other.min_exp() - 1, -1):
+            v = rem.get(e + dmax)
+            if not v:
+                continue
             if v % dlead:
                 raise ArithmeticError("exact division failed (leading coefficient)")
-            e = rmax - dmax
-            if e < qmin:  # quotient exponent below the possible range
-                raise ArithmeticError("exact division failed (nonzero remainder)")
-            t = v // dlead
-            quot[e] = t
+            t = quot[e] = v // dlead
             for de, dv in other._c.items():
-                k = e + de
-                nv = rem.get(k, 0) - t * dv
-                if nv:
-                    rem[k] = nv
-                else:
-                    rem.pop(k, None)
+                rem[e + de] = rem.get(e + de, 0) - t * dv
         q = LaurentPoly(quot)
         if q * other != self:
             raise ArithmeticError("exact division failed (nonzero remainder)")

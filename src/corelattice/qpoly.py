@@ -46,20 +46,26 @@ def q_factorial(n: int, power: int = 1) -> LaurentPoly:
     return out
 
 
-@cache
-def _q_binomial_base(n: int, k: int) -> LaurentPoly:
-    if k == 0 or k == n:
-        return LaurentPoly.one()
-    # Pascal recurrence [n,k] = [n-1,k-1] + q^k [n-1,k]
-    return _q_binomial_base(n - 1, k - 1) + LaurentPoly.monomial(k) * _q_binomial_base(n - 1, k)
-
-
 def q_binomial(n: int, k: int, power: int = 1) -> LaurentPoly:
-    """Gaussian binomial ``[n choose k]_q``, in the variable ``q^power``."""
+    """Gaussian binomial ``[n choose k]_q``, in the variable ``q^power``.
+
+    >>> print(q_binomial(4, 2))
+    1 + q + 2*q^2 + q^3 + q^4
+    """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    base = _q_binomial_base(n, k)
+    base = _q_binomial_base(n, min(k, n - k))
     return base if power == 1 else base.subs_power(power)
+
+
+@cache
+def _q_binomial_base(n: int, k: int) -> LaurentPoly:
+    # [n,k] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i); after step i the
+    # product is [n-k+i choose i], so every division is exact
+    out = LaurentPoly.one()
+    for i in range(1, k + 1):
+        out = out.sub_shifted((out,), n - k + i).divexact(LaurentPoly({0: 1, i: -1}))
+    return out
 
 
 def cat_q(a: int, b: int) -> LaurentPoly:

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from corelattice import simplex
+from corelattice import qpoly, simplex
 from corelattice.cli import _core_json_line, main
 
 
@@ -173,8 +173,12 @@ def test_verify_and_poly_stdout_is_byte_identical(capsys, argv, digest):
     [
         (("ehrhart", "6", "--cap", "1000"), "error: Cat(6,13) = 1428 exceeds the cap of 1000\n"),
         (("ehrhart", "3", "--residue", "1", "--cap", "3"), "error: Cat(3,4) = 5 exceeds the cap of 3\n"),
+        (
+            ("ehrhart", "3", "--residue", "1", "--samples", "100000000000", "--cap", "3"),
+            "error: Cat(3,4) = 5 exceeds the cap of 3\n",
+        ),
     ],
-    ids=["fit", "residue"],
+    ids=["fit", "residue", "residue-before-the-b-list"],
 )
 def test_ehrhart_checks_the_cap_on_the_closed_form_count(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -292,6 +296,23 @@ def test_poly_walks_the_simplex_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "poly", "5", "12")
     assert code == 0 and json.loads(out)["qt_specialization"] is True
     assert calls == [(5, 12)]
+
+
+def test_poly_checks_the_cap_before_any_q_polynomial(capsys, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("cat_q was built before the cap was checked")
+
+    monkeypatch.setattr(qpoly, "cat_q", refuse)
+    code, out, err = run_cli(capsys, "poly", "90", "91")
+    assert code == 3 and out == ""
+    assert err.startswith("error: Cat(90,91) = ") and err.endswith(" exceeds the cap of 10000000\n")
+
+
+@pytest.mark.parametrize("argv", [["poly", "2", "999"], ["poly", "2", "5001"], ["search-age", "2", "--b-list", "999"]])
+def test_long_q_binomials_exit_zero_without_traceback(argv):
+    proc = subprocess.run([sys.executable, "-m", "corelattice.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["a"] == 2
 
 
 def test_poly_trivial_b(capsys):

@@ -1,5 +1,7 @@
 """q-analogs, the q-rational Catalan polynomial, and coset decompositions."""
 
+from collections import Counter
+from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
@@ -35,6 +37,14 @@ def test_q_binomial_is_quotient_of_factorials():
         for k in range(n + 1):
             expected = Q.q_factorial(n).divexact(Q.q_factorial(k) * Q.q_factorial(n - k))
             assert Q.q_binomial(n, k) == expected
+
+
+def test_q_binomial_counts_the_partitions_in_a_box():
+    # a route that divides nothing: [n choose k]_q = sum over partitions in a k x (n-k) box of q^size
+    for n in range(13):
+        for k in range(n + 1):
+            sizes = Counter(sum(parts) for parts in combinations_with_replacement(range(n - k + 1), k))
+            assert Q.q_binomial(n, k) == LaurentPoly(dict(sizes)), (n, k)
 
 
 @settings(max_examples=60, deadline=None)
