@@ -121,32 +121,27 @@ def core_from_charges(cv: ChargeVector) -> Parts:
 
 
 def charges_from_core(parts: Parts, a: int) -> ChargeVector:
-    """Runner charges of an a-core; raises ``ValueError`` if not an a-core."""
+    """Runner charges of an a-core, as bead counts; raises ``ValueError`` if not an a-core.
+
+    Below level ``-n`` (``n`` parts) the core and the vacuum are both filled,
+    so the charge of runner ``i`` is the vacuum's beads on it among the
+    levels ``-1 ... -n`` less the core's beads on it above ``-n``.
+
+    >>> charges_from_core((3, 1, 1), 3)
+    ChargeVector(a=3, c=(-1, 0, 1))
+    >>> core_from_charges(_)
+    (3, 1, 1)
+    """
     if a < 2:
         raise ValueError("a must be >= 2")
     levels = beta_set(parts)
     beads = _bead_mask(levels)
     if beads >> a & ~beads:  # a hook of length a, as in is_core
         raise ValueError(f"partition {parts} is not a {a}-core")
-    n = len(parts)
-    highest: dict[int, int] = {}
+    c = [len(range(i, len(parts), a)) for i in range(a)]  # level m = -j - 1 lies on runner j mod a
     for m in levels:
-        r = (-m - 1) % a
-        if r not in highest or m > highest[r]:
-            highest[r] = m
-    charges = []
-    for i in range(a):
-        if i in highest:
-            m = highest[i]
-        else:
-            # highest level of the consecutive tail on runner i
-            t = -n - 1
-            m = t - ((t + i + 1) % a)
-        num = -(m + i + 1)
-        if num % a:
-            raise AssertionError("runner residue bookkeeping is inconsistent")
-        charges.append(num // a)
-    return ChargeVector(a, tuple(charges))
+        c[(-m - 1) % a] -= 1
+    return ChargeVector(a, tuple(c))
 
 
 def size_quadratic(cv: ChargeVector) -> int:

@@ -216,7 +216,7 @@ def cmd_perm(args, out) -> int:
         "n": args.n,
         "distribution": dist.to_rows(),
         "total": dist.total(),
-        "sizmaj2": dist == perms.sizmaj_product(args.n),
+        "sizmaj2": perms.check_sizmaj2(args.n),
         "ld_weights": perms.check_ld_weights(args.n),
         "sqin": perms.check_sqin_relation(args.n),
     }

@@ -36,16 +36,6 @@ from math import gcd
 Parts = tuple[int, ...]
 
 
-def size(parts: Parts) -> int:
-    """Number of cells of the Young diagram."""
-    return sum(parts)
-
-
-def length(parts: Parts) -> int:
-    """Number of parts."""
-    return len(parts)
-
-
 def conjugate(parts: Parts) -> Parts:
     """Transpose of the Young diagram.
 

@@ -12,7 +12,7 @@ from collections import Counter
 from functools import cache
 from itertools import combinations, product, starmap
 from itertools import permutations as _permutations
-from operator import gt
+from operator import gt, mul
 
 from .errors import CapExceededError
 from .polys import LaurentPoly
@@ -117,27 +117,31 @@ def require_within_cap(n: int) -> None:
 
 
 def check_ld_weights(n: int) -> bool:
-    """Exhaustively check maj(LD(a)) = sum a_i and siz(LD(a)) = sum (n+1-i) a_i."""
+    """Exhaustively check maj(LD(a)) = sum a_i and siz(LD(a)) = sum (n+1-i) a_i (read off the walk of S_n)."""
     require_within_cap(n)
-    for code in valid_sequences(n):
-        maj_, siz_, _ = _maj_siz_sqin(ld_decode(code))
-        if maj_ != sum(code):
-            return False
-        if siz_ != sum((n + 1 - i) * v for i, v in enumerate(code, start=1)):
-            return False
-    return True
+    return _joint_distributions(n)[2]
 
 
 @cache
-def _joint_distributions(n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """``sum q^siz t^maj`` and ``sum q^sqin t^maj`` over S_n, tallied in one pass."""
+def _joint_distributions(n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
+    """``sum q^siz t^maj`` and ``sum q^sqin t^maj`` over S_n, and the LD weights, in one pass.
+
+    The weights are checked on ``code = ld_encode(sigma)`` for each sigma.  The
+    final assertion of :func:`ld_encode` gives ``ld_decode(code) == sigma``, so
+    the n! codes are distinct valid sequences; there are n! of those, so
+    every valid sequence is checked.
+    """
     siz_maj: Counter = Counter()
     sqin_maj: Counter = Counter()
+    weights_hold = True
     for sigma in _permutations(range(1, n + 1)):
         maj_, siz_, sqin_ = _maj_siz_sqin(sigma)
         siz_maj[siz_, maj_] += 1
         sqin_maj[sqin_, maj_] += 1
-    return LaurentPoly(siz_maj), LaurentPoly(sqin_maj)
+        code = ld_encode(sigma)
+        if maj_ != sum(code) or siz_ != sum(map(mul, range(n, 0, -1), code)):
+            weights_hold = False
+    return LaurentPoly(siz_maj), LaurentPoly(sqin_maj), weights_hold
 
 
 def distribution(n: int) -> LaurentPoly:
@@ -148,17 +152,17 @@ def distribution(n: int) -> LaurentPoly:
     return _joint_distributions(n)[0]
 
 
-def _q_int2(k: int, qexp: int, texp: int) -> LaurentPoly:
-    """``[k]_x`` with ``x = q^qexp t^texp``."""
-    return LaurentPoly({(qexp * j, texp * j): 1 for j in range(k)})
+def _q_int_product(n: int, qexp) -> LaurentPoly:
+    """``prod_{k=1..n} [k]_x`` with ``x = q^qexp(k) t``."""
+    out = LaurentPoly.monomial((0, 0))
+    for k in range(1, n + 1):
+        out = out * LaurentPoly({(qexp(k) * j, j): 1 for j in range(k)})
+    return out
 
 
 def sizmaj_product(n: int) -> LaurentPoly:
     """``prod_{k=1..n} [k]_{q^(n+1-k) t}``."""
-    out = LaurentPoly.monomial((0, 0))
-    for k in range(1, n + 1):
-        out = out * _q_int2(k, n + 1 - k, 1)
-    return out
+    return _q_int_product(n, lambda k: n + 1 - k)
 
 
 def check_sizmaj2(n: int) -> bool:
@@ -175,10 +179,7 @@ def check_sqin_relation(n: int) -> bool:
     """
     require_within_cap(n)
     sqin_poly = _joint_distributions(n)[1]
-    prod = LaurentPoly.monomial((0, 0))
-    for k in range(1, n + 1):
-        prod = prod * _q_int2(k, k, 1)
-    if sqin_poly != prod:
+    if sqin_poly != _q_int_product(n, lambda k: k):
         return False
     substituted = sqin_poly.map_exponents(lambda ef: ((n + 1) * ef[1] - ef[0], ef[1]))
     return substituted == distribution(n)

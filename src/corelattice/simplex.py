@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from operator import add, mul, sub
+from operator import add, sub
 
 from . import partitions
 from .abacus import ChargeVector, ShiftedPoint, filled_levels, size_of_charges
@@ -336,8 +336,8 @@ def core_record(spec: SimplexSpec, charges, z) -> dict:
     levels = filled_levels(a, charges)
     parts = list(map(add, levels, range(1, len(levels) + 1)))
     size = sum(parts)
-    if a * sum(map(mul, charges, charges)) + 2 * sum(map(mul, range(a), charges)) != 2 * size:
-        raise AssertionError("quadratic form must be integral and equal the core size")
+    if size_of_charges(a, charges) != size:
+        raise AssertionError("the quadratic form must equal the core size")
     sl = partitions.skew_length_of_levels(levels, a, b)
     return {
         "charges": list(charges),

@@ -17,10 +17,11 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import gcd, inf
+from operator import add
 from typing import Callable
 
 from . import ehrhart, perms, qpoly, qt
-from .abacus import ChargeVector, charges_from_core, core_from_charges, shift, size_quadratic
+from .abacus import charges_from_core, core_from_charges, filled_levels, shift, size_of_charges, size_quadratic
 from .partitions import brute_force_simultaneous_cores, skew_length
 from .simplex import (
     SimplexSpec,
@@ -69,14 +70,16 @@ def self_conjugate(a: int, b: int, cap: int, folds: dict):
 
 
 def quadratic(a: int, radius: int):
+    """The abacus round trip and the size form on every charge vector in the box, as plain tuples."""
     for head in product(range(-radius, radius + 1), repeat=a - 1):
         tail = -sum(head)
         if abs(tail) > radius:
             continue
-        cv = ChargeVector(a, (*head, tail))
-        core = core_from_charges(cv)
-        if size_quadratic(cv) != sum(core) or charges_from_core(core, a) != cv:
-            return False, {"c": list(cv.c)}
+        c = (*head, tail)
+        levels = filled_levels(a, c)
+        core = tuple(map(add, levels, range(1, len(levels) + 1)))
+        if size_of_charges(a, c) != sum(core) or charges_from_core(core, a).c != c:
+            return False, {"c": list(c)}
     return True, None
 
 

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from corelattice import qpoly, simplex
+from corelattice import perms, qpoly, simplex
 from corelattice.cli import _core_json_line, main
 
 
@@ -156,6 +156,9 @@ GOLDEN_VERIFY_AND_POLY_STDOUT = [
     (("poly", "4", "9", "--format", "csv"), "aecb2aa4bfae05ea1ed1f47581718e54a7d04771fe430250ad288fe2d3e2dd1a"),
     # recorded while the suite still clamped a to at most 5: the default bounds print the same 19 checks
     (("verify", "qt-symmetry"), "455790a9f366b8094504d80e496d8a619e61d9662d9244d7aba861c440124791"),
+    # recorded before the left-decreasing code weights moved onto the one walk of S_n
+    (("perm", "6"), "75a8e5a95a14a818bb4ff9163cb4229a727af3224d710035bdabab55e307c407"),
+    (("perm", "7"), "ec1550c72f8a418dc7adcfe762708078b7a3c7eed130bc1ca2e7afe4ab3fefe5"),
 ]
 
 
@@ -392,6 +395,33 @@ def test_perm_command(capsys):
     assert report["total"] == 6
     assert report["sizmaj2"] and report["ld_weights"] and report["sqin"]
     assert [0, 0, "1"] in report["distribution"]
+
+
+def test_perm_walks_s_n_once(capsys, monkeypatch):
+    calls = {"_permutations": 0, "valid_sequences": 0}
+    visited = []
+
+    def counted(name):
+        original = getattr(perms, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            for item in original(*args):
+                visited.append(item)
+                yield item
+
+        monkeypatch.setattr(perms, name, wrapper)
+
+    counted("_permutations")
+    counted("valid_sequences")
+    perms._joint_distributions.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "perm", "6")
+    finally:
+        perms._joint_distributions.cache_clear()
+    assert code == 0 and json.loads(out)["ld_weights"]
+    assert calls == {"_permutations": 1, "valid_sequences": 0}
+    assert len(visited) == 720
 
 
 def test_perm_command_respects_cap(capsys):

@@ -89,7 +89,7 @@ def test_conjugate_involution_preserves_hooks(p):
 def test_skew_length_worked_example():
     assert P.skew_length((9, 7, 5, 3, 2, 2, 1, 1), 3, 11) == 9
     assert P.co_skew_length((9, 7, 5, 3, 2, 2, 1, 1), 3, 11) == 1  # (3-1)(11-1)/2 - 9
-    assert P.skew_length((), 3, 11) == 0 and P.length(()) == 0
+    assert P.skew_length((), 3, 11) == 0 and len(()) == 0
 
 
 def test_skew_length_largest_34_core():
@@ -98,7 +98,7 @@ def test_skew_length_largest_34_core():
     assert len(cores) == 5
     largest = max(cores, key=sum)
     assert largest == (3, 1, 1)
-    assert P.length(largest) == 3 == (3 - 1) * (4 - 1) // 2
+    assert len(largest) == 3 == (3 - 1) * (4 - 1) // 2
     assert P.skew_length(largest, 3, 4) == 3
 
 

@@ -108,6 +108,17 @@ def test_check_ld_weights():
         assert PS.check_ld_weights(n), n
 
 
+def test_check_ld_weights_fails_on_a_wrong_code(monkeypatch):
+    # the code of the reversed permutation is a valid sequence, but not the code of sigma
+    encode = PS.ld_encode
+    monkeypatch.setattr(PS, "ld_encode", lambda sigma: encode(sigma[::-1]))
+    PS._joint_distributions.cache_clear()
+    try:
+        assert not PS.check_ld_weights(4)
+    finally:
+        PS._joint_distributions.cache_clear()
+
+
 def test_ld_left_multiplication_step():
     # multiplying a prefix product by one more decreasing k-cycle raises
     # maj by exactly 1 and siz by exactly n + 1 - k
@@ -150,7 +161,7 @@ def test_joint_distributions_match_a_per_permutation_tally():
         siz_maj = Counter((PS.siz(s), PS.maj(s)) for s in perms)
         sqin_maj = Counter((PS.sqin(s), PS.maj(s)) for s in perms)
         assert PS.distribution(n) == LaurentPoly(siz_maj)
-        assert PS._joint_distributions(n) == (LaurentPoly(siz_maj), LaurentPoly(sqin_maj))
+        assert PS._joint_distributions(n)[:2] == (LaurentPoly(siz_maj), LaurentPoly(sqin_maj))
 
 
 def test_check_sizmaj2_exhaustive():
