@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
-from .partitions import Parts, _bead_mask, beta_set
+from .partitions import Parts, _bead_mask, beta_set, parts_of_levels
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,9 @@ def filled_levels(a: int, c) -> list[int]:
     Runner ``i`` is filled from level ``-a*c_i - i - 1`` downwards.  Every
     level below the lowest empty one is filled, so the beads listed are the
     ones above it.  At charge zero there are exactly as many of them as the
-    core has parts, and the k-th largest level is ``part_k - k``; both are
-    asserted (the bookkeeping, and a positive last part).
+    core has parts (asserted), so the lowest empty level is ``-n`` and the
+    k-th largest level is ``part_k - k``; every listed level lies above
+    ``-n``, so every part is positive.
     """
     tops = [-a * ci - i - 1 for i, ci in enumerate(c)]
     lowest_empty = min(tops) + a
@@ -109,15 +110,12 @@ def filled_levels(a: int, c) -> list[int]:
     n = len(levels)
     if n + lowest_empty != 0:
         raise AssertionError("abacus bookkeeping is inconsistent")
-    if n and levels[-1] + n <= 0:
-        raise AssertionError("abacus levels give a nonpositive part")
     return levels
 
 
 def core_from_charges(cv: ChargeVector) -> Parts:
     """The a-core of a charge vector, by direct abacus simulation (:func:`filled_levels`)."""
-    levels = filled_levels(cv.a, cv.c)
-    return tuple(map(add, levels, range(1, len(levels) + 1)))
+    return tuple(parts_of_levels(filled_levels(cv.a, cv.c)))
 
 
 def charges_from_core(parts: Parts, a: int) -> ChargeVector:

@@ -10,7 +10,8 @@ failed internal check or an exceeded cap can leave partial output before the
 exit code.
 
 Exit codes: 0 success, 1 assertion failure (a verify suite or an internal
-check), 2 usage or validation error, 3 enumeration cap exceeded.
+check), 2 usage or validation error, or output that cannot be written,
+3 enumeration cap exceeded.
 ``CORELATTICE_CAP`` overrides the default enumeration cap.
 """
 
@@ -340,10 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    to_stdout = args.output in (None, "-")
     try:
         args.cap = _env_cap() if args.cap is None else _positive_cap(args.cap, "--cap")
-        if args.output in (None, "-"):
-            return args.fn(args, sys.stdout)
+        if to_stdout:
+            try:
+                return args.fn(args, sys.stdout)
+            finally:
+                sys.stdout.flush()
         out = _LazyOutput(args.output)
         try:
             return args.fn(args, out)
@@ -359,6 +364,14 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"error: assertion failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except OSError as exc:  # the output could not be written or closed: a closed pipe, a full disk
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        if to_stdout:
+            # what stdout still buffers would fail again in the interpreter's flush at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,10 +9,9 @@ than a silently bad fit.
 
 The fitted polynomials are the one dense exception to the package's sparse
 :class:`~corelattice.polys.LaurentPoly`: :func:`poly_eval`,
-:func:`poly_divexact`, :func:`lagrange_coefficients` and
-:class:`Quasipolynomial` work on coefficient tuples of ``Fraction``, which
-interpolation needs, while ``LaurentPoly`` holds ints and its ``divexact``
-tests integer divisibility.
+:func:`lagrange_coefficients` and :class:`Quasipolynomial` work on
+coefficient tuples of ``Fraction``, which interpolation needs, while
+``LaurentPoly`` holds ints.
 """
 
 from __future__ import annotations
@@ -45,27 +44,6 @@ def poly_degree(coeffs: Coeffs) -> int:
         if c:
             deg = i
     return deg
-
-
-def poly_divexact(num: Coeffs, den: Coeffs) -> Coeffs:
-    """Exact division of rational-coefficient polynomials."""
-    dn, dd = poly_degree(num), poly_degree(den)
-    if dd < 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(num[: dn + 1])
-    if dn < dd:
-        if any(rem):
-            raise ArithmeticError("exact division failed")
-        return (Fraction(0),)
-    quot = [Fraction(0)] * (dn - dd + 1)
-    for e in range(dn - dd, -1, -1):
-        t = rem[e + dd] / den[dd]
-        quot[e] = t
-        for j in range(dd + 1):
-            rem[e + j] -= t * den[j]
-    if any(rem):
-        raise ArithmeticError("exact division failed (nonzero remainder)")
-    return tuple(quot)
 
 
 def lagrange_coefficients(points) -> Coeffs:
@@ -391,15 +369,21 @@ def fit_core_polynomials(a: int, cap: int = DEFAULT_CAP) -> tuple[Coeffs, Coeffs
 
     Samples run over b coprime to ``a`` across all residue classes; fitting
     them as single polynomials (period 1) validates that the classes share
-    one polynomial.  F has degree a-1, G degree a+1, and exact division
-    yields the degree-2 average polynomial.  Each sample comes from
+    one polynomial.  F has degree a-1 and G degree a+1; P is fitted as a
+    quadratic to the averages G(b)/F(b), which exist since F(b) = Cat(a,b)
+    >= 1.  The fit of P is validated at the a + 2 samples beyond its first
+    three, so F*P and G agree at all a + 5 sampled b; both have degree at
+    most a + 1, so F*P = G as polynomials.  Each sample comes from
     :func:`~corelattice.simplex.core_moments`, so no core is enumerated;
     ``cap`` still bounds Cat(a,b) at every sampled b.
+
+    >>> fit_core_polynomials(2)[2]  # (b+3)(b-1)/24
+    (Fraction(-1, 8), Fraction(1, 12), Fraction(1, 24))
     """
     series = {b: core_moments(SimplexSpec(a, b), cap) for b in _coprime_values(a, (a + 1) + 1 + HELD_OUT_SAMPLES)}
     f = fit_quasipolynomial({b: n for b, (n, _) in series.items()}, 1, a - 1).constituents[0]
     g = fit_quasipolynomial({b: total for b, (_, total) in series.items()}, 1, a + 1).constituents[0]
-    p = poly_divexact(g, f)
+    p = fit_quasipolynomial({b: Fraction(total, n) for b, (n, total) in series.items()}, 1, 2).constituents[0]
     return f, g, p
 
 
@@ -407,9 +391,9 @@ def check_root_structure(a: int, cap: int = DEFAULT_CAP) -> bool:
     """Roots and special values of the fitted count and size-sum polynomials.
 
     Checks: F and G vanish at -1, ..., -(a-1); P = G/F is the quadratic
-    ``(a+b+1)(a-1)(b-1)/24`` (so P(1) = 0, P(-a-1) = 0, and
-    ``P(0) = -(a^2-1)/24``); and G satisfies the reflection
-    ``G(-a-b) = (-1)^(a-1) G(b)``.
+    ``(a+b+1)(a-1)(b-1)/24``; and G satisfies the reflection
+    ``G(-a-b) = (-1)^(a-1) G(b)``.  The quadratic gives P(1) = 0,
+    P(-a-1) = 0 and ``P(0) = -(a^2-1)/24`` as consequences.
     """
     return root_structure_ok(a, *fit_core_polynomials(a, cap=cap))
 
@@ -419,12 +403,6 @@ def root_structure_ok(a: int, f: Coeffs, g: Coeffs, p: Coeffs) -> bool:
     for r in range(1, a):
         if poly_eval(f, -r) != 0 or poly_eval(g, -r) != 0:
             return False
-    if poly_degree(p) != 2:
-        return False
-    if poly_eval(p, 1) != 0 or poly_eval(p, -a - 1) != 0:
-        return False
-    if poly_eval(p, 0) != Fraction(-(a * a - 1), 24):
-        return False
     expected = (
         Fraction(-(a * a - 1), 24),
         Fraction(a * (a - 1), 24),

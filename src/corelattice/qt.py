@@ -200,10 +200,7 @@ def orbifold_minimal_vectors(a: int) -> list[OrbifoldCosetLabel]:
             if j - 1 in ds:
                 run += 1
             w_scaled.append(val + a * run)
-        total2 = 2 * sum(w_scaled)
-        if total2 % a:
-            raise AssertionError("recentering must stay in the 2a-scaled lattice")
-        shift_all = total2 // a
+        shift_all = 2 * sum(w_scaled) // a  # exact: the values sum to a(a+1)/2, and ShiftedPoint checks sum 0
         tx = tuple(2 * w - shift_all for w in w_scaled)
         out.append(OrbifoldCosetLabel(sigma, ShiftedPoint(a, tx)))
     return out

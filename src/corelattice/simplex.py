@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from operator import add, sub
+from operator import sub
 
 from . import partitions
 from .abacus import ChargeVector, ShiftedPoint, filled_levels, size_of_charges
@@ -334,7 +334,7 @@ def core_record(spec: SimplexSpec, charges, z) -> dict:
     """
     a, b = spec.a, spec.b
     levels = filled_levels(a, charges)
-    parts = list(map(add, levels, range(1, len(levels) + 1)))
+    parts = partitions.parts_of_levels(levels)
     size = sum(parts)
     if size_of_charges(a, charges) != size:
         raise AssertionError("the quadratic form must equal the core size")

@@ -17,12 +17,11 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import gcd, inf
-from operator import add
 from typing import Callable
 
 from . import ehrhart, perms, qpoly, qt
 from .abacus import charges_from_core, core_from_charges, filled_levels, shift, size_of_charges, size_quadratic
-from .partitions import brute_force_simultaneous_cores, skew_length
+from .partitions import brute_force_simultaneous_cores, parts_of_levels, skew_length
 from .simplex import (
     SimplexSpec,
     armstrong_average,
@@ -76,8 +75,7 @@ def quadratic(a: int, radius: int):
         if abs(tail) > radius:
             continue
         c = (*head, tail)
-        levels = filled_levels(a, c)
-        core = tuple(map(add, levels, range(1, len(levels) + 1)))
+        core = parts_of_levels(filled_levels(a, c))
         if size_of_charges(a, c) != sum(core) or charges_from_core(core, a).c != c:
             return False, {"c": list(c)}
     return True, None

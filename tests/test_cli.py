@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from math import gcd
@@ -79,6 +80,48 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "enumerate", "3", "4", "--output", str(tmp_path / "missing" / "x"))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+CLI = [sys.executable, "-m", "corelattice.cli"]
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux pipe and device semantics")
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout buffered, as by default
+
+
+def assert_one_error_line(err: str):
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: cannot write the output: "), err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@linux_only
+def test_closed_pipe_exits_two_without_traceback(tmp_path):
+    err_path = tmp_path / "stderr"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen([*CLI, "enumerate", "7", "24"], stdout=subprocess.PIPE, stderr=err, env=BUFFERED)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+    assert json.loads(first)["type"] == "core"
+    assert_one_error_line(err_path.read_text())
+
+
+@linux_only
+@needs_dev_full
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "3", "4"],
+        ["enumerate", "3", "4", "--output", "/dev/full"],
+        ["verify", "anderson", "--cap", "20"],  # records are buffered when the cap is exceeded
+    ],
+    ids=" ".join,
+)
+def test_full_device_exits_two_without_traceback(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([*CLI, *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=BUFFERED)
+    assert proc.returncode == 2
+    assert_one_error_line(proc.stderr)
 
 
 def test_usage_error_leaves_existing_output_untouched(tmp_path, capsys):

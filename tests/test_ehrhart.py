@@ -23,14 +23,6 @@ def test_lagrange_coefficients():
         E.lagrange_coefficients([(0, 1), (0, 2)])
 
 
-def test_poly_divexact():
-    num = (Fraction(-1), Fraction(0), Fraction(1))  # x^2 - 1
-    den = (Fraction(1), Fraction(1))  # x + 1
-    assert E.poly_divexact(num, den) == (Fraction(-1), Fraction(1))
-    with pytest.raises(ArithmeticError):
-        E.poly_divexact((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-
-
 def test_triangle_counts_and_quasipolynomial():
     tri = E.halved_right_triangle()
     assert [tri.count(t) for t in range(1, 5)] == [2, 4, 6, 9]
@@ -183,17 +175,28 @@ def test_core_series():
         E.fit_core_polynomials(0)
 
 
+def _convolve(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
 def test_fit_core_polynomials_equal_the_fit_of_the_enumeration(monkeypatch):
     expected = {}
     for a in range(2, 6):
-        counts, sums = {}, {}
+        counts, sums, averages = {}, {}, {}
         for b in E._coprime_values(a, a + 5):
             cores = enumerate_cores(SimplexSpec(a, b))
             counts[b] = len(cores)
             sums[b] = sum(size_quadratic(cv) for cv in cores)
+            averages[b] = Fraction(sums[b], counts[b])
         f = E.fit_quasipolynomial(counts, 1, a - 1).constituents[0]
         g = E.fit_quasipolynomial(sums, 1, a + 1).constituents[0]
-        expected[a] = (f, g, E.poly_divexact(g, f))
+        p = E.fit_quasipolynomial(averages, 1, 2).constituents[0]
+        assert _convolve(f, p) == list(g), a  # F*P = G, coefficient by coefficient
+        expected[a] = (f, g, p)
 
     def no_walk(*args, **kwargs):
         raise AssertionError("the fit must not enumerate cores")
@@ -201,6 +204,22 @@ def test_fit_core_polynomials_equal_the_fit_of_the_enumeration(monkeypatch):
     monkeypatch.setattr(simplex, "iter_cores", no_walk)
     for a, fit in expected.items():
         assert E.fit_core_polynomials(a) == fit, a
+
+
+def test_root_structure_rejects_a_wrong_fit():
+    a = 4
+    f, g, p = E.fit_core_polynomials(a)
+    assert E.root_structure_ok(a, f, g, p)
+    for i in range(len(p)):
+        wrong_p = tuple(c + (k == i) for k, c in enumerate(p))
+        assert not E.root_structure_ok(a, f, g, wrong_p), i
+    # F + 1 and G + 1 do not vanish at -1
+    assert not E.root_structure_ok(a, (f[0] + 1, *f[1:]), g, p)
+    assert not E.root_structure_ok(a, f, (g[0] + 1, *g[1:]), p)
+    # G times (b + 1)(b + 2)(b + 3) keeps the roots at -1 ... -(a-1) but breaks the reflection
+    wrong_g = tuple(_convolve(g, (Fraction(6), Fraction(11), Fraction(6), Fraction(1))))
+    assert all(E.poly_eval(wrong_g, -r) == 0 for r in range(1, a))
+    assert not E.root_structure_ok(a, f, wrong_g, p)
 
 
 def test_fit_core_polynomials():
