@@ -11,8 +11,9 @@ exit code.
 
 Exit codes: 0 success, 1 assertion failure (a verify suite or an internal
 check), 2 usage or validation error, or output that cannot be written,
-3 enumeration cap exceeded.
-``CORELATTICE_CAP`` overrides the default enumeration cap.
+3 cap exceeded.
+``CORELATTICE_CAP`` overrides the default cap of 10^7 cores enumerated (permutations
+for ``perm``, moment-recursion steps for ``ehrhart`` and ``verify root-structure``).
 """
 
 from __future__ import annotations
@@ -77,10 +78,7 @@ class _LazyOutput:
 
     def write(self, text):
         if self.fh is None:
-            try:
-                self.fh = open(self.path, "w", encoding="utf-8")
-            except OSError as exc:
-                raise ValueError(f"cannot open --output {self.path}: {exc.strerror}") from exc
+            self.fh = open(self.path, "w", encoding="utf-8")
         return self.fh.write(text)
 
 
@@ -290,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=("json", "csv"), default="json", help="record format")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--cap", type=int, default=None, help="enumeration cap (default: CORELATTICE_CAP or 10^7)")
+        cap_help = "cap on the cores (perm: permutations) enumerated, or on the moment-recursion steps for ehrhart"
+        p.add_argument("--cap", type=int, default=None, help=f"{cap_help} (default: CORELATTICE_CAP or 10^7)")
 
     p_enum = sub.add_parser("enumerate", help="list all (a,b)-cores with their statistics")
     p_enum.add_argument("a", type=int)
@@ -364,8 +363,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"error: assertion failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except OSError as exc:  # the output could not be written or closed: a closed pipe, a full disk
-        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+    except OSError as exc:  # opening, writing or closing the output failed: a missing directory, a full disk
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc.strerror or exc
+        print(f"error: cannot write the output: {reason}", file=sys.stderr)
         if to_stdout:
             # what stdout still buffers would fail again in the interpreter's flush at exit
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -23,7 +23,7 @@ from itertools import combinations, product
 from math import ceil, floor, gcd
 from operator import mul
 
-from .errors import FitValidationError
+from .errors import CapExceededError, FitValidationError
 from .simplex import DEFAULT_CAP, SimplexSpec, core_moments
 
 Coeffs = tuple[Fraction, ...]
@@ -35,15 +35,6 @@ def poly_eval(coeffs: Coeffs, x) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def poly_degree(coeffs: Coeffs) -> int:
-    """Degree with the convention that the zero polynomial has degree -1."""
-    deg = -1
-    for i, c in enumerate(coeffs):
-        if c:
-            deg = i
-    return deg
 
 
 def lagrange_coefficients(points) -> Coeffs:
@@ -85,10 +76,6 @@ class Quasipolynomial:
             "constituents",
             tuple(tuple(Fraction(c) for c in cs) for cs in self.constituents),
         )
-
-    @property
-    def degree(self) -> int:
-        return max(poly_degree(cs) for cs in self.constituents)
 
     def evaluate(self, t: int) -> Fraction:
         return poly_eval(self.constituents[t % self.period], t)
@@ -180,16 +167,10 @@ class RationalPolytope:
 
     @classmethod
     def from_inequalities(cls, dim: int, inequalities) -> "RationalPolytope":
-        rows = []
-        for coeffs, rhs in inequalities:
-            fr = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
-            if len(fr) != dim + 1:
-                raise ValueError("inequality arity does not match the dimension")
-            mult = 1
-            for f in fr:
-                mult = mult * f.denominator // gcd(mult, f.denominator)
-            rows.append((tuple(int(f * mult) for f in fr[:-1]), int(fr[-1] * mult)))
-        poly = cls(dim, tuple(rows))
+        rows = tuple((tuple(coeffs), rhs) for coeffs, rhs in inequalities)
+        if any(len(coeffs) != dim for coeffs, _ in rows):
+            raise ValueError("inequality arity does not match the dimension")
+        poly = cls(dim, rows)
         if not poly._is_bounded():
             raise ValueError("polytope is unbounded")
         poly._box  # solve the vertices once; fails fast on empty input
@@ -336,8 +317,26 @@ def reciprocity_check(
 
 
 def core_series(a: int, residue: int, num_samples: int, cap: int = DEFAULT_CAP) -> dict[int, tuple[int, int]]:
-    """Core count and size sum at each of the first ``num_samples`` values of b in a residue class."""
-    return {b: core_moments(SimplexSpec(a, b), cap) for b in _residue_values(a, residue, num_samples)}
+    """Core count and size sum at each of the first ``num_samples`` values of b in a residue class.
+
+    >>> core_series(3, 1, 3)
+    {1: (1, 0), 4: (5, 10), 7: (12, 66)}
+    >>> core_series(3, 1, 10**11)
+    Traceback (most recent call last):
+    ...
+    corelattice.errors.CapExceededError: the moment recursion at a=3 takes 10004654 steps up to b=5476, over the cap of 10000000
+    """
+    return _moment_series(a, _residue_values(a, residue, num_samples), cap)
+
+
+def _moment_series(a: int, bs, cap: int) -> dict[int, tuple[int, int]]:
+    """``core_moments`` at each b of ``bs``, once the recursion's (a-1)(b+1) steps per b, summed, are within ``cap``."""
+    steps = 0
+    for b in bs:
+        steps += (a - 1) * (b + 1)
+        if steps > cap:
+            raise CapExceededError(f"the moment recursion at a={a} takes {steps} steps up to b={b}, over the cap of {cap}")
+    return {b: core_moments(SimplexSpec(a, b)) for b in bs}
 
 
 def _residue_values(a: int, residue: int, num_samples: int) -> range:
@@ -375,12 +374,12 @@ def fit_core_polynomials(a: int, cap: int = DEFAULT_CAP) -> tuple[Coeffs, Coeffs
     three, so F*P and G agree at all a + 5 sampled b; both have degree at
     most a + 1, so F*P = G as polynomials.  Each sample comes from
     :func:`~corelattice.simplex.core_moments`, so no core is enumerated;
-    ``cap`` still bounds Cat(a,b) at every sampled b.
+    ``cap`` bounds the recursion's steps, as :func:`_moment_series` counts them.
 
     >>> fit_core_polynomials(2)[2]  # (b+3)(b-1)/24
     (Fraction(-1, 8), Fraction(1, 12), Fraction(1, 24))
     """
-    series = {b: core_moments(SimplexSpec(a, b), cap) for b in _coprime_values(a, (a + 1) + 1 + HELD_OUT_SAMPLES)}
+    series = _moment_series(a, _coprime_values(a, (a + 1) + 1 + HELD_OUT_SAMPLES), cap)
     f = fit_quasipolynomial({b: n for b, (n, _) in series.items()}, 1, a - 1).constituents[0]
     g = fit_quasipolynomial({b: total for b, (_, total) in series.items()}, 1, a + 1).constituents[0]
     p = fit_quasipolynomial({b: Fraction(total, n) for b, (n, total) in series.items()}, 1, 2).constituents[0]

@@ -211,7 +211,7 @@ def iter_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP):
         raise AssertionError("enumeration disagrees with the closed-form count")
 
 
-def core_moments(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> tuple[int, int]:
+def core_moments(spec: SimplexSpec) -> tuple[int, int]:
     """The number of (a,b)-cores and the sum of their sizes, without visiting a core.
 
     In the walk of :func:`iter_cores` the charge on the runner at step j is
@@ -240,12 +240,10 @@ def core_moments(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> tuple[int, int]:
     P_{j-1} <= P_j makes each step O(b), so the run is O(a b) integer
     operations however large Cat(a,b) is.
 
-    Raises :class:`CapExceededError` when Cat(a,b) exceeds ``cap``, as
-    :func:`iter_cores` does; asserts that the paths number a·Cat(a,b) and
-    that 8a^2 divides the size numerator.
+    Asserts that the paths number a·Cat(a,b) and that 8a^2 divides the size numerator.
     """
     a, b = spec.a, spec.b
-    catalan = capped_count(spec, cap)
+    catalan = rational_catalan(a, b)
     step, lift = _walk_constants(a, b)
     kappa = [v - 2 * (a - 1) * b for v in lift]
     two_a = 2 * a

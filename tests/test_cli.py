@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from corelattice import perms, qpoly, simplex
+from corelattice import ehrhart, perms, qpoly, simplex
 from corelattice.cli import _core_json_line, main
 
 
@@ -77,9 +77,10 @@ def test_nonpositive_env_cap_is_usage_error(capsys, monkeypatch):
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "enumerate", "3", "4", "--output", str(tmp_path / "missing" / "x"))
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "enumerate", "3", "4", "--output", str(target))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err == f"error: cannot write the output: {target}: No such file or directory\n"
 
 
 CLI = [sys.executable, "-m", "corelattice.cli"]
@@ -217,19 +218,38 @@ def test_verify_and_poly_stdout_is_byte_identical(capsys, argv, digest):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("ehrhart", "6", "--cap", "1000"), "error: Cat(6,13) = 1428 exceeds the cap of 1000\n"),
-        (("ehrhart", "3", "--residue", "1", "--cap", "3"), "error: Cat(3,4) = 5 exceeds the cap of 3\n"),
+        # the fit of a = 6 samples b = 1, 5, 7, ..., 29, 31: 5 * (2 + 6 + 8 + ... + 30 + 32) = 960 steps
         (
-            ("ehrhart", "3", "--residue", "1", "--samples", "100000000000", "--cap", "3"),
-            "error: Cat(3,4) = 5 exceeds the cap of 3\n",
+            ("ehrhart", "6", "--cap", "959"),
+            "error: the moment recursion at a=6 takes 960 steps up to b=31, over the cap of 959\n",
+        ),
+        # (a-1)(b+1) = 4 steps at the first b
+        (
+            ("ehrhart", "3", "--residue", "1", "--cap", "3"),
+            "error: the moment recursion at a=3 takes 4 steps up to b=1, over the cap of 3\n",
+        ),
+        (
+            ("ehrhart", "3", "--residue", "1", "--samples", "100000000000"),
+            "error: the moment recursion at a=3 takes 10004654 steps up to b=5476, over the cap of 10000000\n",
         ),
     ],
     ids=["fit", "residue", "residue-before-the-b-list"],
 )
-def test_ehrhart_checks_the_cap_on_the_closed_form_count(capsys, argv, message):
+def test_ehrhart_caps_the_moment_recursion_steps(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("CORELATTICE_CAP", raising=False)
+    calls = []
+    monkeypatch.setattr(ehrhart, "core_moments", lambda spec: calls.append(spec))
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err == message
+    assert calls == []  # refused before the recursion runs at any b
+
+
+def test_ehrhart_cap_equal_to_the_steps_is_not_exceeded(capsys):
+    code, out, _ = run_cli(capsys, "ehrhart", "6", "--cap", "960")
+    assert code == 0 and hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_EHRHART_STDOUT[0][1]
+    code, out, _ = run_cli(capsys, "ehrhart", "3", "--residue", "1", "--samples", "1", "--cap", "4")
+    assert code == 0 and out == '{"a":3,"residue":1,"counts":[[1,1]],"size_sums":[[1,0]]}\n'
 
 
 def test_core_json_line_matches_the_encoder():

@@ -255,17 +255,9 @@ def test_core_fold_honours_the_cap():
 @pytest.mark.parametrize("a,b", [(12, 61), (20, 101), (30, 211)])
 def test_core_moments_give_the_closed_forms_at_scale(a, b):
     catalan = S.rational_catalan(a, b)
-    # a cap equal to the count is not exceeded
-    count, total = S.core_moments(S.SimplexSpec(a, b), cap=catalan)
+    count, total = S.core_moments(S.SimplexSpec(a, b))
     assert count == catalan
     assert Fraction(total, count) == S.armstrong_average(a, b) == Fraction((a + b + 1) * (a - 1) * (b - 1), 24)
-
-
-def test_core_moments_honour_the_cap():
-    with pytest.raises(CapExceededError, match=r"Cat\(3,4\) = 5 exceeds the cap of 4"):
-        S.core_moments(S.SimplexSpec(3, 4), cap=4)
-    with pytest.raises(CapExceededError):
-        S.core_moments(S.SimplexSpec(12, 61))
 
 
 def test_an_off_lattice_walk_is_refused_before_any_core(monkeypatch):
