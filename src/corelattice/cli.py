@@ -12,8 +12,8 @@ exit code.
 Exit codes: 0 success, 1 assertion failure (a verify suite or an internal
 check), 2 usage or validation error, or output that cannot be written,
 3 cap exceeded.
-``CORELATTICE_CAP`` overrides the default cap of 10^7 cores enumerated (permutations
-for ``perm``, moment-recursion steps for ``ehrhart`` and ``verify root-structure``).
+``CORELATTICE_CAP`` overrides the default cap of 10^7 cores enumerated (permutations for
+``perm`` and the permutation suites, moment-recursion steps for ``ehrhart`` and ``verify root-structure``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from math import factorial
 
 from . import ehrhart, perms, qpoly, qt
 from .errors import CapExceededError
@@ -207,9 +206,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_perm(args, out) -> int:
-    # n > DISTRIBUTION_CAP is refused by the brute force itself, before n! is worth computing
-    if 0 <= args.n <= perms.DISTRIBUTION_CAP and factorial(args.n) > args.cap:
-        raise CapExceededError(f"n={args.n} has {factorial(args.n)} permutations, over the cap of {args.cap}")
+    perms.require_walk_within(args.n, args.cap)
     dist = perms.distribution(args.n)
     report = {
         "n": args.n,
@@ -288,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=("json", "csv"), default="json", help="record format")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        cap_help = "cap on the cores (perm: permutations) enumerated, or on the moment-recursion steps for ehrhart"
+        cap_help = "cap on the cores enumerated (permutations for perm and its suites), or on the ehrhart recursion steps"
         p.add_argument("--cap", type=int, default=None, help=f"{cap_help} (default: CORELATTICE_CAP or 10^7)")
 
     p_enum = sub.add_parser("enumerate", help="list all (a,b)-cores with their statistics")

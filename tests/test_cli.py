@@ -203,6 +203,8 @@ GOLDEN_VERIFY_AND_POLY_STDOUT = [
     # recorded before the left-decreasing code weights moved onto the one walk of S_n
     (("perm", "6"), "75a8e5a95a14a818bb4ff9163cb4229a727af3224d710035bdabab55e307c407"),
     (("perm", "7"), "ec1550c72f8a418dc7adcfe762708078b7a3c7eed130bc1ca2e7afe4ab3fefe5"),
+    # the largest n whose walk fits in the tier-1 time; `perm 9` is pinned in CI
+    (("perm", "8"), "6add62aa48adb2553db2baef34cca532af1f2b7da732d5a886aabf43290a1c66"),
 ]
 
 
@@ -461,7 +463,7 @@ def test_perm_command(capsys):
 
 
 def test_perm_walks_s_n_once(capsys, monkeypatch):
-    calls = {"_permutations": 0, "valid_sequences": 0}
+    calls = {"_permutations": 0, "_ld_tree": 0}
     visited = []
 
     def counted(name):
@@ -476,15 +478,15 @@ def test_perm_walks_s_n_once(capsys, monkeypatch):
         monkeypatch.setattr(perms, name, wrapper)
 
     counted("_permutations")
-    counted("valid_sequences")
+    counted("_ld_tree")
     perms._joint_distributions.cache_clear()
     try:
         code, out, _ = run_cli(capsys, "perm", "6")
     finally:
         perms._joint_distributions.cache_clear()
     assert code == 0 and json.loads(out)["ld_weights"]
-    assert calls == {"_permutations": 1, "valid_sequences": 0}
-    assert len(visited) == 720
+    assert calls == {"_permutations": 0, "_ld_tree": 1}
+    assert len(visited) == len({sigma for sigma, *_ in visited}) == 720
 
 
 def test_perm_command_respects_cap(capsys):
@@ -502,6 +504,16 @@ def test_perm_honours_cap_flag(capsys, cap, code):
         assert "cap" in err and out == ""
     else:
         assert json.loads(out)["total"] == 120
+
+
+@pytest.mark.parametrize("suite", ["sizmaj2", "ld-weights", "sqin"])
+def test_permutation_suites_honour_the_cap_flag(capsys, suite):
+    # 8! = 40320 permutations; the refusal comes before any check runs
+    code, out, err = run_cli(capsys, "verify", suite, "--n-max", "8", "--cap", "1000", "--summary")
+    assert code == 3 and out == ""
+    assert err.endswith("n=8 has 40320 permutations, over the cap of 1000\n")
+    _, _, perm_err = run_cli(capsys, "perm", "8", "--cap", "1000")
+    assert perm_err == err
 
 
 def test_perm_honours_env_cap(capsys, monkeypatch):

@@ -5,6 +5,8 @@ from itertools import product
 from math import ceil, comb, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corelattice import ehrhart as E
 from corelattice import simplex, suites
@@ -21,6 +23,47 @@ def test_lagrange_coefficients():
     assert coeffs == (Fraction(1), Fraction(0), Fraction(1))
     with pytest.raises(ValueError):
         E.lagrange_coefficients([(0, 1), (0, 2)])
+
+
+def lagrange_by_basis_polynomials(points):
+    """Reference route: sum the Lagrange basis polynomials, each rebuilt from scratch (O(n^3))."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    n = len(pts)
+    if len({x for x, _ in pts}) != n:
+        raise ValueError("interpolation nodes must be distinct")
+    coeffs = [Fraction(0)] * n
+    for i, (xi, yi) in enumerate(pts):
+        # basis polynomial prod_{j != i} (x - x_j) / (x_i - x_j)
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(pts):
+            if j == i:
+                continue
+            basis = [Fraction(0), *basis]
+            for k in range(len(basis) - 1):
+                basis[k] -= xj * basis[k + 1]
+            denom *= xi - xj
+        scale = yi / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    return tuple(coeffs)
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(fractions, fractions), max_size=9, unique_by=lambda p: p[0]))
+def test_lagrange_coefficients_match_the_basis_polynomials(points):
+    coeffs = E.lagrange_coefficients(points)
+    assert coeffs == lagrange_by_basis_polynomials(points)
+    assert all(E.poly_eval(coeffs, x) == y for x, y in points)
+
+
+def test_core_fits_match_the_basis_polynomials(monkeypatch):
+    newton = {a: E.fit_core_polynomials(a) for a in range(2, 13)}
+    monkeypatch.setattr(E, "lagrange_coefficients", lagrange_by_basis_polynomials)
+    assert {a: E.fit_core_polynomials(a) for a in range(2, 13)} == newton
 
 
 def test_triangle_counts_and_quasipolynomial():

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -47,6 +47,54 @@ def ld_encode_by_composition(sigma) -> tuple[int, ...]:
     return tuple(code)
 
 
+def check_permutation(sigma) -> tuple[int, ...]:
+    p = tuple(sigma)
+    if sorted(p) != list(range(1, len(p) + 1)):
+        raise ValueError(f"not a permutation of 1..n: {p}")
+    return p
+
+
+def check_valid_sequence(code) -> tuple[int, ...]:
+    """A valid sequence has entries ``0 <= code[i-1] < i`` (so the first is 0)."""
+    c = tuple(code)
+    for i, v in enumerate(c, start=1):
+        if not 0 <= v < i:
+            raise ValueError(f"entry {v} at index {i} out of range [0, {i})")
+    return c
+
+
+def valid_sequences(n: int):
+    """All n! valid sequences of length n, lexicographically."""
+    return product(*(range(i) for i in range(1, n + 1)))
+
+
+def ld_decode(code) -> tuple[int, ...]:
+    """Reference route: code -> product of decreasing-cycle powers, one power per nonzero entry."""
+    c = check_valid_sequence(code)
+    n = len(c)
+    sigma = tuple(range(1, n + 1))
+    for k in range(2, n + 1):
+        if c[k - 1]:
+            sigma = PS._cycle_power_left(sigma, k, c[k - 1])
+    return sigma
+
+
+def ld_encode(sigma) -> tuple[int, ...]:
+    """Reference route, inverse of :func:`ld_decode`: peel cycle powers off the left."""
+    sigma = check_permutation(sigma)
+    n = len(sigma)
+    code = [0] * n
+    for k in range(n, 1, -1):
+        a_k = k - sigma[k - 1]
+        code[k - 1] = a_k
+        # strip the factor by applying C_k^{-a_k} on the left
+        if a_k:
+            sigma = PS._cycle_power_left(sigma, k, -a_k)
+    if sigma != tuple(range(1, n + 1)):
+        raise AssertionError("factorization code did not reduce to the identity")
+    return tuple(code)
+
+
 def test_basic_statistics():
     assert PS.des_set((1, 2, 3)) == frozenset()
     assert PS.maj((1, 2, 3)) == 0 == PS.inv((1, 2, 3))
@@ -67,9 +115,9 @@ def test_siz_and_sqin():
 
 def test_check_permutation():
     with pytest.raises(ValueError):
-        PS.check_permutation((1, 3))
+        check_permutation((1, 3))
     with pytest.raises(ValueError):
-        PS.check_permutation((0, 1))
+        check_permutation((0, 1))
 
 
 def test_decreasing_cycle():
@@ -79,28 +127,39 @@ def test_decreasing_cycle():
 
 
 def test_ld_decode_examples():
-    assert PS.ld_decode((0, 0, 0)) == (1, 2, 3)
-    assert PS.ld_decode((0, 1)) == (2, 1)
+    assert ld_decode((0, 0, 0)) == (1, 2, 3)
+    assert ld_decode((0, 1)) == (2, 1)
     with pytest.raises(ValueError):
-        PS.ld_decode((0, 2))
+        ld_decode((0, 2))
 
 
 def test_ld_code_bijection_exhaustive():
     for n in range(1, 8):
         images = set()
-        for code in PS.valid_sequences(n):
-            sigma = PS.ld_decode(code)
-            assert PS.ld_encode(sigma) == code
+        for code in valid_sequences(n):
+            sigma = ld_decode(code)
+            assert ld_encode(sigma) == code
             images.add(sigma)
         assert len(images) == factorial(n)
 
 
 def test_ld_code_matches_the_composition_route():
     for n in range(0, 8):
-        for code in PS.valid_sequences(n):
-            sigma = PS.ld_decode(code)
+        for code in valid_sequences(n):
+            sigma = ld_decode(code)
             assert sigma == ld_decode_by_composition(code)
-            assert PS.ld_encode(sigma) == ld_encode_by_composition(sigma) == code
+            assert ld_encode(sigma) == ld_encode_by_composition(sigma) == code
+
+
+def test_ld_tree_walks_each_code_to_its_permutation():
+    for n in range(0, 8):
+        leaves = list(PS._ld_tree(n))
+        pairs = {(sigma, code) for sigma, code, _, _ in leaves}
+        assert pairs == {(ld_decode(c), c) for c in valid_sequences(n)}
+        assert len(leaves) == factorial(n)
+        assert {sigma for sigma, _ in pairs} == set(permutations(range(1, n + 1)))
+        for _, code, w_maj, w_siz in leaves:
+            assert (w_maj, w_siz) == (sum(code), sum((n + 1 - k) * c for k, c in enumerate(code, start=1)))
 
 
 def test_check_ld_weights():
@@ -109,12 +168,23 @@ def test_check_ld_weights():
 
 
 def test_check_ld_weights_fails_on_a_wrong_code(monkeypatch):
-    # the code of the reversed permutation is a valid sequence, but not the code of sigma
-    encode = PS.ld_encode
-    monkeypatch.setattr(PS, "ld_encode", lambda sigma: encode(sigma[::-1]))
+    # the reversed permutation of a leaf is a permutation, but not LD of the leaf's code
+    tree = PS._ld_tree
+    monkeypatch.setattr(PS, "_ld_tree", lambda n: ((s[::-1], *rest) for s, *rest in tree(n)))
     PS._joint_distributions.cache_clear()
     try:
         assert not PS.check_ld_weights(4)
+    finally:
+        PS._joint_distributions.cache_clear()
+
+
+def test_an_off_by_one_cycle_power_trips_the_node_assertion(monkeypatch):
+    power = PS._cycle_power_left
+    monkeypatch.setattr(PS, "_cycle_power_left", lambda sigma, k, r: power(sigma, k, r + 1))
+    PS._joint_distributions.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="did not send"):
+            PS.check_ld_weights(4)
     finally:
         PS._joint_distributions.cache_clear()
 
@@ -132,8 +202,8 @@ def test_ld_left_multiplication_step():
             prefix_code = tuple(code[:k]) + (0,) * (n - k)
             bumped = list(prefix_code)
             bumped[k - 1] += 1
-            before = PS.ld_decode(prefix_code)
-            after = PS.ld_decode(tuple(bumped))
+            before = ld_decode(prefix_code)
+            after = ld_decode(tuple(bumped))
             assert after == compose(decreasing_cycle(k, n), before)
             assert PS.maj(after) - PS.maj(before) == 1
             assert PS.siz(after) - PS.siz(before) == n + 1 - k
@@ -176,6 +246,6 @@ def test_check_sqin_relation_exhaustive():
 
 def test_valid_sequences_count_and_bounds():
     for n in range(1, 7):
-        seqs = list(PS.valid_sequences(n))
+        seqs = list(valid_sequences(n))
         assert len(seqs) == factorial(n)
         assert all(0 <= v < i for s in seqs for i, v in enumerate(s, start=1))

@@ -117,10 +117,24 @@ def test_n_max_above_the_brute_force_ceiling_is_refused_before_any_check(monkeyp
         raise AssertionError("no permutation may be visited")
 
     monkeypatch.setattr(perms, "_permutations", walked)
-    monkeypatch.setattr(perms, "valid_sequences", walked)
+    monkeypatch.setattr(perms, "_ld_tree", walked)
     cap = perms.DISTRIBUTION_CAP
     with pytest.raises(CapExceededError, match=f"n={cap + 1} exceeds the brute-force cap of {cap}"):
         build(name, n_max=cap + 1)
     with pytest.raises(CapExceededError, match=f"n={cap + 1} exceeds the brute-force cap of {cap}"):
         perms.check_ld_weights(cap + 1)
     assert [c.params["n"] for c in build(name, n_max=cap)] == list(range(1, cap + 1))
+
+
+@pytest.mark.parametrize("name", ["sizmaj2", "ld-weights", "sqin"])
+def test_n_max_whose_permutations_exceed_the_cap_is_refused_before_any_check(monkeypatch, name):
+    def walked(*args):
+        raise AssertionError("no permutation may be visited")
+
+    monkeypatch.setattr(perms, "_ld_tree", walked)
+    with pytest.raises(CapExceededError, match="n=8 has 40320 permutations, over the cap of 40319"):
+        build(name, n_max=8, cap=40319)
+    assert len(build(name, n_max=8, cap=40320)) == 8
+    # a cap above 10! never lifts the ceiling of 9
+    with pytest.raises(CapExceededError, match="n=10 exceeds the brute-force cap of 9"):
+        build(name, n_max=10, cap=10**12)
