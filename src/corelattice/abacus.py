@@ -5,7 +5,9 @@ An a-core corresponds to a runner assignment of the Maya diagram: the level
 a-core exactly when every runner is right-justified.  The charge ``c_i`` of
 runner ``i`` determines the filled levels ``{k*a - i - 1 : k <= -c_i}`` (in
 the integer encoding of :mod:`corelattice.partitions`), and the charges sum
-to zero.
+to zero.  :func:`core_beads` builds the core's beta-set from its charges as
+the bitset that :mod:`corelattice.partitions` shares, one comb of beads per
+runner, and every statistic of an enumerated core is read from that bitset.
 
 Two coordinate systems are used throughout:
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .partitions import Parts, _bead_mask, beta_set, parts_of_levels
+from .partitions import Parts, _bead_mask, beta_set, parts_of_beads
 
 
 @dataclass(frozen=True)
@@ -91,31 +93,44 @@ def unshift(sp: ShiftedPoint) -> ChargeVector:
     return ChargeVector(a, tuple(charges))
 
 
-def filled_levels(a: int, c) -> list[int]:
-    """The beta-set of the a-core with charges ``c``: its filled levels, descending.
+# a -> the combs (2^(a*k) - 1) / (2^a - 1), k bits spaced a apart, for k below the list's length.  Built
+# on first use and replaced whole when a longer one is needed, never mutated, so every caller reads a full table.
+_COMBS: dict[int, list[int]] = {}
 
-    Runner ``i`` is filled from level ``-a*c_i - i - 1`` downwards.  Every
-    level below the lowest empty one is filled, so the beads listed are the
-    ones above it.  At charge zero there are exactly as many of them as the
-    core has parts (asserted), so the lowest empty level is ``-n`` and the
-    k-th largest level is ``part_k - k``; every listed level lies above
-    ``-n``, so every part is positive.
+
+def core_beads(a: int, c) -> tuple[int, list[int]]:
+    """The beta-set of the a-core with charges ``c`` as a bitset, and the bits of its a-rows.
+
+    Runner ``i`` is filled from level ``t_i = -a*c_i - i - 1`` downwards.
+    Every level below the lowest empty one, ``min(t) + a``, is filled, so the
+    beads are the levels above it, on runner ``i`` a run of ``k`` of them
+    ``a`` apart: one comb ``(2^(a*k) - 1) / (2^a - 1)``, shifted so that the
+    lowest empty level is bit 0.  At charge zero there are exactly as many
+    beads as the core has parts (asserted: the popcount is minus the lowest
+    empty level), so the bitset is :func:`~corelattice.partitions._bead_mask`
+    of the beta-set.  The top bead of each runner has an empty level ``a``
+    above it, so the runner tops are the a-rows.
     """
     tops = [-a * ci - i - 1 for i, ci in enumerate(c)]
-    lowest_empty = min(tops) + a
-    levels = []
-    for m in tops:
-        levels.extend(range(m, lowest_empty, -a))
-    levels.sort(reverse=True)
-    n = len(levels)
-    if n + lowest_empty != 0:
+    below = min(tops)  # a under the lowest empty level
+    combs = _COMBS.get(a, ())
+    beads = 0
+    rows = []
+    for t in tops:
+        k, lo = divmod(t - below, a)
+        if k:
+            if k >= len(combs):
+                combs = _COMBS[a] = [((1 << a * j) - 1) // ((1 << a) - 1) for j in range(2 * k)]
+            beads |= combs[k] << lo
+            rows.append(t - below - a)
+    if beads.bit_count() != -(below + a):
         raise AssertionError("abacus bookkeeping is inconsistent")
-    return levels
+    return beads, rows
 
 
 def core_from_charges(cv: ChargeVector) -> Parts:
-    """The a-core of a charge vector, by direct abacus simulation (:func:`filled_levels`)."""
-    return tuple(parts_of_levels(filled_levels(cv.a, cv.c)))
+    """The a-core of a charge vector, by direct abacus simulation (:func:`core_beads`)."""
+    return tuple(parts_of_beads(core_beads(cv.a, cv.c)[0]))
 
 
 def charges_from_core(parts: Parts, a: int) -> ChargeVector:

@@ -29,6 +29,7 @@ from fractions import Fraction
 from . import ehrhart, perms, qpoly, qt
 from .errors import CapExceededError
 from .simplex import (
+    CORE_FIELDS,
     DEFAULT_CAP,
     SimplexSpec,
     armstrong_average,
@@ -85,11 +86,11 @@ def _ints_csv(values) -> str:
     return " ".join(str(v) for v in values)
 
 
-def _core_json_line(r: dict) -> str:
-    """``_json_line({"type": "core", **r})`` written out directly: every field is an int or a list of ints."""
+def _core_json_line(r: tuple) -> str:
+    """``_json_line({"type": "core", **dict(zip(CORE_FIELDS, r))})`` written out directly: every field is an int or a list of ints."""
     return (
         '{"type":"core","charges":%s,"z":%s,"partition":%s,"size":%d,"length":%d,"skew_length":%d,"co_skew_length":%d}'
-        % (r["charges"], r["z"], r["partition"], r["size"], r["length"], r["skew_length"], r["co_skew_length"])
+        % r
     ).replace(" ", "")
 
 
@@ -100,26 +101,16 @@ def cmd_enumerate(args, out) -> int:
     batch = []
     if csv_rows:
         # the header goes out with the first batch, after the cap check has passed
-        batch.append("charges,z,partition,size,length,skew_length,co_skew_length\n")
+        batch.append(",".join(CORE_FIELDS) + "\n")
     count = total = 0
     for z, charges in iter_cores(spec, args.cap):
         r = core_record(spec, charges, z)
         count += 1
-        total += r["size"]
+        total += r[3]
         if args.summary:
             continue
         if csv_rows:
-            line = ",".join(
-                (
-                    _ints_csv(r["charges"]),
-                    _ints_csv(r["z"]),
-                    _ints_csv(r["partition"]),
-                    str(r["size"]),
-                    str(r["length"]),
-                    str(r["skew_length"]),
-                    str(r["co_skew_length"]),
-                )
-            )
+            line = ",".join((_ints_csv(r[0]), _ints_csv(r[1]), _ints_csv(r[2]), *map(str, r[3:])))
         else:
             line = _core_json_line(r)
         batch.append(line + "\n")

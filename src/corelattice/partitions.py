@@ -13,13 +13,14 @@ partition ``p`` of length ``L`` at charge ``c`` the filled levels are
 
 At charge 0 the levels above that tail form the beta-set (:func:`beta_set`):
 one level per part, all above the empty level ``-L``, the k-th largest
-being ``p[k-1] - k``.  The beta-set is the representation this module
-shares with the abacus layer.  :func:`corelattice.abacus.filled_levels`
-builds a core's beta-set straight from its charges, and
-:func:`skew_length_of_levels` runs the a-core and b-core tests and counts
-the skew length on it, so one list of levels gives an enumerated core's
-partition, length, size and skew length.  :func:`is_core` and
-:func:`skew_length` take the beta-set of their ``parts``.
+being ``p[k-1] - k``.  The representation this module shares with the
+abacus layer is that beta-set as an int bitset, bit ``m + L`` for each
+level ``m`` (:func:`_bead_mask`; bit 0 is the empty level ``-L``).
+:func:`corelattice.abacus.core_beads` builds an enumerated core's bitset
+straight from its charges; :func:`parts_of_beads` reads its parts, and
+:func:`skew_length_of_beads` runs the a-core and b-core tests and counts
+the skew length on it.  :func:`is_core` and :func:`skew_length` take the
+bitset of their ``parts``.
 
 First-row lemma: deleting the first row of a partition leaves every other
 cell's arm and leg unchanged, so the hooks of the shorter partition are a
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
-from operator import add
 
 Parts = tuple[int, ...]
 
@@ -91,14 +92,21 @@ def beta_set(parts: Parts) -> frozenset[int]:
     return frozenset(v - i for i, v in enumerate(parts, start=1))
 
 
-def parts_of_levels(levels: list[int]) -> list[int]:
-    """Inverse of :func:`beta_set`: the parts ``level_k + k`` of the levels listed in descending order.
+def parts_of_beads(beads: int) -> list[int]:
+    """The parts of the beta-set bitset ``beads`` (:func:`_bead_mask`), largest first.
 
-    A list, as the enumeration records hold it: a tuple per core fills
-    CPython's tuple free lists, which raised the peak RSS of
-    ``enumerate 7 24`` from 17.7 to 21.4 MB.
+    The part of a bead is the number of empty levels below it, down to the
+    empty bit 0, so the parts are the suffix sums of the runs of zeros that
+    follow each ``1`` of ``bin(beads)``.  A list, as the enumeration records
+    hold it: a tuple per core fills CPython's tuple free lists, which raised
+    the peak RSS of ``enumerate 7 24`` from 17.7 to 21.4 MB.
+
+    >>> parts_of_beads(_bead_mask(beta_set((3, 1, 1))))
+    [3, 1, 1]
     """
-    return list(map(add, levels, range(1, len(levels) + 1)))
+    parts = list(accumulate(map(len, bin(beads).split("1")[:0:-1])))
+    parts.reverse()
+    return parts
 
 
 def is_core(parts: Parts, a: int) -> bool:
@@ -139,29 +147,29 @@ def skew_length(parts: Parts, a: int, b: int) -> int:
     """
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
-    return skew_length_of_levels(beta_set(parts), a, b)
+    return skew_length_of_beads(_bead_mask(beta_set(parts)), a, b)
 
 
-def skew_length_of_levels(levels: Collection[int], a: int, b: int) -> int:
-    """:func:`skew_length` of the (a,b)-core whose beta-set is ``levels``.
+def skew_length_of_beads(beads: int, a: int, b: int, rows=None) -> int:
+    """:func:`skew_length` of the (a,b)-core whose beta-set bitset is ``beads``.
 
-    Raises ``ValueError`` unless the levels are those of an a-core and a
-    b-core.  The a-rows are the rows of the top level in each class mod a,
-    the beads ``m`` with ``m + a`` empty (in an a-core the longest row of a
-    class is unique: ``a+1`` consecutive equal parts would force a hook of
-    length ``a``).  The cells of the row at level ``m`` are the empty levels
-    below ``m``, with hook ``m - level``, so the row adds the empty levels
-    in ``[m - b + 1, m)`` above the tail.
+    Raises ``ValueError`` unless the bitset is an a-core and a b-core.  The
+    a-rows are the rows of the top bead in each class mod a, the beads ``m``
+    with ``m + a`` empty (in an a-core the longest row of a class is unique:
+    ``a+1`` consecutive equal parts would force a hook of length ``a``).
+    ``rows`` lists their bits, as :func:`~corelattice.abacus.core_beads`
+    reads them off the runner tops; when it is not given, the bitset is
+    scanned for them.  The cells of the row at bit ``m`` are the empty bits
+    below ``m``, with hook ``m - bit``, so the row adds the empty bits in
+    ``[m - b + 1, m)`` down to bit 0.
     """
-    beads = _bead_mask(levels)
     if beads >> a & ~beads or beads >> b & ~beads:
         raise ValueError("skew length is only defined for (a,b)-cores")
-    a_rows = beads & ~(beads >> a)
+    if rows is None:
+        rows = [m for m, bit in enumerate(bin(beads & ~(beads >> a))[:1:-1]) if bit == "1"]
     total = 0
-    while a_rows:
-        top = a_rows.bit_length() - 1
-        a_rows ^= 1 << top
-        lo = max(top - b + 1, 0)
+    for top in rows:
+        lo = top - b + 1 if top >= b else 0
         total += top - lo - (beads & ((1 << top) - (1 << lo))).bit_count()
     return total
 

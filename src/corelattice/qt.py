@@ -1,11 +1,11 @@
 """(q,t)-rational Catalan polynomials from lattice statistics.
 
 :func:`cat_qt` pairs ``q^length t^coskew`` over the (a,b)-cores.  It walks
-:func:`~corelattice.simplex.iter_cores` and scores each core from one list
-of filled abacus levels (:func:`~corelattice.abacus.filled_levels`), as the
-``enumerate`` records do: the length is the number of levels, and the
+:func:`~corelattice.simplex.iter_cores` and scores each core from its
+beta-set bitset (:func:`~corelattice.abacus.core_beads`), as the
+``enumerate`` records do: the length is the number of beads, and the
 co-skew length is ``(a-1)(b-1)/2`` minus
-:func:`~corelattice.partitions.skew_length_of_levels`.
+:func:`~corelattice.partitions.skew_length_of_beads`.
 
 >>> cat_qt(SimplexSpec(3, 4)).to_rows()
 [[0, 3, '1'], [1, 1, '1'], [1, 2, '1'], [2, 1, '1'], [3, 0, '1']]
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from itertools import permutations as _permutations
 from math import gcd
 
-from .abacus import ShiftedPoint, filled_levels
-from .partitions import skew_length_of_levels
+from .abacus import ShiftedPoint, core_beads
+from .partitions import skew_length_of_beads
 from .perms import des_set, maj, siz
 from .polys import LaurentPoly
 from .qpoly import cat_q
@@ -66,13 +66,13 @@ def skew_length_from_x(spec: SimplexSpec, sp: ShiftedPoint) -> int:
 
 
 def cat_qt(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> LaurentPoly:
-    """``sum q^length t^coskew`` over all (a,b)-cores, each scored from its filled levels."""
+    """``sum q^length t^coskew`` over all (a,b)-cores, each scored from its beta-set bitset."""
     a, b = spec.a, spec.b
     half = (a - 1) * (b - 1) // 2
     out: dict[tuple[int, int], int] = {}
     for _, c in iter_cores(spec, cap):
-        levels = filled_levels(a, c)
-        key = (len(levels), half - skew_length_of_levels(levels, a, b))
+        beads, rows = core_beads(a, c)
+        key = (beads.bit_count(), half - skew_length_of_beads(beads, a, b, rows))
         out[key] = out.get(key, 0) + 1
     return LaurentPoly(out)
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from operator import sub
+from operator import add, itemgetter, sub
 
 from . import partitions
-from .abacus import ChargeVector, ShiftedPoint, filled_levels, size_of_charges
+from .abacus import ChargeVector, ShiftedPoint, core_beads, size_of_charges
 from .errors import CapExceededError
 
 DEFAULT_CAP = 10_000_000
@@ -177,9 +177,16 @@ def iter_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP):
     a, b = spec.a, spec.b
     count = capped_count(spec, cap)
     head = a - 2
-    two_a = 2 * a
     step, lift = _walk_constants(a, b)
-    runner_step = [step.index(i) for i in range(a)]
+    lift = [v // (2 * a) for v in lift]  # exact, as _walk_constants asserts
+    to_runners = itemgetter(*(step.index(i) for i in range(a)))
+    along_walk = itemgetter(*step)  # a + 1 charges: the cycle closes on its first runner
+    # to_z on shift(charges) is z_j = c[step j] - c[step j+1] + (2(step j - step j+1) + 2b)/2a:
+    # the shift's constant -(a-1) cancels in the differences, and the rest is one offset per step
+    offsets = [2 * (step[j] - step[j + 1]) + 2 * b for j in range(a)]
+    if any(v % (2 * a) for v in offsets):
+        raise AssertionError(f"the to_z offsets of ({a},{b}) are not multiples of 2a")
+    offsets = [v // (2 * a) for v in offsets]
     found = 0
     # The prefixes z_0 .. z_{head-1} with sum <= b are the bar positions of
     # stars and bars, in the same lexicographic order: P_j = bars[j-1] - (j-1).
@@ -197,14 +204,13 @@ def iter_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP):
             w = weight + head * zh + (a - 1) * (rest - zh)
             if w % a:
                 raise AssertionError(f"determinant condition fails for {z}")
-            nums = [lift[j] - 2 * w - two_a * p for j, p in enumerate((*sums, sums[head] + zh))]
-            charges = tuple(nums[j] // two_a for j in runner_step)
+            w //= a  # the charge at step j is lift[j] - w/a - P_j, with lift scaled down by 2a
+            charges = to_runners([q - w - p for q, p in zip(lift, (*sums, sums[head] + zh))])
             if sum(charges):
                 raise AssertionError(f"charges must sum to 0, got {charges}")
-            # to_z on shift(charges): the shift's constant -(a-1) cancels in the differences
-            tx = [two_a * c + 2 * i for i, c in enumerate(charges)]
-            if any(tx[step[j]] - tx[step[j + 1]] + 2 * b != two_a * z[j] for j in range(a)):
-                raise AssertionError(f"z recomputed from tx disagrees with {z}")
+            walked = along_walk(charges)
+            if tuple(map(add, map(sub, walked, walked[1:]), offsets)) != z:
+                raise AssertionError(f"z recomputed from the charges disagrees with {z}")
             found += 1
             yield z, charges
     if found != count:
@@ -322,27 +328,22 @@ def armstrong_average(a: int, b: int) -> Fraction:
     return Fraction((a + b + 1) * (a - 1) * (b - 1), 24)
 
 
-def core_record(spec: SimplexSpec, charges, z) -> dict:
-    """The per-core record exposed by the CLI (exact, JSON-serializable).
+CORE_FIELDS = ("charges", "z", "partition", "size", "length", "skew_length", "co_skew_length")
+
+
+def core_record(spec: SimplexSpec, charges, z) -> tuple:
+    """The per-core record exposed by the CLI: the values of :data:`CORE_FIELDS`, exact and JSON-serializable.
 
     ``charges`` and ``z`` are the core's tuples, as :func:`iter_cores` yields
     them.  The partition, its length, size and skew length all come from one
-    list of filled abacus levels; the size is checked against the quadratic
-    form ``(a/2) sum c_i^2 + sum i*c_i``.
+    beta-set bitset (:func:`~corelattice.abacus.core_beads`); the size is
+    checked against the quadratic form ``(a/2) sum c_i^2 + sum i*c_i``.
     """
     a, b = spec.a, spec.b
-    levels = filled_levels(a, charges)
-    parts = partitions.parts_of_levels(levels)
+    beads, rows = core_beads(a, charges)
+    parts = partitions.parts_of_beads(beads)
     size = sum(parts)
     if size_of_charges(a, charges) != size:
         raise AssertionError("the quadratic form must equal the core size")
-    sl = partitions.skew_length_of_levels(levels, a, b)
-    return {
-        "charges": list(charges),
-        "z": list(z),
-        "partition": parts,
-        "size": size,
-        "length": len(parts),
-        "skew_length": sl,
-        "co_skew_length": (a - 1) * (b - 1) // 2 - sl,
-    }
+    sl = partitions.skew_length_of_beads(beads, a, b, rows)
+    return list(charges), list(z), parts, size, len(parts), sl, (a - 1) * (b - 1) // 2 - sl

@@ -20,8 +20,8 @@ from math import gcd
 from typing import Callable
 
 from . import ehrhart, perms, qpoly, qt
-from .abacus import charges_from_core, core_from_charges, filled_levels, shift, size_of_charges, size_quadratic
-from .partitions import brute_force_simultaneous_cores, parts_of_levels, skew_length
+from .abacus import charges_from_core, core_beads, core_from_charges, shift, size_of_charges, size_quadratic
+from .partitions import brute_force_simultaneous_cores, parts_of_beads, skew_length
 from .simplex import (
     SimplexSpec,
     armstrong_average,
@@ -75,7 +75,7 @@ def quadratic(a: int, radius: int):
         if abs(tail) > radius:
             continue
         c = (*head, tail)
-        core = parts_of_levels(filled_levels(a, c))
+        core = parts_of_beads(core_beads(a, c)[0])
         if size_of_charges(a, c) != sum(core) or charges_from_core(core, a).c != c:
             return False, {"c": list(c)}
     return True, None

@@ -2,14 +2,18 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corelattice import abacus as A
+from corelattice import partitions as P
 from corelattice.partitions import hook_multiset, is_core
-from test_partitions import partitions_of
+from corelattice.simplex import SimplexSpec, iter_cores
+from test_partitions import partitions_of, skew_length_of_levels
+from test_simplex import skew_length_by_hooks
 
 
 def charge_vectors(a, radius):
@@ -28,21 +32,83 @@ def test_charge_vector_validation():
         A.ChargeVector(3, (1, -1))
 
 
+def filled_levels(a, c):
+    """The beta-set of the a-core with charges ``c``, descending, one level at a time: the reference route.
+
+    Runner ``i`` is filled from level ``-a*c_i - i - 1`` downwards.  Every
+    level below the lowest empty one is filled, so the beads listed are the
+    ones above it; at charge zero there are exactly as many of them as the
+    core has parts (asserted).
+    """
+    tops = [-a * ci - i - 1 for i, ci in enumerate(c)]
+    lowest_empty = min(tops) + a
+    levels = []
+    for m in tops:
+        levels.extend(range(m, lowest_empty, -a))
+    levels.sort(reverse=True)
+    if len(levels) + lowest_empty != 0:
+        raise AssertionError("abacus bookkeeping is inconsistent")
+    return levels
+
+
+def check_core_beads(a, c, b=None):
+    """``core_beads(a, c)`` against routes that share no code with it; the partition it gives."""
+    beads, rows = A.core_beads(a, c)
+    parts = P.parts_of_beads(beads)
+    levels = filled_levels(a, c)
+    assert parts == [m + k for k, m in enumerate(levels, start=1)], (a, c)
+    assert beads == P._bead_mask(P.beta_set(parts)) == P._bead_mask(levels), (a, c)
+    assert A.charges_from_core(tuple(parts), a).c == tuple(c), (a, c)
+    # the runner tops are the beads with no bead a above them
+    assert sorted(rows) == [m + len(levels) for m in levels if m + a not in levels][::-1], (a, c)
+    if b is not None:
+        sl = P.skew_length_of_beads(beads, a, b, rows)
+        assert sl == P.skew_length_of_beads(beads, a, b) == skew_length_of_levels(levels, a, b), (a, b, c)
+        assert sl == skew_length_by_hooks(parts, a, b), (a, b, c)
+    return parts
+
+
+def test_core_beads_match_the_reference_routes_on_every_small_core():
+    # every core of every coprime a <= 7, b <= 13: b = 1, b < a and the empty core included
+    seen_empty = seen_b_below_a = False
+    for a in range(2, 8):
+        for b in range(1, 14):
+            if gcd(a, b) != 1:
+                continue
+            for _, c in iter_cores(SimplexSpec(a, b)):
+                parts = check_core_beads(a, c, b)
+                seen_empty |= parts == []
+                seen_b_below_a |= b < a and parts != []
+    assert seen_empty and seen_b_below_a
+
+
+def test_core_beads_match_the_reference_routes_on_a_charge_box():
+    for a in range(2, 6):
+        for cv in charge_vectors(a, 3):
+            check_core_beads(a, cv.c)
+
+
 def test_filled_levels_are_a_descending_beta_set():
     for a in range(2, 6):
         for cv in charge_vectors(a, 2):
-            levels = A.filled_levels(a, cv.c)
+            levels = filled_levels(a, cv.c)
             assert levels == sorted(set(levels), reverse=True)
             for m in levels:
                 i = (-m - 1) % a
                 assert m <= -a * cv.c[i] - i - 1  # runner i is filled from -a*c_i - i - 1 down
             assert A.core_from_charges(cv) == tuple(m + k for k, m in enumerate(levels, start=1))
-    assert A.filled_levels(3, (0, 3, -3)) == [6, 3, 0, -1, -3, -4, -6, -7]
+    assert filled_levels(3, (0, 3, -3)) == [6, 3, 0, -1, -3, -4, -6, -7]
+    assert A.core_beads(3, (0, 3, -3)) == (P._bead_mask([6, 3, 0, -1, -3, -4, -6, -7]), [7, 14])
 
 
 def test_filled_levels_bookkeeping_rejects_nonzero_charge():
     with pytest.raises(AssertionError, match="bookkeeping"):
-        A.filled_levels(2, (1, 0))
+        A.core_beads(2, (1, 0))
+    for c in ((0, 1), (1, 0, 0), (0, 0, -1), (2, -1, 0, 0)):
+        with pytest.raises(AssertionError, match="bookkeeping"):
+            A.core_beads(len(c), c)
+        with pytest.raises(AssertionError, match="bookkeeping"):
+            filled_levels(len(c), c)
 
 
 def test_core_from_charges_worked_example():

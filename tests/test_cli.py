@@ -160,11 +160,24 @@ def test_internal_assertion_exits_one_without_traceback(capsys, monkeypatch):
     assert all(json.loads(line)["type"] == "core" for line in out.splitlines())
 
 
+def test_an_off_by_one_size_form_fails_the_per_core_check(capsys, monkeypatch):
+    real = simplex.size_of_charges
+    monkeypatch.setattr(simplex, "size_of_charges", lambda a, c: real(a, c) + 1)
+    code, out, err = run_cli(capsys, "enumerate", "3", "4")
+    assert code == 1
+    assert err == "error: assertion failed: the quadratic form must equal the core size\n"
+    assert out == ""  # the first core fails, before any batch is written
+
+
 # sha256 of stdout, recorded before enumeration was rewritten as a stream
 GOLDEN_STDOUT = [
     (("enumerate", "5", "7"), "ddc906587bee831b1afa02884a668141082986adac4a4d5cf385a5d58b7a82c5"),
     (("enumerate", "4", "9", "--format", "csv"), "7e799c49b98b343f5028fea1e3b078944acf1937b61f537c1901293e75cf6894"),
     (("enumerate", "7", "9", "--summary"), "04925e779b3b7b205582004cc3ecbb9ee71fec9c1c1dce1493f8a94defbdb3af"),
+    # recorded before each core's statistics moved onto one beta-set bitset; poly 6 19 scores cat_qt on it
+    (("enumerate", "7", "17"), "bfe46322aae94237dab3b1cc3d2522b773519c572ee051aa69b5977a4d220f04"),
+    (("enumerate", "5", "16", "--format", "csv"), "e643f7a72110590457540dd4f2ec7d61f06502334a438f567a132c77d6886890"),
+    (("poly", "6", "19"), "67354e7aa4d38c15f5230e13ed5918d3d0a6829b6c68441048b9b7cb2c67a88d"),
 ]
 
 
@@ -262,9 +275,10 @@ def test_core_json_line_matches_the_encoder():
                 continue
             spec = simplex.SimplexSpec(a, b)
             for z, charges in simplex.iter_cores(spec):
-                record = simplex.core_record(spec, charges, z)
+                r = simplex.core_record(spec, charges, z)
+                record = dict(zip(simplex.CORE_FIELDS, r))
                 expected = json.dumps({"type": "core", **record}, separators=(",", ":"))
-                assert _core_json_line(record) == expected
+                assert _core_json_line(r) == expected
                 seen_empty |= record["partition"] == []
                 seen_negative |= min(charges) < 0
     assert seen_empty and seen_negative

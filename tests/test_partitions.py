@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corelattice import partitions as P
-from corelattice.abacus import core_from_charges
+from corelattice.abacus import charges_from_core, core_beads, core_from_charges
 from corelattice.simplex import SimplexSpec, enumerate_cores
 
 
@@ -122,15 +122,53 @@ def test_skew_length_requires_core():
         P.skew_length((1,), 2, 4)  # not coprime
 
 
+def skew_length_of_levels(levels, a, b):
+    """Skew length of the (a,b)-core with beta-set ``levels``, scanning the a-rows top down: the reference route.
+
+    The a-rows are the beads ``m`` with ``m + a`` empty; the row at ``m``
+    adds the empty levels in ``[m - b + 1, m)`` above the tail.
+    """
+    beads = P._bead_mask(levels)
+    if beads >> a & ~beads or beads >> b & ~beads:
+        raise ValueError("skew length is only defined for (a,b)-cores")
+    a_rows = beads & ~(beads >> a)
+    total = 0
+    while a_rows:
+        top = a_rows.bit_length() - 1
+        a_rows ^= 1 << top
+        lo = max(top - b + 1, 0)
+        total += top - lo - (beads & ((1 << top) - (1 << lo))).bit_count()
+    return total
+
+
 def test_skew_length_of_levels_requires_an_ab_core():
-    assert P.skew_length_of_levels([], 3, 4) == 0
-    assert P.skew_length_of_levels([8, 5, 2, -1, -3, -4, -6, -7], 3, 11) == 9  # (9, 7, 5, 3, 2, 2, 1, 1)
-    with pytest.raises(ValueError):
-        P.skew_length_of_levels([1], 3, 2)  # (2,) is a 3-core but not a 2-core
-    with pytest.raises(ValueError):
-        P.skew_length_of_levels([1], 2, 3)  # the same partition fails the a-core test
-    with pytest.raises(ValueError):
-        P.skew_length_of_levels([2, 0, -1, -3], 3, 4)  # (3, 2, 2, 1): not a 3-core
+    for skew in (skew_length_of_levels, lambda levels, a, b: P.skew_length_of_beads(P._bead_mask(levels), a, b)):
+        assert skew([], 3, 4) == 0
+        assert skew([8, 5, 2, -1, -3, -4, -6, -7], 3, 11) == 9  # (9, 7, 5, 3, 2, 2, 1, 1)
+        with pytest.raises(ValueError):
+            skew([1], 3, 2)  # (2,) is a 3-core but not a 2-core
+        with pytest.raises(ValueError):
+            skew([1], 2, 3)  # the same partition fails the a-core test
+        with pytest.raises(ValueError):
+            skew([2, 0, -1, -3], 3, 4)  # (3, 2, 2, 1): not a 3-core
+
+
+def test_skew_length_of_beads_rejects_an_a_core_that_is_not_a_b_core():
+    # the bitset and runner tops of an a-core, as the enumeration passes them: the b-core test still runs
+    rejected = 0
+    for a in range(2, 6):
+        for n in range(13):
+            for p in partitions_of(n):
+                if not P.is_core(p, a):
+                    continue
+                beads, rows = core_beads(a, charges_from_core(p, a).c)
+                for b in range(1, 8):
+                    if gcd(a, b) != 1 or P.is_core(p, b):
+                        continue
+                    with pytest.raises(ValueError, match="only defined for"):
+                        P.skew_length_of_beads(beads, a, b, rows)
+                    rejected += 1
+    assert rejected > 100
 
 
 def test_skew_length_bounded_on_enumerated_cores():

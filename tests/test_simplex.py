@@ -327,7 +327,7 @@ def test_rotation_equidistribution():
 def test_core_record_fields():
     spec = S.SimplexSpec(3, 4)
     cv = charges_from_core((3, 1, 1), 3)
-    rec = S.core_record(spec, cv.c, S.to_z(spec, shift(cv)).z)
+    rec = dict(zip(S.CORE_FIELDS, S.core_record(spec, cv.c, S.to_z(spec, shift(cv)).z)))
     assert rec == {
         "charges": [-1, 0, 1],
         "z": [4, 0, 0],
@@ -357,7 +357,7 @@ def test_core_record_matches_the_partition_routes():
                 continue
             spec = S.SimplexSpec(a, b)
             for z, charges in S.iter_cores(spec):
-                rec = S.core_record(spec, charges, z)
+                rec = dict(zip(S.CORE_FIELDS, S.core_record(spec, charges, z)))
                 cv = ChargeVector(a, charges)
                 p = core_from_charges(cv)
                 assert rec["charges"] == list(charges) and rec["z"] == list(z)
