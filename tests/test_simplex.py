@@ -271,6 +271,19 @@ def test_an_off_lattice_walk_is_refused_before_any_core(monkeypatch):
         S.core_moments(S.SimplexSpec(5, 7))
 
 
+def test_a_walk_whose_charges_do_not_sum_to_zero_is_refused(monkeypatch):
+    # lift[0] one lattice step too high raises one charge of every core by 1: the per-core sum check fires
+    real = S._walk_constants
+
+    def shifted(a, b):
+        step, lift = real(a, b)
+        return step, [lift[0] + 2 * a, *lift[1:]]
+
+    monkeypatch.setattr(S, "_walk_constants", shifted)
+    with pytest.raises(AssertionError, match="charges must sum to 0"):
+        next(S.iter_cores(S.SimplexSpec(3, 4)))
+
+
 def test_count_and_armstrong_medium_range():
     for a in range(2, 5):
         for b in range(a + 1, 13):
