@@ -14,25 +14,16 @@ from .abacus import (
     core_from_charges,
     shift,
     size_quadratic,
-    unshift,
-    zero_charges,
 )
 from .errors import CapExceededError, FitValidationError
-from .partitions import (
-    Cell,
-    conjugate,
-    hook_lengths,
-    is_core,
-    skew_length,
-)
+from .partitions import is_core, skew_length
 from .polys import LaurentPoly
-from .qpoly import cat_q, q_binomial, q_factorial, q_int, search_age_function, unimodality_report
+from .qpoly import cat_q, q_binomial, q_int, search_age_function, unimodality_report
 from .qt import cat_qt, length_from_x, skew_length_from_x
 from .simplex import (
     RepVector,
     SimplexSpec,
     armstrong_average,
-    contains,
     enumerate_cores,
     rational_catalan,
 )
@@ -41,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError",
-    "Cell",
     "ChargeVector",
     "FitValidationError",
     "LaurentPoly",
@@ -52,15 +42,11 @@ __all__ = [
     "cat_q",
     "cat_qt",
     "charges_from_core",
-    "conjugate",
-    "contains",
     "core_from_charges",
     "enumerate_cores",
-    "hook_lengths",
     "is_core",
     "length_from_x",
     "q_binomial",
-    "q_factorial",
     "q_int",
     "rational_catalan",
     "search_age_function",
@@ -69,7 +55,5 @@ __all__ = [
     "skew_length",
     "skew_length_from_x",
     "unimodality_report",
-    "unshift",
-    "zero_charges",
     "__version__",
 ]

@@ -21,7 +21,6 @@ Two coordinate systems are used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .partitions import Parts, _bead_mask, beta_set, parts_of_beads
@@ -42,11 +41,6 @@ class ChargeVector:
             raise ValueError(f"expected {self.a} charges, got {len(self.c)}")
         if sum(self.c) != 0:
             raise ValueError(f"charges must sum to 0, got {self.c}")
-
-
-def zero_charges(a: int) -> ChargeVector:
-    """The origin of the lattice (the empty partition)."""
-    return ChargeVector(a, (0,) * a)
 
 
 @dataclass(frozen=True)
@@ -70,27 +64,11 @@ class ShiftedPoint:
         if sum(self.tx) != 0:
             raise ValueError("shifted coordinates must sum to 0")
 
-    def x(self) -> tuple[Fraction, ...]:
-        """The coordinates as exact rationals."""
-        return tuple(Fraction(v, 2 * self.a) for v in self.tx)
-
 
 def shift(cv: ChargeVector) -> ShiftedPoint:
     """Shifted coordinates ``x_i = c_i + i/a - (a-1)/(2a)`` of a charge vector."""
     a = cv.a
     return ShiftedPoint(a, tuple(2 * a * ci + 2 * i - (a - 1) for i, ci in enumerate(cv.c)))
-
-
-def unshift(sp: ShiftedPoint) -> ChargeVector:
-    """Inverse of :func:`shift`; raises if the point is off the charge lattice."""
-    a = sp.a
-    charges = []
-    for i, t in enumerate(sp.tx):
-        num = t - 2 * i + (a - 1)
-        if num % (2 * a):
-            raise ValueError("point does not lie on the shifted charge lattice")
-        charges.append(num // (2 * a))
-    return ChargeVector(a, tuple(charges))
 
 
 # a -> the combs (2^(a*k) - 1) / (2^a - 1), k bits spaced a apart, for k below the list's length.  Built
@@ -168,9 +146,3 @@ def size_of_charges(a: int, c) -> int:
     if num % 2:
         raise AssertionError("quadratic form must be integral")
     return num // 2
-
-
-def size_from_x(sp: ShiftedPoint) -> Fraction:
-    """The same quadratic form in shifted coordinates: ``-(a^2-1)/24 + (a/2) sum x_i^2``."""
-    a = sp.a
-    return Fraction(-(a * a - 1), 24) + Fraction(sum(t * t for t in sp.tx), 8 * a)

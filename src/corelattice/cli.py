@@ -212,10 +212,13 @@ def cmd_perm(args, out) -> int:
 
 
 def cmd_ehrhart(args, out) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples is not None and args.residue is None:
+        raise ValueError("--samples needs --residue")
     if args.residue is not None:
-        series = sorted(ehrhart.core_series(args.a, args.residue, args.samples, cap=args.cap).items())
+        samples = 6 if args.samples is None else args.samples
+        if samples < 1:
+            raise ValueError(f"--samples must be >= 1, got {samples}")
+        series = sorted(ehrhart.core_series(args.a, args.residue, samples, cap=args.cap).items())
         report = {
             "a": args.a,
             "residue": args.residue % args.a,
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ehr = sub.add_parser("ehrhart", help="fit the core count/size polynomials for a modulus")
     p_ehr.add_argument("a", type=int)
     p_ehr.add_argument("--residue", type=int, default=None, help="emit the raw series for one residue class instead")
-    p_ehr.add_argument("--samples", type=int, default=6, help="series length for --residue")
+    p_ehr.add_argument("--samples", type=int, default=None, help="series length for --residue (default 6)")
     common(p_ehr)
     p_ehr.set_defaults(fn=cmd_ehrhart)
 

@@ -1,4 +1,4 @@
-"""Integer partitions, hook lengths, beta-sets, and core statistics.
+"""Integer partitions, beta-sets, core tests and core statistics.
 
 Partitions are plain tuples of weakly decreasing positive integers
 (``(3, 2, 2, 1)``); the empty partition is ``()``.  Everything here is the
@@ -31,60 +31,10 @@ The brute-force oracle grows cores one row at a time on this basis.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 
 Parts = tuple[int, ...]
-
-
-def conjugate(parts: Parts) -> Parts:
-    """Transpose of the Young diagram.
-
-    >>> conjugate((3, 1))
-    (2, 1, 1)
-    """
-    if not parts:
-        return ()
-    cols = [0] * parts[0]
-    for v in parts:
-        for j in range(v):
-            cols[j] += 1
-    return tuple(cols)
-
-
-@dataclass(frozen=True)
-class Cell:
-    """A box of a Young diagram with its arm, leg and hook statistics.
-
-    ``row`` and ``col`` are 0-based; ``hook == arm + leg + 1``.  The arm
-    counts cells to the right in the same row and the leg cells below in
-    the same column (rows-of-boxes model; the arm/leg/hook multisets do not
-    depend on how the diagram is drawn).
-    """
-
-    row: int
-    col: int
-    arm: int
-    leg: int
-    hook: int
-
-
-def hook_lengths(parts: Parts) -> list[Cell]:
-    """All cells of the diagram with hook statistics filled in."""
-    conj = conjugate(parts)
-    cells = []
-    for r, v in enumerate(parts):
-        for c in range(v):
-            arm = v - c - 1
-            leg = conj[c] - r - 1
-            cells.append(Cell(r, c, arm, leg, arm + leg + 1))
-    return cells
-
-
-def hook_multiset(parts: Parts) -> tuple[int, ...]:
-    """Sorted multiset of hook lengths."""
-    return tuple(sorted(cell.hook for cell in hook_lengths(parts)))
 
 
 def beta_set(parts: Parts) -> frozenset[int]:

@@ -42,11 +42,6 @@ def siz(sigma) -> int:
     return sum((n + 1 - i) * i for i in des_set(sigma)) - inv(sigma)
 
 
-def sqin(sigma) -> int:
-    """Companion statistic ``inv + sum_{i in DES} i^2``."""
-    return inv(sigma) + sum(i * i for i in des_set(sigma))
-
-
 def _maj_siz_sqin(sigma) -> tuple[int, int, int]:
     """``maj``, ``siz`` and ``sqin`` from one list of descents and one inversion count."""
     n = len(sigma)

@@ -36,16 +36,6 @@ def q_int(n: int, power: int = 1) -> LaurentPoly:
     return LaurentPoly({power * j: 1 for j in range(n)})
 
 
-def q_factorial(n: int, power: int = 1) -> LaurentPoly:
-    """``[n]_q!``, in the variable ``q^power``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = LaurentPoly.one()
-    for k in range(2, n + 1):
-        out = out * q_int(k, power)
-    return out
-
-
 def q_binomial(n: int, k: int, power: int = 1) -> LaurentPoly:
     """Gaussian binomial ``[n choose k]_q``, in the variable ``q^power``.
 
@@ -194,15 +184,6 @@ class AgeSearchResult:
     @property
     def found(self) -> bool:
         return self.status == "found"
-
-    def shift_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(self.shifts.values())) if self.shifts else ()
-
-    def assignments(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (shift, simplex size at the largest b) pairs."""
-        if not self.shifts:
-            return ()
-        return tuple(sorted((s, self.simplex_sizes[lab]) for lab, s in self.shifts.items()))
 
 
 def coset_labels(a: int, b_residue: int) -> list[tuple[int, ...]]:

@@ -29,7 +29,7 @@ whose statistics realize the maj and siz permutation statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _permutations
+from itertools import permutations
 from math import gcd
 
 from .abacus import ShiftedPoint, core_beads
@@ -192,7 +192,7 @@ def orbifold_minimal_vectors(a: int) -> list[OrbifoldCosetLabel]:
     if a < 2:
         raise ValueError("a must be >= 2")
     out = []
-    for sigma in _permutations(range(1, a)):
+    for sigma in permutations(range(1, a)):
         ds = des_set(sigma)
         w_scaled = []  # a * w_j for j = 1..a
         run = 0

@@ -79,15 +79,6 @@ def rational_catalan(a: int, b: int) -> int:
     return n // (a + b)
 
 
-def contains(spec: SimplexSpec, cv: ChargeVector) -> bool:
-    """Membership test via the cyclic charge inequalities."""
-    a, b = spec.a, spec.b
-    if cv.a != a:
-        raise ValueError("charge vector has a different modulus")
-    c = cv.c
-    return all(c[(i + b) % a] - c[i] <= (b + i) // a for i in range(a))
-
-
 def _z_offset(a: int, b: int) -> int:
     """The index shift k with 2k = -(b+1) mod a."""
     if (b + 1) % 2 == 0:
@@ -116,26 +107,6 @@ def to_z(spec: SimplexSpec, sp: ShiftedPoint) -> RepVector:
     return RepVector(tuple(z))
 
 
-def from_z(spec: SimplexSpec, rv: RepVector) -> ShiftedPoint:
-    """Inverse of :func:`to_z`."""
-    a, b = spec.a, spec.b
-    if rv.a != a or rv.b != b:
-        raise ValueError("representation vector does not match the simplex")
-    # sum(offsets) = 2a*sum(i*z_i) - a(a-1)b is a multiple of a for every z: test z itself
-    if sum(i * v for i, v in enumerate(rv.z)) % a:
-        raise ValueError("representation vector is not on the trivial-determinant lattice")
-    k = _z_offset(a, b)
-    # walk tx along the index cycle k, k+b, k+2b, ...
-    offsets = [0]
-    for zi in rv.z[:-1]:
-        offsets.append(offsets[-1] + 2 * b - 2 * a * zi)
-    t0 = -sum(offsets) // a
-    tx = [0] * a
-    for j, off in enumerate(offsets):
-        tx[(j * b + k) % a] = t0 + off
-    return ShiftedPoint(a, tuple(tx))
-
-
 def capped_count(spec: SimplexSpec, cap: int) -> int:
     """Cat(a,b), once it is known not to exceed ``cap`` (else :class:`CapExceededError`)."""
     count = rational_catalan(spec.a, spec.b)
@@ -147,8 +118,9 @@ def capped_count(spec: SimplexSpec, cap: int) -> int:
 def _walk_constants(a: int, b: int) -> tuple[list[int], list[int]]:
     """The runner ``step[j]`` at step j of the cycle k, k+b, ... and the constant ``lift[j]`` of its charge.
 
-    With P_j = z_0 + ... + z_{j-1} and w = sum(i z_i), :func:`from_z` sets
-    tx[step[j]] = (a-1)b - 2w + 2bj - 2a P_j, and unshift divides
+    With P_j = z_0 + ... + z_{j-1} and w = sum(i z_i), the reference inverse
+    of :func:`to_z` (``from_z`` in tests/reference.py) sets
+    tx[step[j]] = (a-1)b - 2w + 2bj - 2a P_j, and its ``unshift`` divides
     tx[step[j]] - 2 step[j] + a - 1 = lift[j] - 2w - 2a P_j by 2a.  Once
     w = 0 (mod a) that numerator is lift[j] (mod 2a), so the lattice test is
     made here, once per (a,b), instead of once per core.
@@ -167,8 +139,8 @@ def iter_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP):
     Once ``z_0 .. z_{a-3}`` are chosen, the determinant condition fixes
     ``z_{a-2}`` mod ``a`` (``z_{a-1}`` takes the rest of ``b``), so the walk
     steps ``z_{a-2}`` by ``a`` from that residue and never visits a rejected
-    vector.  Each point is mapped to charges in plain integers, as
-    :func:`from_z` followed by :func:`~corelattice.abacus.unshift` would, and
+    vector.  Each point is mapped to charges in plain integers, as the
+    reference routes ``from_z`` and ``unshift`` (tests/reference.py) would, and
     mapped back through :func:`to_z`'s formula as a check.
 
     Raises :class:`CapExceededError` up front when the count exceeds ``cap``;
@@ -231,9 +203,10 @@ def core_moments(spec: SimplexSpec) -> tuple[int, int]:
     The cores are the paths 0 = P_0 <= P_1 <= ... <= P_{a-1} <= b with
     S = -b (mod a), but the sum can run over every path, that is every
     composition z of b into a parts, and divide by a.  For any composition,
-    :func:`from_z`'s offsets satisfy ``o_{j+1} = o_j + 2b - 2a z_j`` and
+    the offsets of the reference inverse of :func:`to_z` (``from_z`` in
+    tests/reference.py) satisfy ``o_{j+1} = o_j + 2b - 2a z_j`` and
     ``o_a = 0``, and the right side above is ``8a`` times
-    ``-(a^2-1)/24 + (a/2) sum x_i^2`` (``abacus.size_from_x``), which is
+    ``-(a^2-1)/24 + (a/2) sum x_i^2`` (``size_from_x`` there), which is
     symmetric in the coordinates.  Rotating z to ``(z_1, ..., z_{a-1}, z_0)``
     gives ``tx'[jb+k] = tx[(j+1)b+k]``, a permutation of the coordinates, so
     the value is constant on rotation orbits.  A rotation moves
@@ -289,14 +262,8 @@ def enumerate_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> list[ChargeVec
     return [ChargeVector(spec.a, c) for _, c in iter_cores(spec, cap)]
 
 
-def conjugation_T(cv: ChargeVector) -> ChargeVector:
-    """Charge-lattice conjugation ``T(c)_i = -c_{-1-i}`` (transposes the core)."""
-    a = cv.a
-    return ChargeVector(a, tuple(-cv.c[(-1 - i) % a] for i in range(a)))
-
-
 def is_self_conjugate(c) -> bool:
-    """True iff the charges ``c`` are fixed by :func:`conjugation_T`, ``c_i == -c_{-1-i}``: a self-conjugate core."""
+    """True iff the charges ``c`` are fixed by the charge-lattice conjugation, ``c_i == -c_{-1-i}``: a self-conjugate core."""
     return all(v == -c[-1 - i] for i, v in enumerate(c))
 
 

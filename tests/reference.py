@@ -1,0 +1,160 @@
+"""Reference routes that only the tests call.
+
+The commands never run these, so they live here rather than in ``src/``:
+each is a direct, unoptimised definition that the package's kernels are
+checked against.  The name does not match ``test_*.py``, so pytest collects
+no tests from it; ``pytest --doctest-modules tests/reference.py`` runs its
+docstring examples.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from corelattice.abacus import ChargeVector, ShiftedPoint
+from corelattice.perms import des_set, inv
+from corelattice.polys import LaurentPoly
+from corelattice.qpoly import AgeSearchResult, q_int
+from corelattice.simplex import RepVector, SimplexSpec, _z_offset
+
+Parts = tuple[int, ...]
+
+
+def conjugate(parts: Parts) -> Parts:
+    """Transpose of the Young diagram.
+
+    >>> conjugate((3, 1))
+    (2, 1, 1)
+    """
+    if not parts:
+        return ()
+    cols = [0] * parts[0]
+    for v in parts:
+        for j in range(v):
+            cols[j] += 1
+    return tuple(cols)
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A box of a Young diagram with its arm, leg and hook statistics.
+
+    ``row`` and ``col`` are 0-based; ``hook == arm + leg + 1``.  The arm
+    counts cells to the right in the same row and the leg cells below in
+    the same column (rows-of-boxes model; the arm/leg/hook multisets do not
+    depend on how the diagram is drawn).
+    """
+
+    row: int
+    col: int
+    arm: int
+    leg: int
+    hook: int
+
+
+def hook_lengths(parts: Parts) -> list[Cell]:
+    """All cells of the diagram with hook statistics filled in."""
+    conj = conjugate(parts)
+    cells = []
+    for r, v in enumerate(parts):
+        for c in range(v):
+            arm = v - c - 1
+            leg = conj[c] - r - 1
+            cells.append(Cell(r, c, arm, leg, arm + leg + 1))
+    return cells
+
+
+def hook_multiset(parts: Parts) -> tuple[int, ...]:
+    """Sorted multiset of hook lengths."""
+    return tuple(sorted(cell.hook for cell in hook_lengths(parts)))
+
+
+def zero_charges(a: int) -> ChargeVector:
+    """The origin of the lattice (the empty partition)."""
+    return ChargeVector(a, (0,) * a)
+
+
+def shifted_x(sp: ShiftedPoint) -> tuple[Fraction, ...]:
+    """The coordinates of ``sp`` as exact rationals."""
+    return tuple(Fraction(v, 2 * sp.a) for v in sp.tx)
+
+
+def unshift(sp: ShiftedPoint) -> ChargeVector:
+    """Inverse of ``abacus.shift``; raises if the point is off the charge lattice."""
+    a = sp.a
+    charges = []
+    for i, t in enumerate(sp.tx):
+        num = t - 2 * i + (a - 1)
+        if num % (2 * a):
+            raise ValueError("point does not lie on the shifted charge lattice")
+        charges.append(num // (2 * a))
+    return ChargeVector(a, tuple(charges))
+
+
+def size_from_x(sp: ShiftedPoint) -> Fraction:
+    """The size form in shifted coordinates: ``-(a^2-1)/24 + (a/2) sum x_i^2``."""
+    a = sp.a
+    return Fraction(-(a * a - 1), 24) + Fraction(sum(t * t for t in sp.tx), 8 * a)
+
+
+def contains(spec: SimplexSpec, cv: ChargeVector) -> bool:
+    """Membership test via the cyclic charge inequalities."""
+    a, b = spec.a, spec.b
+    if cv.a != a:
+        raise ValueError("charge vector has a different modulus")
+    c = cv.c
+    return all(c[(i + b) % a] - c[i] <= (b + i) // a for i in range(a))
+
+
+def from_z(spec: SimplexSpec, rv: RepVector) -> ShiftedPoint:
+    """Inverse of ``simplex.to_z``."""
+    a, b = spec.a, spec.b
+    if rv.a != a or rv.b != b:
+        raise ValueError("representation vector does not match the simplex")
+    # sum(offsets) = 2a*sum(i*z_i) - a(a-1)b is a multiple of a for every z: test z itself
+    if sum(i * v for i, v in enumerate(rv.z)) % a:
+        raise ValueError("representation vector is not on the trivial-determinant lattice")
+    k = _z_offset(a, b)
+    # walk tx along the index cycle k, k+b, k+2b, ...
+    offsets = [0]
+    for zi in rv.z[:-1]:
+        offsets.append(offsets[-1] + 2 * b - 2 * a * zi)
+    t0 = -sum(offsets) // a
+    tx = [0] * a
+    for j, off in enumerate(offsets):
+        tx[(j * b + k) % a] = t0 + off
+    return ShiftedPoint(a, tuple(tx))
+
+
+def conjugation_T(cv: ChargeVector) -> ChargeVector:
+    """Charge-lattice conjugation ``T(c)_i = -c_{-1-i}`` (transposes the core)."""
+    a = cv.a
+    return ChargeVector(a, tuple(-cv.c[(-1 - i) % a] for i in range(a)))
+
+
+def q_factorial(n: int, power: int = 1) -> LaurentPoly:
+    """``[n]_q!``, in the variable ``q^power``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = LaurentPoly.one()
+    for k in range(2, n + 1):
+        out = out * q_int(k, power)
+    return out
+
+
+def shift_multiset(res: AgeSearchResult) -> tuple[int, ...]:
+    """The found shifts, sorted."""
+    return tuple(sorted(res.shifts.values())) if res.shifts else ()
+
+
+def assignments(res: AgeSearchResult) -> tuple[tuple[int, int], ...]:
+    """Sorted (shift, simplex size at the largest b) pairs."""
+    if not res.shifts:
+        return ()
+    return tuple(sorted((s, res.simplex_sizes[lab]) for lab, s in res.shifts.items()))
+
+
+def sqin(sigma) -> int:
+    """Companion statistic ``inv + sum_{i in DES} i^2``."""
+    return inv(sigma) + sum(i * i for i in des_set(sigma))

@@ -193,6 +193,8 @@ GOLDEN_EHRHART_STDOUT = [
     (("ehrhart", "6"), "6e5af01caa8971458505d90c18a7cad1bccfd5962f5ce13d7fb317f7b40eb88b"),
     (("ehrhart", "8"), "22fb04f834d473f9bab0290e63f0fb73575c0068703d9bace6d5a85a68f28096"),
     (("ehrhart", "3", "--residue", "1", "--samples", "6"), "26bf4177a15954445ca2537cf6774a10b749de38d6040b0fb0de29d65cffbba9"),
+    # --residue alone takes 6 samples
+    (("ehrhart", "3", "--residue", "1"), "26bf4177a15954445ca2537cf6774a10b749de38d6040b0fb0de29d65cffbba9"),
 ]
 
 
@@ -598,6 +600,13 @@ def test_ehrhart_residue_series(capsys):
     report = json.loads(out)
     assert report["counts"] == [[1, 1], [4, 5], [7, 12]]
     assert report["size_sums"] == [[1, 0], [4, 10], [7, 66]]
+
+
+@pytest.mark.parametrize("samples", ["5", "0"])
+def test_ehrhart_samples_without_residue_is_a_usage_error(capsys, samples):
+    code, out, err = run_cli(capsys, "ehrhart", "3", "--samples", samples)
+    assert code == 2 and out == ""
+    assert err == "error: --samples needs --residue\n"
 
 
 def test_console_entry_point():
