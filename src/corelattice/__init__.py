@@ -5,55 +5,39 @@ their size and boundary statistics against partition-level definitions,
 builds the associated q- and (q,t)-rational Catalan polynomials, and fits
 the count/size quasipolynomials that explain the classical enumeration
 formulas.  Everything runs over exact integers and rationals.
+
+A name below loads its home module on first use, so ``import corelattice``
+loads no submodule and each command imports only what it runs.
 """
 
-from .abacus import (
-    ChargeVector,
-    ShiftedPoint,
-    charges_from_core,
-    core_from_charges,
-    shift,
-    size_quadratic,
-)
-from .errors import CapExceededError, FitValidationError
-from .partitions import is_core, skew_length
-from .polys import LaurentPoly
-from .qpoly import cat_q, q_binomial, q_int, search_age_function, unimodality_report
-from .qt import cat_qt, length_from_x, skew_length_from_x
-from .simplex import (
-    RepVector,
-    SimplexSpec,
-    armstrong_average,
-    enumerate_cores,
-    rational_catalan,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceededError",
-    "ChargeVector",
-    "FitValidationError",
-    "LaurentPoly",
-    "RepVector",
-    "ShiftedPoint",
-    "SimplexSpec",
-    "armstrong_average",
-    "cat_q",
-    "cat_qt",
-    "charges_from_core",
-    "core_from_charges",
-    "enumerate_cores",
-    "is_core",
-    "length_from_x",
-    "q_binomial",
-    "q_int",
-    "rational_catalan",
-    "search_age_function",
-    "shift",
-    "size_quadratic",
-    "skew_length",
-    "skew_length_from_x",
-    "unimodality_report",
-    "__version__",
-]
+# exported name -> the module that defines it
+_HOMES = {
+    "ChargeVector": "abacus", "ShiftedPoint": "abacus", "charges_from_core": "abacus",
+    "core_from_charges": "abacus", "shift": "abacus", "size_quadratic": "abacus",
+    "CapExceededError": "errors", "FitValidationError": "errors",
+    "is_core": "partitions", "skew_length": "partitions",
+    "LaurentPoly": "polys",
+    "cat_q": "qpoly", "q_binomial": "qpoly", "q_int": "qpoly", "search_age_function": "qpoly",
+    "unimodality_report": "qpoly",
+    "cat_qt": "qt", "length_from_x": "qt", "skew_length_from_x": "qt",
+    "RepVector": "simplex", "SimplexSpec": "simplex", "armstrong_average": "simplex", "enumerate_cores": "simplex",
+    "rational_catalan": "simplex",
+}
+
+__all__ = [*sorted(_HOMES), "__version__"]
+
+
+def __getattr__(name):
+    # not cached in the package globals: a caller always sees the home module's current binding
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,10 @@ as the check ends (the checks run serially, whatever ``--jobs`` says), so a
 failed internal check or an exceeded cap can leave partial output before the
 exit code.
 
+A command imports only the modules it runs, at the top of its function:
+``enumerate`` and the parser load ``simplex`` and ``perms`` and what they
+import, and ``verify`` loads every module through ``suites``.
+
 Exit codes: 0 success, 1 assertion failure (a verify suite or an internal
 check), 2 usage or validation error, or output that cannot be written,
 3 cap exceeded.
@@ -19,14 +23,13 @@ check), 2 usage or validation error, or output that cannot be written,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
 from fractions import Fraction
 
-from . import ehrhart, perms, qpoly, qt
+from . import perms
 from .errors import CapExceededError
 from .simplex import (
     CORE_FIELDS,
@@ -37,7 +40,14 @@ from .simplex import (
     iter_cores,
     rational_catalan,
 )
-from .suites import SUITE_NAMES, build_suite
+
+# the choices of ``verify``, ``suites.SUITES`` and "all" (a test pins the two together): argparse reads the
+# choices while the parser is built, and importing ``suites`` would load every module for every command
+SUITE_NAMES = (
+    "anderson", "armstrong", "self-conjugate", "quadratic", "oracle", "moments", "statistics", "qt3", "qt-symmetry",
+    "sizmaj1", "sizmaj2", "ld-weights", "sqin", "coset-identities", "delta-table", "reciprocity", "root-structure",
+    "unimodality", "all",
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -134,6 +144,10 @@ def cmd_enumerate(args, out) -> int:
 
 
 def cmd_poly(args, out) -> int:
+    import csv
+
+    from . import qpoly, qt
+
     spec = SimplexSpec(args.a, args.b)
     catqt = qt.cat_qt(spec, args.cap)  # the one walk of the simplex, which checks the cap first
     catq = qpoly.cat_q(args.a, args.b)
@@ -165,9 +179,11 @@ def cmd_verify(args, out) -> int:
 
     ``--jobs`` is validated but changes nothing: the checks run serially.
     """
+    from . import suites
+
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    checks = build_suite(
+    checks = suites.build_suite(
         args.suite,
         a_max=args.a_max,
         b_max=args.b_max,
@@ -212,6 +228,8 @@ def cmd_perm(args, out) -> int:
 
 
 def cmd_ehrhart(args, out) -> int:
+    from . import ehrhart
+
     if args.samples is not None and args.residue is None:
         raise ValueError("--samples needs --residue")
     if args.residue is not None:
@@ -240,6 +258,8 @@ def cmd_ehrhart(args, out) -> int:
 
 
 def cmd_search_age(args, out) -> int:
+    from . import qpoly
+
     if args.b_list:
         try:
             b_list = [int(v) for v in args.b_list.split(",") if v.strip()]

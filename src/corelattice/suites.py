@@ -240,7 +240,6 @@ SUITES = {
     ),
 }
 NOT_IN_ALL = ("moments", "oracle")  # kept out so that the output of `all` does not change
-SUITE_NAMES = (*SUITES, "all")
 
 
 def build_suite(name: str, *, a_max, b_max, n_max, k_max, radius, cap) -> list[Check]:

@@ -1,6 +1,7 @@
 """Command-line behavior: records, formats, exit codes, determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -374,6 +375,7 @@ def test_poly_walks_the_simplex_once(capsys, monkeypatch):
         calls.append((spec.a, spec.b))
         return real(spec, cap)
 
+    importlib.import_module("corelattice.qt")  # load it before the patch, so that its binding is restored after
     for module in list(sys.modules.values()):
         if module.__name__.startswith("corelattice") and getattr(module, "iter_cores", None) is real:
             monkeypatch.setattr(module, "iter_cores", counted)
@@ -468,6 +470,62 @@ def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "nonsense"])
     assert excinfo.value.code == 2
+
+
+def run_parser(capsys, monkeypatch, *argv):
+    """``main(argv)`` for an argv that argparse itself answers: (exit code, stdout, stderr), at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+# sha256 of the --help stdout, recorded before the commands imported their modules on demand
+GOLDEN_HELP_STDOUT = [
+    ((), "94962f06c27995e2afa3346548d095507a819d12c1ba7e53765636be44401995"),
+    (("enumerate",), "e1512a6720bef8b03f3f08ccc3fbdf89bb8adc879c2a5dc8c76e4011c9df3c38"),
+    (("poly",), "429b9f05c618ca177f7efebd0bc63ee3aa2593c6137f782ef7e0092f97951c4c"),
+    (("verify",), "ab699b0ae043a66acdb5a6dfb0f942eff0d6414744c4d8983c4ef396c872792e"),
+    (("perm",), "9549f5b01d9fe08b821e188f48ee2dfda03b76e9dde20d2aede62a5636f51867"),
+    (("ehrhart",), "f3df8137230e851fd890d6915aac7a8d9ca76fa47850d5657f226aed4a5920dc"),
+    (("search-age",), "d6e583b35dd8bf6e191669c5ddf2d36c325d2ef72693c930d8d43f4984caa767"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_HELP_STDOUT, ids=[" ".join(("corelattice", *a)) for a, _ in GOLDEN_HELP_STDOUT])
+def test_help_stdout_is_byte_identical(capsys, monkeypatch, argv, digest):
+    code, out, err = run_parser(capsys, monkeypatch, *argv, "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# recorded with the help pins above; argparse lists every suite name when it rejects one
+GOLDEN_USAGE_STDERR = [
+    (
+        ("verify", "nosuch"),
+        "usage: corelattice verify [-h] [--a-max A_MAX] [--b-max B_MAX] [--n-max N_MAX]\n"
+        "                          [--k-max K_MAX] [--radius RADIUS] [--jobs JOBS]\n"
+        "                          [--summary] [--output OUTPUT] [--cap CAP]\n"
+        "                          {anderson,armstrong,self-conjugate,quadratic,oracle,moments,statistics,qt3,"
+        "qt-symmetry,sizmaj1,sizmaj2,ld-weights,sqin,coset-identities,delta-table,reciprocity,root-structure,"
+        "unimodality,all}\n"
+        "corelattice verify: error: argument suite: invalid choice: 'nosuch' (choose from 'anderson', 'armstrong', "
+        "'self-conjugate', 'quadratic', 'oracle', 'moments', 'statistics', 'qt3', 'qt-symmetry', 'sizmaj1', "
+        "'sizmaj2', 'ld-weights', 'sqin', 'coset-identities', 'delta-table', 'reciprocity', 'root-structure', "
+        "'unimodality', 'all')\n",
+    ),
+    (
+        ("perm", "3", "--format", "csv"),
+        "usage: corelattice [-h] {enumerate,poly,verify,perm,ehrhart,search-age} ...\n"
+        "corelattice: error: unrecognized arguments: --format csv\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,stderr", GOLDEN_USAGE_STDERR, ids=[" ".join(a) for a, _ in GOLDEN_USAGE_STDERR])
+def test_usage_errors_are_byte_identical(capsys, monkeypatch, argv, stderr):
+    assert run_parser(capsys, monkeypatch, *argv) == (2, "", stderr)
 
 
 def test_perm_command(capsys):

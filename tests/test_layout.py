@@ -4,10 +4,13 @@ The reachability is by name, over the ASTs of ``src/corelattice/*.py``.  It
 starts from ``cli.main``, from every module-level statement that is not a
 definition or an import (tables such as ``suites.SUITES``), and from the names
 the README's library example imports.  A reached function or class reaches
-every name its source mentions: a plain name resolves through the module's own
-definitions and its ``from .x import y`` imports, and ``x.y`` through
-``from . import x``.  Reference routes that only the tests call belong in
-``tests/reference.py``.
+every name its source mentions: a plain name resolves through the
+``from .x import y`` imports of the definition's own body, then through the
+module's own definitions and its module-level ones, and ``x.y`` through
+``from . import x`` in either place.  A name the package exports resolves
+through ``__init__``'s table of home modules, read as a literal.  The module
+functions the interpreter calls (``__getattr__``, ``__dir__``) are reached.
+Reference routes that only the tests call belong in ``tests/reference.py``.
 """
 
 import ast
@@ -18,42 +21,57 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "corelattice"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 IMPORTS = (ast.Import, ast.ImportFrom)
+MODULE_HOOKS = ("__getattr__", "__dir__")  # module-level functions the interpreter calls by name
+
+
+def _relative_imports(statements):
+    """name -> ("from", module, name) or ("module", module, None) for the ``from .`` imports among ``statements``."""
+    bound = {}
+    for node in statements:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    bound[alias.asname or alias.name] = ("module", alias.name, None)
+                else:
+                    bound[alias.asname or alias.name] = ("from", node.module, alias.name)
+    return bound
+
+
+def _export_table(tree):
+    """``__init__``'s literal table of exported name -> home module, as ("from", home, name) bindings."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_HOMES"]:
+            return {name: ("from", home, name) for name, home in ast.literal_eval(node.value).items()}
+    raise AssertionError("__init__ has no _HOMES table")
 
 
 def _scopes(trees):
     """module -> name -> ("def", module, name), ("from", module, name) or ("module", module, None)."""
     scopes = {}
     for mod, tree in trees.items():
-        scope = scopes[mod] = {}
-        for node in tree.body:
-            if isinstance(node, DEFS):
-                scope[node.name] = ("def", mod, node.name)
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if node.module is None:
-                        scope[bound] = ("module", alias.name, None)
-                    else:
-                        scope[bound] = ("from", node.module, alias.name)
+        scope = scopes[mod] = _relative_imports(tree.body)
+        scope.update((node.name, ("def", mod, node.name)) for node in tree.body if isinstance(node, DEFS))
+        if mod == "__init__":
+            scope.update(_export_table(tree))
     return scopes
 
 
-def _resolve(scopes, mod, name):
-    while True:
-        target = scopes.get(mod, {}).get(name)
-        if target is None or target[0] != "from":
-            return target
-        _, mod, name = target
+def _resolve(scopes, mod, name, local=None):
+    target = (local or {}).get(name) or scopes.get(mod, {}).get(name)
+    while target is not None and target[0] == "from":
+        target = scopes.get(target[1], {}).get(target[2])
+    return target
 
 
 def _references(scopes, mod, node):
-    """The definitions that the names in ``node`` resolve to."""
+    """The definitions that the names in ``node`` resolve to, through the imports in its body first."""
+    local = _relative_imports(ast.walk(node)) if isinstance(node, DEFS) else {}
     for sub in ast.walk(node):
         target = None
         if isinstance(sub, ast.Name):
-            target = _resolve(scopes, mod, sub.id)
+            target = _resolve(scopes, mod, sub.id, local)
         elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
-            owner = _resolve(scopes, mod, sub.value.id)
+            owner = _resolve(scopes, mod, sub.value.id, local)
             if owner is not None and owner[0] == "module":
                 target = _resolve(scopes, owner[1], sub.attr)
         if target is not None and target[0] == "def":
@@ -82,6 +100,7 @@ def unreached_definitions():
     if None in roots:
         raise AssertionError("cli.main or a name of the README example does not resolve")
     todo = [(mod, name) for _, mod, name in roots]
+    todo += [key for key in nodes if key[1] in MODULE_HOOKS]
     for mod, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, DEFS + IMPORTS):
