@@ -16,15 +16,14 @@ __version__ = "0.1.0"
 
 # exported name -> the module that defines it
 _HOMES = {
-    "ChargeVector": "abacus", "ShiftedPoint": "abacus", "charges_from_core": "abacus",
-    "core_from_charges": "abacus", "shift": "abacus", "size_quadratic": "abacus",
+    "charges_from_core": "abacus", "core_from_charges": "abacus", "shift": "abacus",
     "CapExceededError": "errors", "FitValidationError": "errors",
     "is_core": "partitions", "skew_length": "partitions",
     "LaurentPoly": "polys",
     "cat_q": "qpoly", "q_binomial": "qpoly", "q_int": "qpoly", "search_age_function": "qpoly",
     "unimodality_report": "qpoly",
     "cat_qt": "qt", "length_from_x": "qt", "skew_length_from_x": "qt",
-    "RepVector": "simplex", "SimplexSpec": "simplex", "armstrong_average": "simplex", "enumerate_cores": "simplex",
+    "SimplexSpec": "simplex", "armstrong_average": "simplex", "enumerate_cores": "simplex",
     "rational_catalan": "simplex",
 }
 

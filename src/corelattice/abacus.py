@@ -9,66 +9,39 @@ to zero.  :func:`core_beads` builds the core's beta-set from its charges as
 the bitset that :mod:`corelattice.partitions` shares, one comb of beads per
 runner, and every statistic of an enumerated core is read from that bitset.
 
-Two coordinate systems are used throughout:
+Two coordinate systems are used throughout, both as plain int tuples:
 
-* charge coordinates ``c`` (integers summing to 0);
+* charge coordinates ``c`` (``a`` integers summing to 0);
 * shifted coordinates ``x_i = c_i + i/a - (a-1)/(2a)``, stored exactly as
   the integers ``2a * x_i`` so that the simplex inequalities, the size
   formula, and the floor formulas for statistics all run in pure integer
   arithmetic.
+
+:func:`core_from_charges` and :func:`shift` take charges from a caller and
+check them; the enumeration kernel has already asserted its charges' sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .partitions import Parts, _bead_mask, beta_set, parts_of_beads
 
 
-@dataclass(frozen=True)
-class ChargeVector:
-    """A point of the charge lattice: ``a`` runner charges summing to zero."""
-
-    a: int
-    c: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", tuple(int(v) for v in self.c))
-        if self.a < 2:
-            raise ValueError("a must be >= 2")
-        if len(self.c) != self.a:
-            raise ValueError(f"expected {self.a} charges, got {len(self.c)}")
-        if sum(self.c) != 0:
-            raise ValueError(f"charges must sum to 0, got {self.c}")
+def _require_charges(a: int, c) -> None:
+    """Raise ``ValueError`` unless ``c`` is ``a >= 2`` runner charges summing to zero."""
+    if a < 2:
+        raise ValueError("a must be >= 2")
+    if len(c) != a:
+        raise ValueError(f"expected {a} charges, got {len(c)}")
+    if sum(c) != 0:
+        raise ValueError(f"charges must sum to 0, got {tuple(c)}")
 
 
-@dataclass(frozen=True)
-class ShiftedPoint:
-    """A point in shifted coordinates, stored as the integers ``2a * x_i``.
-
-    Only ``sum(x) == 0`` is enforced: besides charge-lattice points the
-    statistics formulas are also evaluated on rotated-lattice points, whose
-    coordinates carry other fractional parts.
-    """
-
-    a: int
-    tx: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx", tuple(int(v) for v in self.tx))
-        if self.a < 2:
-            raise ValueError("a must be >= 2")
-        if len(self.tx) != self.a:
-            raise ValueError(f"expected {self.a} coordinates, got {len(self.tx)}")
-        if sum(self.tx) != 0:
-            raise ValueError("shifted coordinates must sum to 0")
-
-
-def shift(cv: ChargeVector) -> ShiftedPoint:
-    """Shifted coordinates ``x_i = c_i + i/a - (a-1)/(2a)`` of a charge vector."""
-    a = cv.a
-    return ShiftedPoint(a, tuple(2 * a * ci + 2 * i - (a - 1) for i, ci in enumerate(cv.c)))
+def shift(a: int, c) -> tuple[int, ...]:
+    """Shifted coordinates ``x_i = c_i + i/a - (a-1)/(2a)`` of the charges ``c``, as the integers ``2a * x_i``."""
+    _require_charges(a, c)
+    return tuple(2 * a * ci + 2 * i - (a - 1) for i, ci in enumerate(c))
 
 
 # a -> the combs (2^(a*k) - 1) / (2^a - 1), k bits spaced a apart, for k below the list's length.  Built
@@ -106,12 +79,13 @@ def core_beads(a: int, c) -> tuple[int, list[int]]:
     return beads, rows
 
 
-def core_from_charges(cv: ChargeVector) -> Parts:
-    """The a-core of a charge vector, by direct abacus simulation (:func:`core_beads`)."""
-    return tuple(parts_of_beads(core_beads(cv.a, cv.c)[0]))
+def core_from_charges(a: int, c) -> Parts:
+    """The a-core with charges ``c``, by direct abacus simulation (:func:`core_beads`)."""
+    _require_charges(a, c)
+    return tuple(parts_of_beads(core_beads(a, c)[0]))
 
 
-def charges_from_core(parts: Parts, a: int) -> ChargeVector:
+def charges_from_core(parts: Parts, a: int) -> tuple[int, ...]:
     """Runner charges of an a-core, as bead counts; raises ``ValueError`` if not an a-core.
 
     Below level ``-n`` (``n`` parts) the core and the vacuum are both filled,
@@ -119,8 +93,8 @@ def charges_from_core(parts: Parts, a: int) -> ChargeVector:
     levels ``-1 ... -n`` less the core's beads on it above ``-n``.
 
     >>> charges_from_core((3, 1, 1), 3)
-    ChargeVector(a=3, c=(-1, 0, 1))
-    >>> core_from_charges(_)
+    (-1, 0, 1)
+    >>> core_from_charges(3, _)
     (3, 1, 1)
     """
     if a < 2:
@@ -132,16 +106,11 @@ def charges_from_core(parts: Parts, a: int) -> ChargeVector:
     c = [len(range(i, len(parts), a)) for i in range(a)]  # level m = -j - 1 lies on runner j mod a
     for m in levels:
         c[(-m - 1) % a] -= 1
-    return ChargeVector(a, tuple(c))
-
-
-def size_quadratic(cv: ChargeVector) -> int:
-    """Size of the core as the quadratic form ``(a/2) sum c_i^2 + sum i*c_i``."""
-    return size_of_charges(cv.a, cv.c)
+    return tuple(c)
 
 
 def size_of_charges(a: int, c) -> int:
-    """:func:`size_quadratic` of the plain charges ``c``, with no :class:`ChargeVector` built."""
+    """Size of the a-core with charges ``c``, as the quadratic form ``(a/2) sum c_i^2 + sum i*c_i``."""
     num = a * sum(map(mul, c, c)) + 2 * sum(map(mul, range(a), c))
     if num % 2:
         raise AssertionError("quadratic form must be integral")

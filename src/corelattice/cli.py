@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 assertion failure (a verify suite or an internal
 check), 2 usage or validation error, or output that cannot be written,
 3 cap exceeded.
 ``CORELATTICE_CAP`` overrides the default cap of 10^7 cores enumerated (permutations for
-``perm`` and the permutation suites, moment-recursion steps for ``ehrhart`` and ``verify root-structure``).
+``perm`` and the permutation suites, moment-recursion steps for ``ehrhart`` and ``verify root-structure``,
+orbifold cosets for ``verify sizmaj1`` and charge tuples for ``verify quadratic``).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import combinations_with_replacement, product
 from math import comb, gcd
 
-from .abacus import ChargeVector, shift
+from .abacus import shift
 from .errors import CapExceededError
 from .polys import LaurentPoly
 from .simplex import DEFAULT_CAP, SimplexSpec, enumerate_cores, to_z
@@ -145,8 +145,8 @@ def unimodality_report(poly: LaurentPoly, a: int) -> list[ResidueUnimodality]:
     return out
 
 
-def coset_label(spec: SimplexSpec, cv: ChargeVector) -> tuple[int, ...]:
-    """Label of the index-``a^(a-2)`` coset containing a core: ``z mod a``.
+def coset_label(spec: SimplexSpec, c) -> tuple[int, ...]:
+    """Label of the index-``a^(a-2)`` coset containing the core with charges ``c``: ``z mod a``.
 
     In charge coordinates two cores share a coset exactly when their charge
     residues differ by a constant vector mod ``a``, but that description
@@ -155,7 +155,7 @@ def coset_label(spec: SimplexSpec, cv: ChargeVector) -> tuple[int, ...]:
     within one residue class of ``b``).
     """
     a = spec.a
-    return tuple(v % a for v in to_z(spec, shift(cv)).z)
+    return tuple(v % a for v in to_z(spec, shift(a, c)))
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,8 @@ def _classify_cosets(a: int, b: int, cap: int) -> dict[tuple[int, ...], int]:
     """
     spec = SimplexSpec(a, b)
     seen: dict[tuple[int, ...], int] = {}
-    for cv in enumerate_cores(spec, cap):
-        lab = coset_label(spec, cv)
+    for c in enumerate_cores(spec, cap):
+        lab = coset_label(spec, c)
         seen[lab] = seen.get(lab, 0) + 1
     sizes: dict[tuple[int, ...], int] = {}
     for lab in coset_labels(a, b % a):

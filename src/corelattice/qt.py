@@ -28,11 +28,10 @@ whose statistics realize the maj and siz permutation statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
 
-from .abacus import ShiftedPoint, core_beads
+from .abacus import core_beads
 from .partitions import skew_length_of_beads
 from .perms import des_set, maj, siz
 from .polys import LaurentPoly
@@ -40,19 +39,17 @@ from .qpoly import cat_q
 from .simplex import DEFAULT_CAP, SimplexSpec, iter_cores
 
 
-def length_from_x(sp: ShiftedPoint) -> int:
-    """Number of parts of the corresponding core: ``-(a-1)/2 + a max x_i``."""
-    a = sp.a
-    num = max(sp.tx) - (a - 1)
+def length_from_x(tx) -> int:
+    """Number of parts of the core with 2a-scaled shifted coordinates ``tx``: ``-(a-1)/2 + a max x_i``."""
+    num = max(tx) - (len(tx) - 1)
     if num % 2:
         raise ValueError("point has the wrong fractional structure for a length")
     return num // 2
 
 
-def skew_length_from_x(spec: SimplexSpec, sp: ShiftedPoint) -> int:
-    """Skew length of a point of the core simplex, via the floor formula."""
+def skew_length_from_x(spec: SimplexSpec, tx) -> int:
+    """Skew length of a point of the core simplex, given as 2a-scaled shifted coordinates, via the floor formula."""
     a, b = spec.a, spec.b
-    tx = sp.tx
     scale = 2 * a
     total = 0
     for i in range(a):
@@ -130,9 +127,9 @@ def check_qt3_identity(b: int, cap: int = DEFAULT_CAP) -> bool:
     return lhs == term1 + term2 + term3
 
 
-def origin_point(a: int) -> ShiftedPoint:
-    """The shifted point of the empty core."""
-    return ShiftedPoint(a, tuple(2 * i - (a - 1) for i in range(a)))
+def origin_point(a: int) -> tuple[int, ...]:
+    """The 2a-scaled shifted coordinates of the empty core."""
+    return tuple(2 * i - (a - 1) for i in range(a))
 
 
 def generator_tx(a: int, i: int) -> tuple[int, ...]:
@@ -157,15 +154,15 @@ def delta_table_check(a: int, b: int) -> bool:
         raise ValueError("need b > 2a so both vertex neighborhoods have room")
     spec = SimplexSpec(a, b)
     s = origin_point(a)
-    far = ShiftedPoint(a, tuple(b * t for t in s.tx))
+    far = tuple(b * t for t in s)
     for i in range(1, a):
         v = generator_tx(a, i)
-        near0 = ShiftedPoint(a, tuple(t + w for t, w in zip(s.tx, v)))
+        near0 = tuple(t + w for t, w in zip(s, v))
         if length_from_x(near0) - length_from_x(s) != i:
             return False
         if skew_length_from_x(spec, near0) - skew_length_from_x(spec, s) != i * (a - i):
             return False
-        nearinf = ShiftedPoint(a, tuple(t - w for t, w in zip(far.tx, v)))
+        nearinf = tuple(t - w for t, w in zip(far, v))
         if length_from_x(nearinf) - length_from_x(far) != -i:
             return False
         if skew_length_from_x(spec, nearinf) - skew_length_from_x(spec, far) != -1:
@@ -173,21 +170,14 @@ def delta_table_check(a: int, b: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrbifoldCosetLabel:
-    """A coset of the rotated lattice in the dominant chamber, with its minimal point."""
-
-    sigma: tuple[int, ...]
-    point: ShiftedPoint
-
-
-def orbifold_minimal_vectors(a: int) -> list[OrbifoldCosetLabel]:
-    """Minimal dominant representatives of the ``(a-1)!`` orbifold cosets.
+def orbifold_minimal_vectors(a: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Minimal dominant representatives of the ``(a-1)!`` orbifold cosets, as ``(sigma, tx)`` pairs.
 
     For a permutation ``sigma`` of ``1..a-1`` (extended by ``sigma_a = a``),
     the walk ``w_j = sigma_j / a + (descents of sigma before j)`` is strictly
     increasing with steps below 1; recentering to sum zero gives the minimal
-    vector of the coset labeled by ``sigma``.
+    vector of the coset labeled by ``sigma``, in 2a-scaled shifted
+    coordinates ``tx``.
     """
     if a < 2:
         raise ValueError("a must be >= 2")
@@ -200,9 +190,11 @@ def orbifold_minimal_vectors(a: int) -> list[OrbifoldCosetLabel]:
             if j - 1 in ds:
                 run += 1
             w_scaled.append(val + a * run)
-        shift_all = 2 * sum(w_scaled) // a  # exact: the values sum to a(a+1)/2, and ShiftedPoint checks sum 0
+        shift_all = 2 * sum(w_scaled) // a  # exact: the values sum to a(a+1)/2 + a * (sum of the runs)
         tx = tuple(2 * w - shift_all for w in w_scaled)
-        out.append(OrbifoldCosetLabel(sigma, ShiftedPoint(a, tx)))
+        if sum(tx):
+            raise AssertionError(f"the minimal vector of {sigma} is not recentered to sum 0")
+        out.append((sigma, tx))
     return out
 
 
@@ -215,9 +207,9 @@ def check_sizmaj1(a: int) -> bool:
     """
     big_b = a * a + 1  # coprime to a and beyond every coordinate gap
     spec = SimplexSpec(a, big_b)
-    for label in orbifold_minimal_vectors(a):
-        if length_from_x(label.point) != maj(label.sigma):
+    for sigma, tx in orbifold_minimal_vectors(a):
+        if length_from_x(tx) != maj(sigma):
             return False
-        if skew_length_from_x(spec, label.point) != siz(label.sigma):
+        if skew_length_from_x(spec, tx) != siz(sigma):
             return False
     return True

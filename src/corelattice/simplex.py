@@ -22,7 +22,7 @@ from math import comb, gcd
 from operator import add, itemgetter, sub
 
 from . import partitions
-from .abacus import ChargeVector, ShiftedPoint, core_beads, size_of_charges
+from .abacus import core_beads, size_of_charges
 from .errors import CapExceededError
 
 DEFAULT_CAP = 10_000_000
@@ -44,31 +44,6 @@ class SimplexSpec:
             raise ValueError(f"a={self.a} and b={self.b} must be coprime")
 
 
-@dataclass(frozen=True)
-class RepVector:
-    """Multiplicities of a trivial-determinant representation: z >= 0, sum i*z_i = 0 mod a."""
-
-    z: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(int(v) for v in self.z))
-        a = len(self.z)
-        if a < 2:
-            raise ValueError("need at least two coordinates")
-        if any(v < 0 for v in self.z):
-            raise ValueError(f"multiplicities must be nonnegative, got {self.z}")
-        if sum(i * v for i, v in enumerate(self.z)) % a:
-            raise ValueError(f"determinant condition fails for {self.z}")
-
-    @property
-    def a(self) -> int:
-        return len(self.z)
-
-    @property
-    def b(self) -> int:
-        return sum(self.z)
-
-
 def rational_catalan(a: int, b: int) -> int:
     """``binom(a+b, a) / (a+b)`` (an integer for coprime a, b)."""
     if gcd(a, b) != 1:
@@ -86,15 +61,19 @@ def _z_offset(a: int, b: int) -> int:
     return (-(b + 1) * pow(2, -1, a)) % a
 
 
-def to_z(spec: SimplexSpec, sp: ShiftedPoint) -> RepVector:
-    """Representation coordinates of a point of the core simplex.
+def to_z(spec: SimplexSpec, tx) -> tuple[int, ...]:
+    """Representation coordinates z of a point of the core simplex, from its shifted coordinates ``tx``.
 
-    Raises ``ValueError`` when the point is off the charge lattice or
-    outside the simplex.
+    ``tx`` is the 2a-scaled tuple of :func:`~corelattice.abacus.shift`.  The
+    result is nonnegative and sums to b, with trivial determinant:
+    ``sum i*z_i = 0`` (mod a).  Raises ``ValueError`` when ``tx`` does not
+    have a coordinates, or the point is off the charge lattice, outside the
+    simplex or of nontrivial determinant.
     """
     a, b = spec.a, spec.b
+    if len(tx) != a:
+        raise ValueError(f"expected {a} coordinates, got {len(tx)}")
     k = _z_offset(a, b)
-    tx = sp.tx
     z = []
     for i in range(a):
         num = tx[(i * b + k) % a] - tx[((i + 1) * b + k) % a] + 2 * b
@@ -104,7 +83,9 @@ def to_z(spec: SimplexSpec, sp: ShiftedPoint) -> RepVector:
         if v < 0:
             raise ValueError("point lies outside the core simplex")
         z.append(v)
-    return RepVector(tuple(z))
+    if sum(i * v for i, v in enumerate(z)) % a:
+        raise ValueError(f"determinant condition fails for {tuple(z)}")
+    return tuple(z)
 
 
 def capped_count(spec: SimplexSpec, cap: int) -> int:
@@ -254,12 +235,12 @@ def core_moments(spec: SimplexSpec) -> tuple[int, int]:
     return catalan, numerator // (8 * a * a)
 
 
-def enumerate_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> list[ChargeVector]:
-    """All (a,b)-cores as charge vectors, ordered lexicographically by z.
+def enumerate_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+    """All (a,b)-cores as charge tuples, ordered lexicographically by z.
 
     Raises :class:`CapExceededError` when the count exceeds ``cap``.
     """
-    return [ChargeVector(spec.a, c) for _, c in iter_cores(spec, cap)]
+    return [c for _, c in iter_cores(spec, cap)]
 
 
 def is_self_conjugate(c) -> bool:

@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import product, repeat
 from math import gcd
 from typing import Callable
 
 from . import ehrhart, perms, qpoly, qt
-from .abacus import charges_from_core, core_beads, core_from_charges, shift, size_of_charges, size_quadratic
+from .abacus import charges_from_core, core_beads, core_from_charges, shift, size_of_charges
+from .errors import CapExceededError
 from .partitions import brute_force_simultaneous_cores, parts_of_beads, skew_length
 from .simplex import (
     SimplexSpec,
@@ -69,22 +70,24 @@ def self_conjugate(a: int, b: int, cap: int, folds: dict):
 
 
 def quadratic(a: int, radius: int):
-    """The abacus round trip and the size form on every charge vector in the box, as plain tuples."""
+    """The abacus round trip and the size form on every charge tuple in the box ``|c_i| <= radius``."""
     for head in product(range(-radius, radius + 1), repeat=a - 1):
         tail = -sum(head)
         if abs(tail) > radius:
             continue
         c = (*head, tail)
+        # the parts as a list, not core_from_charges's tuple: tens of thousands of tuples of up to 20 parts
+        # fill the interpreter's tuple free lists, about 0.3 MB of the max RSS of `verify all`
         core = parts_of_beads(core_beads(a, c)[0])
-        if size_of_charges(a, c) != sum(core) or charges_from_core(core, a).c != c:
+        if size_of_charges(a, c) != sum(core) or charges_from_core(core, a) != c:
             return False, {"c": list(c)}
     return True, None
 
 
 def oracle(a: int, b: int, cap: int):
     cores = enumerate_cores(SimplexSpec(a, b), cap)
-    enumerated = {core_from_charges(cv) for cv in cores}
-    max_size = max((size_quadratic(cv) for cv in cores), default=0)
+    enumerated = {core_from_charges(a, c) for c in cores}
+    max_size = max((size_of_charges(a, c) for c in cores), default=0)
     # to the largest core size (Olsson-Stanton), not max_size: a dropped core must still be found
     brute = set(brute_force_simultaneous_cores(a, b, (a * a - 1) * (b * b - 1) // 24))
     return enumerated == brute, {"count": len(enumerated), "max_size": max_size}
@@ -108,10 +111,10 @@ def moments_closed_form(a: int, b: int):
 
 def statistics(a: int, b: int, cap: int):
     spec = SimplexSpec(a, b)
-    for cv in enumerate_cores(spec, cap):
-        p = core_from_charges(cv)
-        sp = shift(cv)
-        if qt.length_from_x(sp) != len(p) or qt.skew_length_from_x(spec, sp) != skew_length(p, a, b):
+    for c in enumerate_cores(spec, cap):
+        p = core_from_charges(a, c)
+        tx = shift(a, c)
+        if qt.length_from_x(tx) != len(p) or qt.skew_length_from_x(spec, tx) != skew_length(p, a, b):
             return False, {"partition": list(p)}
     return True, None
 
@@ -151,6 +154,31 @@ def _coprime_pairs(o: dict, a_max: int, b_max: int):
                 yield {"a": a, "b": b}
 
 
+def _require_walk_within(factors, cap: int, message: str) -> None:
+    """Raise :class:`CapExceededError` with ``message`` once the running product of ``factors`` passes ``cap``."""
+    size = 1
+    for f in factors:
+        size *= f
+        if size > cap:
+            raise CapExceededError(message)
+
+
+def _quadratic_params(o: dict):
+    """``{"a": a, "radius": r}`` for ``quadratic``, refused before any check runs when the a_max box passes the cap."""
+    a_max, radius, cap = o.get("a_max", 6), o.get("radius", 4), o["cap"]
+    side = 2 * radius + 1
+    message = f"a={a_max} walks a box of {side}^{a_max - 1} charge tuples, over the cap of {cap}"
+    _require_walk_within(repeat(side, a_max - 1), cap, message)
+    return ({"a": a, "radius": radius} for a in range(2, a_max + 1))
+
+
+def _sizmaj1_params(o: dict):
+    """``{"a": a}`` for ``sizmaj1``, refused before any check runs when the (a_max-1)! cosets at a_max pass the cap."""
+    a_max, cap = o.get("a_max", 6), o["cap"]
+    _require_walk_within(range(2, a_max), cap, f"a={a_max} has {a_max - 1}! orbifold cosets, over the cap of {cap}")
+    return ({"a": a} for a in range(2, a_max + 1))
+
+
 def _ns(o: dict):
     """``{"n": n}`` for the permutation brute force, refused above its ceiling or the cap before any check runs."""
     n_max = o.get("n_max", 7)
@@ -166,9 +194,7 @@ SUITES = {
     "self-conjugate": lambda o: _checks(
         "self-conjugate", self_conjugate, _coprime_pairs(o, 6, 20), cap=o["cap"], folds=o["folds"]
     ),
-    "quadratic": lambda o: _checks(
-        "quadratic", quadratic, ({"a": a, "radius": o.get("radius", 4)} for a in range(2, o.get("a_max", 6) + 1))
-    ),
+    "quadratic": lambda o: _checks("quadratic", quadratic, _quadratic_params(o)),
     "oracle": lambda o: _checks("oracle", oracle, _coprime_pairs(o, 4, 9), cap=o["cap"]),
     "moments": lambda o: (
         _checks("moments", moments, _coprime_pairs(o, 5, 20), cap=o["cap"])
@@ -193,9 +219,7 @@ SUITES = {
         exploration=lambda p: p["a"] > 3,
         cap=o["cap"],
     ),
-    "sizmaj1": lambda o: _checks(
-        "sizmaj1", lambda a: (qt.check_sizmaj1(a), None), ({"a": a} for a in range(2, o.get("a_max", 6) + 1))
-    ),
+    "sizmaj1": lambda o: _checks("sizmaj1", lambda a: (qt.check_sizmaj1(a), None), _sizmaj1_params(o)),
     "sizmaj2": lambda o: _checks("sizmaj2", lambda n: (perms.check_sizmaj2(n), None), _ns(o)),
     "ld-weights": lambda o: _checks("ld-weights", lambda n: (perms.check_ld_weights(n), None), _ns(o)),
     "sqin": lambda o: _checks("sqin", lambda n: (perms.check_sqin_relation(n), None), _ns(o)),

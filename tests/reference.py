@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from corelattice.abacus import ChargeVector, ShiftedPoint
 from corelattice.perms import des_set, inv
 from corelattice.polys import LaurentPoly
 from corelattice.qpoly import AgeSearchResult, q_int
-from corelattice.simplex import RepVector, SimplexSpec, _z_offset
+from corelattice.simplex import SimplexSpec, _z_offset
 
 Parts = tuple[int, ...]
 
@@ -70,67 +69,68 @@ def hook_multiset(parts: Parts) -> tuple[int, ...]:
     return tuple(sorted(cell.hook for cell in hook_lengths(parts)))
 
 
-def zero_charges(a: int) -> ChargeVector:
+def zero_charges(a: int) -> tuple[int, ...]:
     """The origin of the lattice (the empty partition)."""
-    return ChargeVector(a, (0,) * a)
+    return (0,) * a
 
 
-def shifted_x(sp: ShiftedPoint) -> tuple[Fraction, ...]:
-    """The coordinates of ``sp`` as exact rationals."""
-    return tuple(Fraction(v, 2 * sp.a) for v in sp.tx)
+def shifted_x(tx) -> tuple[Fraction, ...]:
+    """The 2a-scaled shifted coordinates ``tx`` as exact rationals."""
+    return tuple(Fraction(v, 2 * len(tx)) for v in tx)
 
 
-def unshift(sp: ShiftedPoint) -> ChargeVector:
+def unshift(tx) -> tuple[int, ...]:
     """Inverse of ``abacus.shift``; raises if the point is off the charge lattice."""
-    a = sp.a
+    a = len(tx)
     charges = []
-    for i, t in enumerate(sp.tx):
+    for i, t in enumerate(tx):
         num = t - 2 * i + (a - 1)
         if num % (2 * a):
             raise ValueError("point does not lie on the shifted charge lattice")
         charges.append(num // (2 * a))
-    return ChargeVector(a, tuple(charges))
+    return tuple(charges)
 
 
-def size_from_x(sp: ShiftedPoint) -> Fraction:
+def size_from_x(tx) -> Fraction:
     """The size form in shifted coordinates: ``-(a^2-1)/24 + (a/2) sum x_i^2``."""
-    a = sp.a
-    return Fraction(-(a * a - 1), 24) + Fraction(sum(t * t for t in sp.tx), 8 * a)
+    a = len(tx)
+    return Fraction(-(a * a - 1), 24) + Fraction(sum(t * t for t in tx), 8 * a)
 
 
-def contains(spec: SimplexSpec, cv: ChargeVector) -> bool:
-    """Membership test via the cyclic charge inequalities."""
+def contains(spec: SimplexSpec, c) -> bool:
+    """Membership test of the charges ``c`` via the cyclic charge inequalities."""
     a, b = spec.a, spec.b
-    if cv.a != a:
+    if len(c) != a:
         raise ValueError("charge vector has a different modulus")
-    c = cv.c
     return all(c[(i + b) % a] - c[i] <= (b + i) // a for i in range(a))
 
 
-def from_z(spec: SimplexSpec, rv: RepVector) -> ShiftedPoint:
-    """Inverse of ``simplex.to_z``."""
+def from_z(spec: SimplexSpec, z) -> tuple[int, ...]:
+    """Inverse of ``simplex.to_z``: the 2a-scaled shifted coordinates of the multiplicities ``z``."""
     a, b = spec.a, spec.b
-    if rv.a != a or rv.b != b:
+    if len(z) != a or sum(z) != b:
         raise ValueError("representation vector does not match the simplex")
+    if min(z) < 0:
+        raise ValueError(f"multiplicities must be nonnegative, got {tuple(z)}")
     # sum(offsets) = 2a*sum(i*z_i) - a(a-1)b is a multiple of a for every z: test z itself
-    if sum(i * v for i, v in enumerate(rv.z)) % a:
+    if sum(i * v for i, v in enumerate(z)) % a:
         raise ValueError("representation vector is not on the trivial-determinant lattice")
     k = _z_offset(a, b)
     # walk tx along the index cycle k, k+b, k+2b, ...
     offsets = [0]
-    for zi in rv.z[:-1]:
+    for zi in z[:-1]:
         offsets.append(offsets[-1] + 2 * b - 2 * a * zi)
     t0 = -sum(offsets) // a
     tx = [0] * a
     for j, off in enumerate(offsets):
         tx[(j * b + k) % a] = t0 + off
-    return ShiftedPoint(a, tuple(tx))
+    return tuple(tx)
 
 
-def conjugation_T(cv: ChargeVector) -> ChargeVector:
+def conjugation_T(c) -> tuple[int, ...]:
     """Charge-lattice conjugation ``T(c)_i = -c_{-1-i}`` (transposes the core)."""
-    a = cv.a
-    return ChargeVector(a, tuple(-cv.c[(-1 - i) % a] for i in range(a)))
+    a = len(c)
+    return tuple(-c[(-1 - i) % a] for i in range(a))
 
 
 def q_factorial(n: int, power: int = 1) -> LaurentPoly:

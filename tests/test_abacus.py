@@ -21,16 +21,20 @@ def charge_vectors(a, radius):
     for head in product(range(-radius, radius + 1), repeat=a - 1):
         tail = -sum(head)
         if abs(tail) <= radius:
-            yield A.ChargeVector(a, (*head, tail))
+            yield (*head, tail)
 
 
 def test_charge_vector_validation():
-    with pytest.raises(ValueError):
-        A.ChargeVector(3, (1, 0, 0))
-    with pytest.raises(ValueError):
-        A.ChargeVector(1, (0,))
-    with pytest.raises(ValueError):
-        A.ChargeVector(3, (1, -1))
+    # the library entry points that take charges from a caller check them
+    for entry in (A.core_from_charges, A.shift):
+        with pytest.raises(ValueError, match="charges must sum to 0, got \\(1, 0, 0\\)"):
+            entry(3, (1, 0, 0))
+        with pytest.raises(ValueError, match="a must be >= 2"):
+            entry(1, (0,))
+        with pytest.raises(ValueError, match="expected 3 charges, got 2"):
+            entry(3, (1, -1))
+        with pytest.raises(ValueError, match="expected 2 charges, got 3"):
+            entry(2, (1, -1, 0))
 
 
 def filled_levels(a, c):
@@ -59,7 +63,7 @@ def check_core_beads(a, c, b=None):
     levels = filled_levels(a, c)
     assert parts == [m + k for k, m in enumerate(levels, start=1)], (a, c)
     assert beads == P._bead_mask(P.beta_set(parts)) == P._bead_mask(levels), (a, c)
-    assert A.charges_from_core(tuple(parts), a).c == tuple(c), (a, c)
+    assert A.charges_from_core(tuple(parts), a) == tuple(c), (a, c)
     # the runner tops are the beads with no bead a above them
     assert sorted(rows) == [m + len(levels) for m in levels if m + a not in levels][::-1], (a, c)
     if b is not None:
@@ -85,19 +89,19 @@ def test_core_beads_match_the_reference_routes_on_every_small_core():
 
 def test_core_beads_match_the_reference_routes_on_a_charge_box():
     for a in range(2, 6):
-        for cv in charge_vectors(a, 3):
-            check_core_beads(a, cv.c)
+        for c in charge_vectors(a, 3):
+            check_core_beads(a, c)
 
 
 def test_filled_levels_are_a_descending_beta_set():
     for a in range(2, 6):
-        for cv in charge_vectors(a, 2):
-            levels = filled_levels(a, cv.c)
+        for c in charge_vectors(a, 2):
+            levels = filled_levels(a, c)
             assert levels == sorted(set(levels), reverse=True)
             for m in levels:
                 i = (-m - 1) % a
-                assert m <= -a * cv.c[i] - i - 1  # runner i is filled from -a*c_i - i - 1 down
-            assert A.core_from_charges(cv) == tuple(m + k for k, m in enumerate(levels, start=1))
+                assert m <= -a * c[i] - i - 1  # runner i is filled from -a*c_i - i - 1 down
+            assert A.core_from_charges(a, c) == tuple(m + k for k, m in enumerate(levels, start=1))
     assert filled_levels(3, (0, 3, -3)) == [6, 3, 0, -1, -3, -4, -6, -7]
     assert A.core_beads(3, (0, 3, -3)) == (P._bead_mask([6, 3, 0, -1, -3, -4, -6, -7]), [7, 14])
 
@@ -113,16 +117,16 @@ def test_filled_levels_bookkeeping_rejects_nonzero_charge():
 
 
 def test_core_from_charges_worked_example():
-    assert A.core_from_charges(A.ChargeVector(3, (0, 3, -3))) == (7, 5, 3, 3, 2, 2, 1, 1)
-    assert A.core_from_charges(zero_charges(5)) == ()
-    assert A.core_from_charges(A.ChargeVector(2, (1, -1))) == (1,)
-    assert A.core_from_charges(A.ChargeVector(2, (-1, 1))) == (2, 1)
+    assert A.core_from_charges(3, (0, 3, -3)) == (7, 5, 3, 3, 2, 2, 1, 1)
+    assert A.core_from_charges(5, zero_charges(5)) == ()
+    assert A.core_from_charges(2, (1, -1)) == (1,)
+    assert A.core_from_charges(2, [-1, 1]) == (2, 1)
 
 
 def test_charges_from_core_inverse_examples():
-    assert A.charges_from_core((7, 5, 3, 3, 2, 2, 1, 1), 3) == A.ChargeVector(3, (0, 3, -3))
+    assert A.charges_from_core((7, 5, 3, 3, 2, 2, 1, 1), 3) == (0, 3, -3)
     assert A.charges_from_core((), 4) == zero_charges(4)
-    assert A.charges_from_core((1,), 2) == A.ChargeVector(2, (1, -1))
+    assert A.charges_from_core((1,), 2) == (1, -1)
     with pytest.raises(ValueError):
         A.charges_from_core((3, 2, 2, 1), 3)
 
@@ -146,8 +150,8 @@ def test_charges_from_core_round_trips_the_cores_to_size_30_and_rejects_non_core
         for p in partitions_of(n):
             for a, counts in found.items():
                 if is_core(p, a):
-                    cv = A.charges_from_core(p, a)
-                    assert A.core_from_charges(cv) == p and A.size_quadratic(cv) == n
+                    c = A.charges_from_core(p, a)
+                    assert A.core_from_charges(a, c) == p and A.size_of_charges(a, c) == n
                     counts[n] += 1
                 elif n <= 20:
                     with pytest.raises(ValueError, match=f"is not a {a}-core"):
@@ -155,51 +159,52 @@ def test_charges_from_core_round_trips_the_cores_to_size_30_and_rejects_non_core
     assert found == {a: core_counts(a, 30) for a in found}
 
 
-def test_size_quadratic_examples():
-    assert A.size_quadratic(A.ChargeVector(3, (0, 3, -3))) == 24
-    assert A.size_quadratic(zero_charges(6)) == 0
-    assert A.size_quadratic(A.ChargeVector(2, (-1, 1))) == 3
+def test_size_of_charges_examples():
+    assert A.size_of_charges(3, (0, 3, -3)) == 24
+    assert A.size_of_charges(6, zero_charges(6)) == 0
+    assert A.size_of_charges(2, (-1, 1)) == 3
 
 
 def test_bijection_and_size_small_radius():
     for a in range(2, 5):
-        for cv in charge_vectors(a, 3):
-            p = A.core_from_charges(cv)
+        for c in charge_vectors(a, 3):
+            p = A.core_from_charges(a, c)
             assert is_core(p, a)
-            assert A.charges_from_core(p, a) == cv
-            assert A.size_quadratic(cv) == sum(p)
+            assert A.charges_from_core(p, a) == c
+            assert A.size_of_charges(a, c) == sum(p)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 7), st.data())
 def test_bijection_random(a, data):
     head = data.draw(st.lists(st.integers(-6, 6), min_size=a - 1, max_size=a - 1))
-    cv = A.ChargeVector(a, (*head, -sum(head)))
-    p = A.core_from_charges(cv)
-    assert A.charges_from_core(p, a) == cv
-    assert A.size_quadratic(cv) == sum(p)
+    c = (*head, -sum(head))
+    p = A.core_from_charges(a, c)
+    assert A.charges_from_core(p, a) == c
+    assert A.size_of_charges(a, c) == sum(p)
 
 
 def test_cores_have_no_multiple_hooks():
-    p = A.core_from_charges(A.ChargeVector(4, (2, -1, 0, -1)))
+    p = A.core_from_charges(4, (2, -1, 0, -1))
     hooks = hook_multiset(p)
     assert all(h % 4 for h in hooks)
 
 
 def test_shift_examples():
-    sp = A.shift(zero_charges(3))
-    assert shifted_x(sp) == (Fraction(-1, 3), Fraction(0), Fraction(1, 3))
-    sp2 = A.shift(A.ChargeVector(3, (0, 3, -3)))
-    assert shifted_x(sp2) == (Fraction(-1, 3), Fraction(3), Fraction(-8, 3))
-    assert sum(shifted_x(sp2)) == 0
+    tx = A.shift(3, zero_charges(3))
+    assert tx == (-2, 0, 2)
+    assert shifted_x(tx) == (Fraction(-1, 3), Fraction(0), Fraction(1, 3))
+    tx2 = A.shift(3, (0, 3, -3))
+    assert shifted_x(tx2) == (Fraction(-1, 3), Fraction(3), Fraction(-8, 3))
+    assert sum(shifted_x(tx2)) == 0
 
 
 def test_shift_round_trip_and_lattice_structure():
     for a in range(2, 7):
-        for cv in charge_vectors(a, 2):
-            sp = A.shift(cv)
-            assert unshift(sp) == cv
-            xs = shifted_x(sp)
+        for c in charge_vectors(a, 2):
+            tx = A.shift(a, c)
+            assert unshift(tx) == c
+            xs = shifted_x(tx)
             for i in range(a):
                 for j in range(a):
                     frac = (xs[i] - xs[j]) % 1
@@ -208,7 +213,7 @@ def test_shift_round_trip_and_lattice_structure():
 
 def test_unshift_rejects_off_lattice_points():
     with pytest.raises(ValueError):
-        unshift(A.ShiftedPoint(3, (-1, 0, 1)))
+        unshift((-1, 0, 1))
 
 
 def test_size_in_shifted_coordinates():
@@ -217,5 +222,5 @@ def test_size_in_shifted_coordinates():
         s = [Fraction(i, a) - Fraction(a - 1, 2 * a) for i in range(a)]
         assert Fraction(a, 2) * sum(v * v for v in s) == Fraction(a * a - 1, 24)
     for a in range(2, 6):
-        for cv in charge_vectors(a, 2):
-            assert size_from_x(A.shift(cv)) == A.size_quadratic(cv)
+        for c in charge_vectors(a, 2):
+            assert size_from_x(A.shift(a, c)) == A.size_of_charges(a, c)

@@ -12,7 +12,7 @@ import pytest
 
 from corelattice import ehrhart, perms, qpoly, qt
 from corelattice import partitions as P
-from corelattice.abacus import ChargeVector, charges_from_core, core_from_charges, shift, size_quadratic
+from corelattice.abacus import charges_from_core, core_from_charges, shift, size_of_charges
 from corelattice.polys import LaurentPoly
 from corelattice.simplex import (
     SimplexSpec,
@@ -32,11 +32,11 @@ def coprime_pairs(a_max=A_MAX, b_max=B_MAX):
 
 @pytest.fixture(scope="module")
 def enumerated():
-    """Charge vectors and sizes for every coprime pair in the acceptance range."""
+    """Charge tuples and sizes for every coprime pair in the acceptance range."""
     data = {}
     for a, b in coprime_pairs():
         cores = enumerate_cores(SimplexSpec(a, b))
-        data[(a, b)] = [(cv, size_quadratic(cv)) for cv in cores]
+        data[(a, b)] = [(c, size_of_charges(a, c)) for c in cores]
     return data
 
 
@@ -61,7 +61,7 @@ def test_criterion_02_average_size(enumerated):
 
 
 def test_criterion_03_quadratic_size():
-    ok = size_quadratic(ChargeVector(3, (0, 3, -3))) == 24
+    ok = size_of_charges(3, (0, 3, -3)) == 24
     for a in range(2, A_MAX + 1):
         if not ok:
             break
@@ -69,9 +69,9 @@ def test_criterion_03_quadratic_size():
             tail = -sum(head)
             if abs(tail) > 4:
                 continue
-            cv = ChargeVector(a, (*head, tail))
-            core = core_from_charges(cv)
-            if size_quadratic(cv) != sum(core) or charges_from_core(core, a) != cv:
+            c = (*head, tail)
+            core = core_from_charges(a, c)
+            if size_of_charges(a, c) != sum(core) or charges_from_core(core, a) != c:
                 ok = False
                 break
     report(3, "quadratic-size-formula", ok)
@@ -82,7 +82,7 @@ def test_criterion_04_oracle_equivalence(enumerated):
     for a, b in coprime_pairs(4, 9):
         cores = enumerated[(a, b)]
         max_size = max(s for _, s in cores)
-        enumerated_parts = {core_from_charges(cv) for cv, _ in cores}
+        enumerated_parts = {core_from_charges(a, c) for c, _ in cores}
         brute = set(P.brute_force_simultaneous_cores(a, b, max_size))
         if enumerated_parts != brute:
             ok = False
@@ -93,7 +93,7 @@ def test_criterion_04_oracle_equivalence(enumerated):
 def test_criterion_05_self_conjugate(enumerated):
     ok = True
     for a, b in coprime_pairs():
-        fixed = [(cv, s) for cv, s in enumerated[(a, b)] if conjugation_T(cv) == cv]
+        fixed = [(c, s) for c, s in enumerated[(a, b)] if conjugation_T(c) == c]
         if len(fixed) != self_conjugate_count(a, b):
             ok = False
             break
@@ -109,10 +109,10 @@ def test_criterion_06_statistics_agreement(enumerated):
         if not ok:
             break
         spec = SimplexSpec(a, b)
-        for cv, _ in enumerated[(a, b)]:
-            p = core_from_charges(cv)
-            sp = shift(cv)
-            if qt.length_from_x(sp) != len(p) or qt.skew_length_from_x(spec, sp) != P.skew_length(p, a, b):
+        for c, _ in enumerated[(a, b)]:
+            p = core_from_charges(a, c)
+            tx = shift(a, c)
+            if qt.length_from_x(tx) != len(p) or qt.skew_length_from_x(spec, tx) != P.skew_length(p, a, b):
                 ok = False
                 break
     report(6, "lattice-statistics-match-oracles", ok)

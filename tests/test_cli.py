@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from corelattice import ehrhart, perms, qpoly, simplex
+from corelattice import ehrhart, perms, qpoly, qt, simplex, suites
 from corelattice.cli import _core_json_line, main
 
 
@@ -448,6 +448,43 @@ def test_fold_suites_stop_at_an_exceeded_cap_after_the_records_before_it(capsys,
     assert code == 3 and err.endswith("\nerror: Cat(3,4) = 5 exceeds the cap of 4\n")
     records = [json.loads(line) for line in out.splitlines()]
     assert [(r["params"], r["pass"]) for r in records] == [({"a": 2, "b": 3}, True), ({"a": 2, "b": 5}, True)]
+
+
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (
+            ("verify", "sizmaj1", "--a-max", "13", "--cap", "1000"),
+            None,
+            "a=13 has 12! orbifold cosets, over the cap of 1000",
+        ),
+        (("verify", "sizmaj1", "--a-max", "8"), "1000", "a=8 has 7! orbifold cosets, over the cap of 1000"),
+        (
+            ("verify", "quadratic", "--radius", "40", "--cap", "1000"),
+            None,
+            "a=6 walks a box of 81^5 charge tuples, over the cap of 1000",
+        ),
+        (("verify", "quadratic", "--a-max", "4"), "728", "a=4 walks a box of 9^3 charge tuples, over the cap of 728"),
+    ],
+)
+def test_sizmaj1_and_quadratic_over_the_cap_are_refused_before_any_check(capsys, monkeypatch, argv, env, message):
+    def walked(*args, **kwargs):
+        raise AssertionError("no check may run")
+
+    monkeypatch.setattr(qt, "check_sizmaj1", walked)
+    monkeypatch.setattr(suites, "quadratic", walked)
+    if env is not None:
+        monkeypatch.setenv("CORELATTICE_CAP", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_sizmaj1_and_quadratic_at_the_cap_run(capsys):
+    # 5! = 120 cosets at a = 6, and 9^2 = 81 charge tuples at a = 3, radius 4
+    code, out, _ = run_cli(capsys, "verify", "sizmaj1", "--cap", "120", "--summary")
+    assert code == 0 and out.endswith('"checks":5,"failures":0}\n')
+    code, out, _ = run_cli(capsys, "verify", "quadratic", "--a-max", "3", "--cap", "81", "--summary")
+    assert code == 0 and out.endswith('"checks":2,"failures":0}\n')
 
 
 def test_verify_exploration_suite_exits_zero(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from corelattice import ehrhart as E
 from corelattice import simplex, suites
-from corelattice.abacus import size_quadratic
+from corelattice.abacus import size_of_charges
 from corelattice.errors import FitValidationError
 from corelattice.simplex import SimplexSpec, enumerate_cores
 
@@ -232,7 +232,7 @@ def test_fit_core_polynomials_equal_the_fit_of_the_enumeration(monkeypatch):
         for b in E._coprime_values(a, a + 5):
             cores = enumerate_cores(SimplexSpec(a, b))
             counts[b] = len(cores)
-            sums[b] = sum(size_quadratic(cv) for cv in cores)
+            sums[b] = sum(size_of_charges(a, c) for c in cores)
             averages[b] = Fraction(sums[b], counts[b])
         f = E.fit_quasipolynomial(counts, 1, a - 1).constituents[0]
         g = E.fit_quasipolynomial(sums, 1, a + 1).constituents[0]

@@ -162,7 +162,7 @@ def test_skew_length_of_beads_rejects_an_a_core_that_is_not_a_b_core():
             for p in partitions_of(n):
                 if not P.is_core(p, a):
                     continue
-                beads, rows = core_beads(a, charges_from_core(p, a).c)
+                beads, rows = core_beads(a, charges_from_core(p, a))
                 for b in range(1, 8):
                     if gcd(a, b) != 1 or P.is_core(p, b):
                         continue
@@ -178,8 +178,8 @@ def test_skew_length_bounded_on_enumerated_cores():
             if gcd(a, b) != 1:
                 continue
             bound = (a - 1) * (b - 1) // 2
-            for cv in enumerate_cores(SimplexSpec(a, b)):
-                p = core_from_charges(cv)
+            for c in enumerate_cores(SimplexSpec(a, b)):
+                p = core_from_charges(a, c)
                 assert 0 <= P.skew_length(p, a, b) <= bound
 
 

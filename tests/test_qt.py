@@ -7,7 +7,7 @@ import pytest
 
 from corelattice import partitions as P
 from corelattice import qt
-from corelattice.abacus import ShiftedPoint, charges_from_core, core_from_charges, shift
+from corelattice.abacus import charges_from_core, core_from_charges, shift
 from corelattice.perms import maj, siz
 from corelattice.polys import LaurentPoly
 from corelattice.simplex import SimplexSpec, enumerate_cores
@@ -15,16 +15,16 @@ from corelattice.simplex import SimplexSpec, enumerate_cores
 
 def test_length_from_x_examples():
     assert qt.length_from_x(qt.origin_point(3)) == 0
-    assert qt.length_from_x(shift(charges_from_core((7, 5, 3, 3, 2, 2, 1, 1), 3))) == 8
-    far = ShiftedPoint(4, tuple(9 * t for t in qt.origin_point(4).tx))
+    assert qt.length_from_x(shift(3, charges_from_core((7, 5, 3, 3, 2, 2, 1, 1), 3))) == 8
+    far = tuple(9 * t for t in qt.origin_point(4))
     assert qt.length_from_x(far) == (4 - 1) * (9 - 1) // 2
 
 
 def test_skew_length_from_x_examples():
     s34 = SimplexSpec(3, 4)
     assert qt.skew_length_from_x(s34, qt.origin_point(3)) == 0
-    assert qt.skew_length_from_x(SimplexSpec(3, 11), shift(charges_from_core((9, 7, 5, 3, 2, 2, 1, 1), 3))) == 9
-    largest = shift(charges_from_core((3, 1, 1), 3))
+    assert qt.skew_length_from_x(SimplexSpec(3, 11), shift(3, charges_from_core((9, 7, 5, 3, 2, 2, 1, 1), 3))) == 9
+    largest = shift(3, charges_from_core((3, 1, 1), 3))
     assert qt.skew_length_from_x(s34, largest) == 3
 
 
@@ -37,12 +37,12 @@ def test_cat_qt_examples():
 
 
 def _cat_qt_from_shifted_points(spec):
-    """cat_qt by the shifted-coordinate route: a ShiftedPoint per core and the floor formulas."""
+    """cat_qt by the shifted-coordinate route: each core's shifted coordinates and the floor formulas."""
     half = (spec.a - 1) * (spec.b - 1) // 2
     out = {}
-    for cv in enumerate_cores(spec):
-        sp = shift(cv)
-        key = (qt.length_from_x(sp), half - qt.skew_length_from_x(spec, sp))
+    for c in enumerate_cores(spec):
+        tx = shift(spec.a, c)
+        key = (qt.length_from_x(tx), half - qt.skew_length_from_x(spec, tx))
         out[key] = out.get(key, 0) + 1
     return LaurentPoly(out)
 
@@ -63,10 +63,10 @@ def test_cat_qt_total_and_max_statistics():
         assert poly.nonnegative()
         lengths = []
         skews = []
-        for cv in enumerate_cores(spec):
-            sp = shift(cv)
-            lengths.append(qt.length_from_x(sp))
-            skews.append(qt.skew_length_from_x(spec, sp))
+        for c in enumerate_cores(spec):
+            tx = shift(a, c)
+            lengths.append(qt.length_from_x(tx))
+            skews.append(qt.skew_length_from_x(spec, tx))
         assert max(lengths) == max(skews) == (a - 1) * (b - 1) // 2
 
 
@@ -88,22 +88,22 @@ def test_statistics_match_partition_oracles():
             if gcd(a, b) != 1:
                 continue
             spec = SimplexSpec(a, b)
-            for cv in enumerate_cores(spec):
-                p = core_from_charges(cv)
-                sp = shift(cv)
-                assert qt.length_from_x(sp) == len(p)
-                assert qt.skew_length_from_x(spec, sp) == P.skew_length(p, a, b)
+            for c in enumerate_cores(spec):
+                p = core_from_charges(a, c)
+                tx = shift(a, c)
+                assert qt.length_from_x(tx) == len(p)
+                assert qt.skew_length_from_x(spec, tx) == P.skew_length(p, a, b)
 
 
 def test_skew_length_is_coordinate_permutation_invariant():
     rng = random.Random(11)
     spec = SimplexSpec(4, 9)
-    for cv in rng.sample(enumerate_cores(spec), 25):
-        sp = shift(cv)
-        value = qt.skew_length_from_x(spec, sp)
+    for c in rng.sample(enumerate_cores(spec), 25):
+        tx = shift(4, c)
+        value = qt.skew_length_from_x(spec, tx)
         for _ in range(4):
             perm = rng.sample(range(4), 4)
-            shuffled = ShiftedPoint(4, tuple(sp.tx[i] for i in perm))
+            shuffled = tuple(tx[i] for i in perm)
             assert qt.skew_length_from_x(spec, shuffled) == value
 
 
@@ -120,18 +120,18 @@ def test_delta_table_examples():
     # near the origin, generator 1 moves (length, coskew) by (+1, -2) at a=3
     spec = SimplexSpec(3, 10)
     s = qt.origin_point(3)
-    moved = ShiftedPoint(3, tuple(t + w for t, w in zip(s.tx, qt.generator_tx(3, 1))))
+    moved = tuple(t + w for t, w in zip(s, qt.generator_tx(3, 1)))
     assert qt.length_from_x(moved) - qt.length_from_x(s) == 1
     assert qt.skew_length_from_x(spec, moved) - qt.skew_length_from_x(spec, s) == 2
     # near the far vertex, subtracting generator 1 moves them by (-1, +1)
-    far = ShiftedPoint(3, tuple(10 * t for t in s.tx))
-    back = ShiftedPoint(3, tuple(t - w for t, w in zip(far.tx, qt.generator_tx(3, 1))))
+    far = tuple(10 * t for t in s)
+    back = tuple(t - w for t, w in zip(far, qt.generator_tx(3, 1)))
     assert qt.length_from_x(back) - qt.length_from_x(far) == -1
     assert qt.skew_length_from_x(spec, back) - qt.skew_length_from_x(spec, far) == -1
     # a=4 near the origin, generator 2: (+2, -4)
     spec4 = SimplexSpec(4, 13)
     s4 = qt.origin_point(4)
-    moved4 = ShiftedPoint(4, tuple(t + w for t, w in zip(s4.tx, qt.generator_tx(4, 2))))
+    moved4 = tuple(t + w for t, w in zip(s4, qt.generator_tx(4, 2)))
     assert qt.length_from_x(moved4) - qt.length_from_x(s4) == 2
     assert qt.skew_length_from_x(spec4, moved4) - qt.skew_length_from_x(spec4, s4) == 4
 
@@ -148,10 +148,11 @@ def test_delta_table_check():
 def test_orbifold_minimal_vectors():
     labels2 = qt.orbifold_minimal_vectors(2)
     assert len(labels2) == 1
-    assert labels2[0].sigma == (1,)
-    assert qt.length_from_x(labels2[0].point) == 0
+    ((sigma, tx),) = labels2
+    assert sigma == (1,)
+    assert qt.length_from_x(tx) == 0
 
-    labels3 = {lab.sigma: lab.point for lab in qt.orbifold_minimal_vectors(3)}
+    labels3 = dict(qt.orbifold_minimal_vectors(3))
     assert set(labels3) == {(1, 2), (2, 1)}
     spec = SimplexSpec(3, 10)
     assert qt.length_from_x(labels3[(2, 1)]) == 1 == maj((2, 1))
@@ -159,9 +160,9 @@ def test_orbifold_minimal_vectors():
 
     for a in range(2, 7):
         labels = qt.orbifold_minimal_vectors(a)
-        assert len(labels) == len({lab.sigma for lab in labels})
-        for lab in labels:
-            tx = lab.point.tx
+        assert len(labels) == len({sigma for sigma, _ in labels})
+        for _, tx in labels:
+            assert sum(tx) == 0
             # strictly dominant, and minimal: subtracting any generator leaves the chamber
             assert all(tx[i] < tx[i + 1] for i in range(a - 1))
             for i in range(1, a):

@@ -8,13 +8,7 @@ from math import comb, gcd
 import pytest
 
 from corelattice import simplex as S
-from corelattice.abacus import (
-    ChargeVector,
-    charges_from_core,
-    core_from_charges,
-    shift,
-    size_quadratic,
-)
+from corelattice.abacus import charges_from_core, core_from_charges, shift, size_of_charges
 from corelattice.errors import CapExceededError
 from corelattice.partitions import brute_force_simultaneous_cores, is_core, skew_length
 from reference import conjugate, conjugation_T, contains, from_z, unshift, zero_charges
@@ -37,9 +31,9 @@ def test_spec_validation():
 def test_contains_examples():
     s34 = S.SimplexSpec(3, 4)
     assert contains(s34, zero_charges(3))
-    big = ChargeVector(3, (0, 3, -3))
+    big = (0, 3, -3)
     assert not contains(s34, big)
-    assert not is_core(core_from_charges(big), 4)
+    assert not is_core(core_from_charges(3, big), 4)
     s311 = S.SimplexSpec(3, 11)
     assert contains(s311, charges_from_core((9, 7, 5, 3, 2, 2, 1, 1), 3))
 
@@ -54,7 +48,7 @@ def test_rational_catalan():
 
 def test_enumerate_examples():
     assert len(S.enumerate_cores(S.SimplexSpec(3, 4))) == 5
-    parts = {core_from_charges(cv) for cv in S.enumerate_cores(S.SimplexSpec(2, 3))}
+    parts = {core_from_charges(2, c) for c in S.enumerate_cores(S.SimplexSpec(2, 3))}
     assert parts == {(), (1,)}
     assert S.enumerate_cores(S.SimplexSpec(7, 1)) == [zero_charges(7)]
 
@@ -63,8 +57,8 @@ def test_enumerate_is_deterministic_and_in_simplex():
     spec = S.SimplexSpec(4, 7)
     cores = S.enumerate_cores(spec)
     assert cores == S.enumerate_cores(spec)
-    assert all(contains(spec, cv) for cv in cores)
-    zs = [tuple(S.to_z(spec, shift(cv)).z) for cv in cores]
+    assert all(isinstance(c, tuple) and contains(spec, c) for c in cores)
+    zs = [S.to_z(spec, shift(4, c)) for c in cores]
     assert zs == sorted(zs)  # lexicographic output order
 
 
@@ -75,7 +69,7 @@ def test_enumeration_cap():
 
 def test_z_round_trip_and_characterization():
     s34 = S.SimplexSpec(3, 4)
-    zs = {tuple(S.to_z(s34, shift(cv)).z) for cv in S.enumerate_cores(s34)}
+    zs = {S.to_z(s34, shift(3, c)) for c in S.enumerate_cores(s34)}
     expected = {
         z
         for z in ((i, j, 4 - i - j) for i in range(5) for j in range(5 - i))
@@ -83,17 +77,19 @@ def test_z_round_trip_and_characterization():
     }
     assert zs == expected
     s37 = S.SimplexSpec(3, 7)
-    for cv in S.enumerate_cores(s37):
-        sp = shift(cv)
-        assert from_z(s37, S.to_z(s37, sp)) == sp
+    for c in S.enumerate_cores(s37):
+        tx = shift(3, c)
+        assert from_z(s37, S.to_z(s37, tx)) == tx
 
 
 def test_from_z_rejects_nontrivial_determinant():
-    # sum(i*z_i) = 10 is not 0 mod 4; build the vector past RepVector's own check
-    rv = object.__new__(S.RepVector)
-    object.__setattr__(rv, "z", (1, 1, 0, 3))
+    # sum(i*z_i) = 10 is not 0 mod 4
     with pytest.raises(ValueError, match="trivial-determinant"):
-        from_z(S.SimplexSpec(4, 5), rv)
+        from_z(S.SimplexSpec(4, 5), (1, 1, 0, 3))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        from_z(S.SimplexSpec(4, 5), (2, 4, 0, -1))
+    with pytest.raises(ValueError, match="does not match the simplex"):
+        from_z(S.SimplexSpec(4, 5), (1, 1, 3))
 
 
 def test_z_map_bijection_range():
@@ -102,7 +98,7 @@ def test_z_map_bijection_range():
             if gcd(a, b) != 1:
                 continue
             spec = S.SimplexSpec(a, b)
-            zs = {tuple(S.to_z(spec, shift(cv)).z) for cv in S.enumerate_cores(spec)}
+            zs = {S.to_z(spec, shift(a, c)) for c in S.enumerate_cores(spec)}
             expected = {
                 tuple(z)
                 for z in compositions(b, a)
@@ -118,11 +114,11 @@ def test_iter_cores_matches_enumerate_cores_and_the_z_maps():
                 continue
             spec = S.SimplexSpec(a, b)
             walked = list(S.iter_cores(spec))
-            assert [ChargeVector(a, c) for _, c in walked] == S.enumerate_cores(spec)
+            assert [c for _, c in walked] == S.enumerate_cores(spec)
             zs = [z for z, _ in walked]
             assert zs == sorted(set(zs)) and len(zs) == S.rational_catalan(a, b)
             for z, c in walked:
-                assert unshift(from_z(spec, S.RepVector(z))).c == c
+                assert unshift(from_z(spec, z)) == c
 
 
 def test_iter_cores_checks_cap_before_walking():
@@ -133,14 +129,29 @@ def test_iter_cores_checks_cap_before_walking():
 def test_to_z_rejects_outside_points():
     s34 = S.SimplexSpec(3, 4)
     with pytest.raises(ValueError):
-        S.to_z(s34, shift(ChargeVector(3, (0, 3, -3))))
+        S.to_z(s34, shift(3, (0, 3, -3)))
+
+
+def test_to_z_rejects_a_point_of_the_wrong_length():
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 4"):
+        S.to_z(S.SimplexSpec(3, 4), shift(4, (0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+        S.to_z(S.SimplexSpec(3, 4), (-1, 1))
+
+
+def test_to_z_rejects_a_nontrivial_determinant():
+    # the shifted coordinates of the charges (1, 0, 0, 0), which do not sum to 0, built past shift's check:
+    # on the lattice and inside the simplex, but z = (1, 1, 1, 2) has sum(i*z_i) = 9, not 0 mod 4
+    tx = tuple(2 * 4 * ci + 2 * i - 3 for i, ci in enumerate((1, 0, 0, 0)))
+    with pytest.raises(ValueError, match="determinant condition fails"):
+        S.to_z(S.SimplexSpec(4, 5), tx)
 
 
 def test_empty_partition_z_sums_to_b():
     for a, b in ((2, 5), (3, 7), (4, 9), (5, 8)):
-        rv = S.to_z(S.SimplexSpec(a, b), shift(zero_charges(a)))
-        assert sum(rv.z) == b
-        assert sum(i * v for i, v in enumerate(rv.z)) % a == 0
+        z = S.to_z(S.SimplexSpec(a, b), shift(a, zero_charges(a)))
+        assert sum(z) == b
+        assert sum(i * v for i, v in enumerate(z)) % a == 0
 
 
 def test_conjugation_examples():
@@ -149,17 +160,17 @@ def test_conjugation_examples():
     for _ in range(60):
         a = rng.randint(2, 6)
         head = [rng.randint(-3, 3) for _ in range(a - 1)]
-        cv = ChargeVector(a, (*head, -sum(head)))
-        tcv = conjugation_T(cv)
-        assert conjugation_T(tcv) == cv
-        assert core_from_charges(tcv) == conjugate(core_from_charges(cv))
+        c = (*head, -sum(head))
+        tc = conjugation_T(c)
+        assert conjugation_T(tc) == c
+        assert core_from_charges(a, tc) == conjugate(core_from_charges(a, c))
 
 
 def test_conjugation_in_z_coordinates():
     spec = S.SimplexSpec(4, 7)
-    for cv in S.enumerate_cores(spec):
-        z = S.to_z(spec, shift(cv)).z
-        zt = S.to_z(spec, shift(conjugation_T(cv))).z
+    for c in S.enumerate_cores(spec):
+        z = S.to_z(spec, shift(4, c))
+        zt = S.to_z(spec, shift(4, conjugation_T(c)))
         assert zt == tuple(z[(-i) % 4] for i in range(4))
 
 
@@ -191,7 +202,7 @@ def test_core_moments_match_the_walk():
             count = total = 0
             for _, c in S.iter_cores(spec):
                 count += 1
-                total += size_quadratic(ChargeVector(a, c))
+                total += size_of_charges(a, c)
             assert S.core_moments(spec) == (count, total), (a, b)
 
 
@@ -224,7 +235,7 @@ def test_each_rotation_orbit_of_compositions_holds_one_core_of_its_size(a):
             assert len(orbit) == a, z
             (core,) = orbit & cores.keys()
             size = Fraction(-(a * a - 1), 24) + sum(t * t for t in tx) / (8 * a)
-            assert size == size_quadratic(ChargeVector(a, cores[core])), z
+            assert size == size_of_charges(a, cores[core]), z
 
 
 def test_core_fold_matches_the_charge_vector_routes():
@@ -234,15 +245,17 @@ def test_core_fold_matches_the_charge_vector_routes():
                 continue
             spec = S.SimplexSpec(a, b)
             cores = S.enumerate_cores(spec)
-            fixed = [cv for cv in cores if conjugation_T(cv) == cv]
-            expected = (len(cores), sum(map(size_quadratic, cores)), len(fixed), sum(map(size_quadratic, fixed)))
+            fixed = [c for c in cores if conjugation_T(c) == c]
+            sizes = [size_of_charges(a, c) for c in cores]
+            fixed_sizes = [size_of_charges(a, c) for c in fixed]
+            expected = (len(cores), sum(sizes), len(fixed), sum(fixed_sizes))
             assert S.core_fold(spec) == expected, (a, b)
 
 
 def test_is_self_conjugate_is_the_conjugation_fixed_point_test():
     for a in range(2, 7):
-        for cv in (ChargeVector(a, (*head, -sum(head))) for head in product(range(-2, 3), repeat=a - 1)):
-            assert S.is_self_conjugate(cv.c) == (conjugation_T(cv) == cv), cv
+        for c in ((*head, -sum(head)) for head in product(range(-2, 3), repeat=a - 1)):
+            assert S.is_self_conjugate(c) == (conjugation_T(c) == c), c
 
 
 def test_core_fold_honours_the_cap():
@@ -291,7 +304,7 @@ def test_count_and_armstrong_medium_range():
             spec = S.SimplexSpec(a, b)
             cores = S.enumerate_cores(spec)
             assert len(cores) == S.rational_catalan(a, b)
-            total = sum(size_quadratic(cv) for cv in cores)
+            total = sum(size_of_charges(a, c) for c in cores)
             assert total == S.rational_catalan(a, b) * S.armstrong_average(a, b)
 
 
@@ -299,17 +312,17 @@ def test_oracle_equivalence_small():
     for a, b in ((2, 3), (2, 7), (3, 4), (3, 5), (4, 5)):
         spec = S.SimplexSpec(a, b)
         cores = S.enumerate_cores(spec)
-        max_size = max(size_quadratic(cv) for cv in cores)
+        max_size = max(size_of_charges(a, c) for c in cores)
         assert max_size == (a * a - 1) * (b * b - 1) // 24
-        enumerated = {core_from_charges(cv) for cv in cores}
+        enumerated = {core_from_charges(a, c) for c in cores}
         assert enumerated == set(brute_force_simultaneous_cores(a, b, max_size))
 
 
 def test_enumeration_is_symmetric_in_the_two_moduli():
     # the set of (a,b)-cores does not depend on which modulus drives the abacus
     for a, b in ((3, 5), (2, 7), (4, 7), (5, 6)):
-        via_a = {core_from_charges(cv) for cv in S.enumerate_cores(S.SimplexSpec(a, b))}
-        via_b = {core_from_charges(cv) for cv in S.enumerate_cores(S.SimplexSpec(b, a))}
+        via_a = {core_from_charges(a, c) for c in S.enumerate_cores(S.SimplexSpec(a, b))}
+        via_b = {core_from_charges(b, c) for c in S.enumerate_cores(S.SimplexSpec(b, a))}
         assert via_a == via_b
 
 
@@ -338,8 +351,8 @@ def test_rotation_equidistribution():
 
 def test_core_record_fields():
     spec = S.SimplexSpec(3, 4)
-    cv = charges_from_core((3, 1, 1), 3)
-    rec = dict(zip(S.CORE_FIELDS, S.core_record(spec, cv.c, S.to_z(spec, shift(cv)).z)))
+    c = charges_from_core((3, 1, 1), 3)
+    rec = dict(zip(S.CORE_FIELDS, S.core_record(spec, c, S.to_z(spec, shift(3, c)))))
     assert rec == {
         "charges": [-1, 0, 1],
         "z": [4, 0, 0],
@@ -370,12 +383,11 @@ def test_core_record_matches_the_partition_routes():
             spec = S.SimplexSpec(a, b)
             for z, charges in S.iter_cores(spec):
                 rec = dict(zip(S.CORE_FIELDS, S.core_record(spec, charges, z)))
-                cv = ChargeVector(a, charges)
-                p = core_from_charges(cv)
+                p = core_from_charges(a, charges)
                 assert rec["charges"] == list(charges) and rec["z"] == list(z)
                 assert rec["partition"] == list(p), (a, b, charges)
                 assert rec["length"] == len(p)
-                assert rec["size"] == sum(p) == size_quadratic(cv)
+                assert rec["size"] == sum(p) == size_of_charges(a, charges)
                 assert rec["skew_length"] == skew_length(p, a, b) == skew_length_by_hooks(p, a, b), (a, b, p)
                 assert rec["co_skew_length"] == (a - 1) * (b - 1) // 2 - rec["skew_length"]
                 assert is_core(p, a) and is_core(p, b), (a, b, p)

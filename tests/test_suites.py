@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from corelattice import cli, perms, simplex, suites
-from corelattice.abacus import size_of_charges, size_quadratic
+from corelattice.abacus import size_of_charges
 from corelattice.errors import CapExceededError
 from corelattice.simplex import DEFAULT_CAP
 
@@ -22,8 +22,8 @@ def test_oracle_catches_a_dropped_largest_core(monkeypatch):
 
     def without_largest(spec, cap):
         cores = real(spec, cap)
-        largest = max(cores, key=size_quadratic)
-        return [cv for cv in cores if cv != largest]
+        largest = max(cores, key=lambda c: size_of_charges(spec.a, c))
+        return [c for c in cores if c != largest]
 
     monkeypatch.setattr(suites, "enumerate_cores", without_largest)
     ok, detail = check.run()
