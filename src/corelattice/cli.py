@@ -10,12 +10,13 @@ failed internal check or an exceeded cap can leave partial output before the
 exit code.
 
 A command imports only the modules it runs, at the top of its function:
-``enumerate`` and the parser load ``simplex`` and ``perms`` and what they
-import, and ``verify`` loads every module through ``suites``.
+``enumerate`` and the parser load ``simplex`` and what it imports
+(``abacus``, ``errors``, ``partitions``), and ``verify`` loads every module
+through ``suites``.
 
-Exit codes: 0 success, 1 assertion failure (a verify suite or an internal
-check), 2 usage or validation error, or output that cannot be written,
-3 cap exceeded.
+Exit codes: 0 success, 1 assertion failure (a verify suite, an internal
+check, or held-out samples that contradict a fit), 2 usage or validation
+error, or output that cannot be written, 3 cap exceeded.
 ``CORELATTICE_CAP`` overrides the default cap of 10^7 cores enumerated (permutations for
 ``perm`` and the permutation suites, moment-recursion steps for ``ehrhart`` and ``verify root-structure``,
 orbifold cosets for ``verify sizmaj1`` and charge tuples for ``verify quadratic``).
@@ -28,15 +29,14 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
+from math import gcd
 
-from . import perms
-from .errors import CapExceededError
+from .errors import DISTRIBUTION_CAP, CapExceededError, FitValidationError
 from .simplex import (
     CORE_FIELDS,
     DEFAULT_CAP,
     SimplexSpec,
-    armstrong_average,
+    armstrong_ratio,
     core_record,
     iter_cores,
     rational_catalan,
@@ -93,6 +93,12 @@ class _LazyOutput:
         return self.fh.write(text)
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``, without loading ``fractions``."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def _ints_csv(values) -> str:
     return " ".join(str(v) for v in values)
 
@@ -129,7 +135,7 @@ def cmd_enumerate(args, out) -> int:
             out.write("".join(batch))
             batch.clear()
     out.write("".join(batch))
-    average = Fraction(total, count)
+    average = _ratio_text(total, count)
     if args.format == "csv":
         print(f"# count={count} total_size={total} average_size={average}", file=out)
         return EXIT_OK
@@ -137,8 +143,8 @@ def cmd_enumerate(args, out) -> int:
         **({"a": args.a, "b": args.b} if args.summary else {"type": "summary"}),
         "count": count,
         "total_size": total,
-        "average_size": str(average),
-        "average_size_expected": str(armstrong_average(args.a, args.b)),
+        "average_size": average,
+        "average_size_expected": _ratio_text(*armstrong_ratio(args.a, args.b)),
     }
     print(_json_line(footer), file=out)
     return EXIT_OK
@@ -214,6 +220,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_perm(args, out) -> int:
+    from . import perms
+
     perms.require_walk_within(args.n, args.cap)
     dist = perms.distribution(args.n)
     report = {
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=cmd_verify)
 
     p_perm = sub.add_parser("perm", help="permutation statistic distribution and identities")
-    p_perm.add_argument("n", type=int, help=f"walks all n! permutations; n <= {perms.DISTRIBUTION_CAP}, n! <= --cap")
+    p_perm.add_argument("n", type=int, help=f"walks all n! permutations; n <= {DISTRIBUTION_CAP}, n! <= --cap")
     common(p_perm)
     p_perm.set_defaults(fn=cmd_perm)
 
@@ -369,6 +377,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except FitValidationError as exc:  # a ValueError, but a failed check rather than a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

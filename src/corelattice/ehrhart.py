@@ -23,7 +23,7 @@ from itertools import combinations, product
 from math import ceil, floor, gcd
 from operator import mul
 
-from .errors import CapExceededError, FitValidationError
+from .errors import CapExceededError, FitValidationError, int_text
 from .simplex import DEFAULT_CAP, SimplexSpec, core_moments
 
 Coeffs = tuple[Fraction, ...]
@@ -335,7 +335,9 @@ def _moment_series(a: int, bs, cap: int) -> dict[int, tuple[int, int]]:
     for b in bs:
         steps += (a - 1) * (b + 1)
         if steps > cap:
-            raise CapExceededError(f"the moment recursion at a={a} takes {steps} steps up to b={b}, over the cap of {cap}")
+            raise CapExceededError(
+                f"the moment recursion at a={a} takes {int_text(steps)} steps up to b={int_text(b)}, over the cap of {cap}"
+            )
     return {b: core_moments(SimplexSpec(a, b)) for b in bs}
 
 

@@ -16,10 +16,8 @@ from itertools import permutations as _permutations  # perfbench's tracer wraps 
 from math import factorial
 from operator import gt, mul
 
-from .errors import CapExceededError
+from .errors import DISTRIBUTION_CAP, CapExceededError
 from .polys import LaurentPoly
-
-DISTRIBUTION_CAP = 9
 
 
 def des_set(sigma) -> frozenset[int]:

@@ -15,33 +15,35 @@ keeps the loops trivially bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import combinations
 from math import comb, gcd
 from operator import add, itemgetter, sub
 
 from . import partitions
 from .abacus import core_beads, size_of_charges
-from .errors import CapExceededError
+from .errors import CapExceededError, int_text
 
 DEFAULT_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class SimplexSpec:
-    """Parameters (a, b) of a core simplex; a >= 2, b >= 1, gcd(a, b) = 1."""
+class SimplexSpec(namedtuple("SimplexSpec", "a b")):
+    """Parameters (a, b) of a core simplex; a >= 2, b >= 1, gcd(a, b) = 1.
 
-    a: int
-    b: int
+    A named tuple, validated when it is built: it compares and hashes as the
+    pair ``(a, b)``, and its fields cannot be assigned.
+    """
 
-    def __post_init__(self):
-        if self.a < 2:
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int):
+        if a < 2:
             raise ValueError("a must be >= 2")
-        if self.b < 1:
+        if b < 1:
             raise ValueError("b must be >= 1")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError(f"a={self.a} and b={self.b} must be coprime")
+        if gcd(a, b) != 1:
+            raise ValueError(f"a={a} and b={b} must be coprime")
+        return super().__new__(cls, a, b)
 
 
 def rational_catalan(a: int, b: int) -> int:
@@ -92,7 +94,7 @@ def capped_count(spec: SimplexSpec, cap: int) -> int:
     """Cat(a,b), once it is known not to exceed ``cap`` (else :class:`CapExceededError`)."""
     count = rational_catalan(spec.a, spec.b)
     if count > cap:
-        raise CapExceededError(f"Cat({spec.a},{spec.b}) = {count} exceeds the cap of {cap}")
+        raise CapExceededError(f"Cat({spec.a},{spec.b}) = {int_text(count)} exceeds the cap of {cap}")
     return count
 
 
@@ -271,9 +273,16 @@ def self_conjugate_count(a: int, b: int) -> int:
     return comb(a // 2 + b // 2, a // 2)
 
 
-def armstrong_average(a: int, b: int) -> Fraction:
-    """Closed form ``(a+b+1)(a-1)(b-1)/24`` for the average core size."""
-    return Fraction((a + b + 1) * (a - 1) * (b - 1), 24)
+def armstrong_ratio(a: int, b: int) -> tuple[int, int]:
+    """Closed form ``(a+b+1)(a-1)(b-1)/24`` for the average core size, as the unreduced pair (numerator, 24)."""
+    return (a + b + 1) * (a - 1) * (b - 1), 24
+
+
+def armstrong_average(a: int, b: int):
+    """:func:`armstrong_ratio` as a ``Fraction``."""
+    from fractions import Fraction  # here, not at import: ``enumerate`` prints the ratio without loading it
+
+    return Fraction(*armstrong_ratio(a, b))
 
 
 CORE_FIELDS = ("charges", "z", "partition", "size", "length", "skew_length", "co_skew_length")

@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import ehrhart, perms, qpoly, qt
 from .abacus import charges_from_core, core_beads, core_from_charges, shift, size_of_charges
-from .errors import CapExceededError
+from .errors import CapExceededError, int_text
 from .partitions import brute_force_simultaneous_cores, parts_of_beads, skew_length
 from .simplex import (
     SimplexSpec,
@@ -167,7 +167,7 @@ def _quadratic_params(o: dict):
     """``{"a": a, "radius": r}`` for ``quadratic``, refused before any check runs when the a_max box passes the cap."""
     a_max, radius, cap = o.get("a_max", 6), o.get("radius", 4), o["cap"]
     side = 2 * radius + 1
-    message = f"a={a_max} walks a box of {side}^{a_max - 1} charge tuples, over the cap of {cap}"
+    message = f"a={a_max} walks a box of {int_text(side)}^{a_max - 1} charge tuples, over the cap of {cap}"
     _require_walk_within(repeat(side, a_max - 1), cap, message)
     return ({"a": a, "radius": radius} for a in range(2, a_max + 1))
 

@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from corelattice import ehrhart, perms, qpoly, qt, simplex, suites
-from corelattice.cli import _core_json_line, main
+from corelattice.cli import _core_json_line, _ratio_text, main
+from corelattice.errors import FitValidationError
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +39,24 @@ def test_enumerate_records_and_footer(capsys):
     assert {tuple(rec["partition"]) for rec in cores} == {(), (1,), (2,), (1, 1), (3, 1, 1)}
     for rec in cores:
         assert rec["co_skew_length"] == 3 - rec["skew_length"]
+
+
+def test_ratio_text_is_the_fraction_string():
+    for n in range(-30, 100):
+        for d in range(1, 50):
+            assert _ratio_text(n, d) == str(Fraction(n, d)), (n, d)
+
+
+# the grid includes integral averages: (2,1) -> "0", (3,4) -> "2", (5,9) -> "20"
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(2, 7) for b in range(1, 10) if gcd(a, b) == 1])
+def test_enumerate_footer_averages_are_the_fraction_strings(capsys, a, b):
+    code, out, _ = run_cli(capsys, "enumerate", str(a), str(b), "--summary")
+    footer = json.loads(out)
+    count, total = footer["count"], footer["total_size"]
+    assert code == 0 and footer["average_size"] == str(Fraction(total, count))
+    assert footer["average_size_expected"] == str(simplex.armstrong_average(a, b))
+    code, out, _ = run_cli(capsys, "enumerate", str(a), str(b), "--summary", "--format", "csv")
+    assert code == 0 and out == f"# count={count} total_size={total} average_size={Fraction(total, count)}\n"
 
 
 def test_enumerate_rejects_non_coprime(capsys):
@@ -159,6 +179,23 @@ def test_internal_assertion_exits_one_without_traceback(capsys, monkeypatch):
     assert err.startswith("error: ") and "closed-form count" in err and "Traceback" not in err
     # records may stream out before the end-of-stream count check fails; the footer never comes
     assert all(json.loads(line)["type"] == "core" for line in out.splitlines())
+
+
+def test_a_held_out_sample_that_contradicts_a_fit_exits_one(capsys, monkeypatch):
+    # a FitValidationError is a ValueError, but a failed check and not a usage error
+    real = ehrhart.core_moments
+
+    def perturbed(spec):
+        count, total = real(spec)
+        return count + (spec.b == 17), total  # b = 17 is the last of the nine b the fit at a = 4 samples
+
+    monkeypatch.setattr(ehrhart, "core_moments", perturbed)
+    with pytest.raises(FitValidationError):
+        ehrhart.fit_core_polynomials(4)
+    code, out, err = run_cli(capsys, "ehrhart", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: held-out sample at t=17 gives ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_an_off_by_one_size_form_fails_the_per_core_check(capsys, monkeypatch):
@@ -392,6 +429,14 @@ def test_poly_checks_the_cap_before_any_q_polynomial(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "poly", "90", "91")
     assert code == 3 and out == ""
     assert err.startswith("error: Cat(90,91) = ") and err.endswith(" exceeds the cap of 10000000\n")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "poly"])
+def test_a_cat_past_the_int_string_limit_is_named_by_its_digit_count(capsys, command):
+    # Cat(7200,7201) has 4,329 digits, past the 4,300 that str() of an int allows
+    code, out, err = run_cli(capsys, command, "7200", "7201")
+    assert code == 3 and out == ""
+    assert err == "error: Cat(7200,7201) = a 4329-digit number exceeds the cap of 10000000\n"
 
 
 @pytest.mark.parametrize("argv", [["poly", "2", "999"], ["poly", "2", "5001"], ["search-age", "2", "--b-list", "999"]])

@@ -20,12 +20,25 @@ def compositions(total, parts):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a=4 and b=6 must be coprime$"):
         S.SimplexSpec(4, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a must be >= 2$"):
         S.SimplexSpec(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^b must be >= 1$"):
         S.SimplexSpec(3, 0)
+    with pytest.raises(ValueError, match="^a must be >= 2$"):
+        S.SimplexSpec(b=2, a=1)
+
+
+def test_spec_is_a_frozen_named_pair():
+    spec = S.SimplexSpec(3, 4)
+    assert repr(spec) == "SimplexSpec(a=3, b=4)" and (spec.a, spec.b) == (3, 4)
+    assert spec == S.SimplexSpec(b=4, a=3) and spec != S.SimplexSpec(4, 3)
+    assert hash(spec) == hash(S.SimplexSpec(3, 4)) and len({spec, S.SimplexSpec(3, 4), S.SimplexSpec(3, 5)}) == 2
+    for field in ("a", "b", "c"):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, 5)
+    assert spec == (3, 4)
 
 
 def test_contains_examples():

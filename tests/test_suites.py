@@ -1,5 +1,6 @@
 """Verification suites: what a check catches when the enumeration goes wrong."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -13,6 +14,12 @@ from corelattice.simplex import DEFAULT_CAP
 def build(name, **given):
     bounds = dict(a_max=None, b_max=None, n_max=None, k_max=None, radius=None, cap=DEFAULT_CAP)
     return suites.build_suite(name, **{**bounds, **given})
+
+
+def test_a_check_stays_a_dataclass():
+    # perfbench/tracer.py wraps each check's run with dataclasses.replace; a named tuple would break the traced runs
+    (check,) = build("oracle", a_max=2, b_max=3)
+    assert dataclasses.is_dataclass(suites.Check) and dataclasses.replace(check, name="x").run() == check.run()
 
 
 def test_oracle_catches_a_dropped_largest_core(monkeypatch):
