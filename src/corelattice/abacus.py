@@ -44,9 +44,9 @@ def shift(a: int, c) -> tuple[int, ...]:
     return tuple(2 * a * ci + 2 * i - (a - 1) for i, ci in enumerate(c))
 
 
-# a -> the combs (2^(a*k) - 1) / (2^a - 1), k bits spaced a apart, for k below the list's length.  Built
-# on first use and replaced whole when a longer one is needed, never mutated, so every caller reads a full table.
-_COMBS: dict[int, list[int]] = {}
+# a -> (span, the comb (2^span - 1) / (2^a - 1) of span/a bits spaced a apart).  Shifted down by span - (a*k + lo)
+# it is its top k bits, the lowest at bit lo < a.  Built on first use; replaced whole, doubled, when it is too short.
+_COMBS: dict[int, tuple[int, int]] = {}
 
 
 def core_beads(a: int, c) -> tuple[int, list[int]]:
@@ -64,16 +64,18 @@ def core_beads(a: int, c) -> tuple[int, list[int]]:
     """
     tops = [-a * ci - i - 1 for i, ci in enumerate(c)]
     below = min(tops)  # a under the lowest empty level
-    combs = _COMBS.get(a, ())
+    span, comb = _COMBS.get(a, (0, 0))
     beads = 0
     rows = []
     for t in tops:
-        k, lo = divmod(t - below, a)
-        if k:
-            if k >= len(combs):
-                combs = _COMBS[a] = [((1 << a * j) - 1) // ((1 << a) - 1) for j in range(2 * k)]
-            beads |= combs[k] << lo
-            rows.append(t - below - a)
+        d = t - below  # a*k + lo: k beads on this runner, the lowest at bit lo
+        if d >= a:
+            if d > span:
+                span = 2 * (d - d % a)
+                comb = ((1 << span) - 1) // ((1 << a) - 1)
+                _COMBS[a] = span, comb
+            beads |= comb >> span - d
+            rows.append(d - a)
     if beads.bit_count() != -(below + a):
         raise AssertionError("abacus bookkeeping is inconsistent")
     return beads, rows

@@ -1,4 +1,4 @@
-"""Exact quasipolynomial fitting, desk-scale lattice-point counting, and
+"""Exact quasipolynomial fitting, lattice points of weighted simplices, and
 the count/size polynomials of the core simplices.
 
 Fitting is Lagrange interpolation over the rationals with held-out
@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, product
-from math import ceil, floor, gcd
-from operator import mul
+from itertools import count
+from math import gcd
 
 from .errors import CapExceededError, FitValidationError, int_text
 from .simplex import DEFAULT_CAP, SimplexSpec, core_moments
@@ -111,137 +109,30 @@ def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
     return Quasipolynomial(period, tuple(constituents))
 
 
-def _row_reduce(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination of ``m`` in place on its first ``ncols`` columns; returns the pivot columns."""
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivots.append(col)
-    return pivots
+class WeightedSimplex:
+    """The simplex ``{x : x >= 0, w . x <= 1}`` for positive integer weights ``w``.
 
+    Its dilate ``tP`` is ``x_i >= 0, w . x <= t``, and the interior of ``tP``
+    is ``x_i >= 1, w . x <= t - 1``.
 
-def _kernel_vector(rows: list[list[Fraction]], n: int) -> list[Fraction]:
-    """A nonzero kernel vector of an under-determined system (< n rows)."""
-    m = [row[:] for row in rows]
-    pivots = _row_reduce(m, n)
-    free = next(col for col in range(n) if col not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for row, col in zip(m, pivots):
-        vec[col] = -row[free]
-    return vec
-
-
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square system exactly; None when singular."""
-    n = len(rows)
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    if len(_row_reduce(m, n)) < n:
-        return None
-    return [row[n] for row in m]
-
-
-@dataclass(frozen=True)
-class RationalPolytope:
-    """A bounded rational polytope ``{x : A x <= rhs}`` with integer data.
-
-    Scaling by a positive integer ``t`` scales the right-hand sides.  Counts
-    run the first ``dim - 1`` coordinates over the box spanned by the
-    vertices (solved once per polytope) and read the range of the last
-    coordinate off the inequalities, so only the points inside are visited,
-    which is the right tool at desk scale.
+    >>> halved_right_triangle().count(4)
+    9
     """
 
-    dim: int
-    inequalities: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ("weights",)
 
-    @classmethod
-    def from_inequalities(cls, dim: int, inequalities) -> "RationalPolytope":
-        rows = tuple((tuple(coeffs), rhs) for coeffs, rhs in inequalities)
-        if any(len(coeffs) != dim for coeffs, _ in rows):
-            raise ValueError("inequality arity does not match the dimension")
-        poly = cls(dim, rows)
-        if not poly._is_bounded():
-            raise ValueError("polytope is unbounded")
-        poly._box  # solve the vertices once; fails fast on empty input
-        return poly
-
-    def _is_bounded(self) -> bool:
-        """True iff the recession cone ``{d : A d <= 0}`` is trivial.
-
-        Any nonzero recession direction can be scaled onto an extreme ray,
-        which is tight on some ``dim - 1`` rows; checking the kernel vector
-        of every such subset (both signs) is therefore exhaustive.
-        """
-        matrix = [[Fraction(c) for c in coeffs] for coeffs, _ in self.inequalities]
-        for subset in combinations(matrix, self.dim - 1):
-            d = _kernel_vector(list(subset), self.dim)
-            for cand in (d, [-v for v in d]):
-                if all(sum(c * x for c, x in zip(row, cand)) <= 0 for row in matrix):
-                    return False
-        return True
-
-    def vertices(self) -> list[tuple[Fraction, ...]]:
-        """All vertices, by solving the square subsystems of tight constraints."""
-        verts: set[tuple[Fraction, ...]] = set()
-        for subset in combinations(self.inequalities, self.dim):
-            sol = _solve_square(
-                [[Fraction(c) for c in coeffs] for coeffs, _ in subset],
-                [Fraction(r) for _, r in subset],
-            )
-            if sol is None:
-                continue
-            if all(
-                sum(c * x for c, x in zip(coeffs, sol)) <= rhs
-                for coeffs, rhs in self.inequalities
-            ):
-                verts.add(tuple(sol))
-        if not verts:
-            raise ValueError("polytope has no vertices (empty or unbounded input)")
-        return sorted(verts)
-
-    @cached_property
-    def _box(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The least and greatest value of each coordinate over the vertices."""
-        return tuple((min(col), max(col)) for col in zip(*self.vertices()))
+    def __init__(self, weights):
+        weights = tuple(weights)
+        if not weights or min(weights) < 1:
+            raise ValueError(f"weights must be positive integers, got {weights}")
+        self.weights = weights
 
     def lattice_points(self, t: int, interior: bool = False):
-        """Integer points of ``tP`` (or of its interior), in lexicographic order.
-
-        For each prefix of the first ``dim - 1`` coordinates in the box of
-        ``tP``, row ``A_i`` bounds the last coordinate x by
-        ``A_i,last * x <= t * rhs_i - A_i,head . prefix`` (minus 1 for the
-        interior): a floor division for a positive coefficient, a ceiling
-        division for a negative one, and for a zero one a test of the prefix.
-        """
+        """Integer points of ``tP`` (or of its interior), lazily in lexicographic order."""
         if t < 1:
             raise ValueError("t must be >= 1")
-        *head, last = (range(ceil(lo * t), floor(hi * t) + 1) for lo, hi in self._box)
-        strict = 1 if interior else 0
-        rows = [(coeffs[:-1], coeffs[-1], t * rhs - strict) for coeffs, rhs in self.inequalities]
-        for prefix in product(*head):
-            lo, hi = last.start, last.stop - 1
-            for coeffs, c, bound in rows:
-                room = bound - sum(map(mul, coeffs, prefix))
-                if c > 0:
-                    hi = min(hi, room // c)
-                elif c < 0:
-                    lo = max(lo, -(room // -c))
-                elif room < 0:
-                    break
-            else:
-                for x in range(lo, hi + 1):
-                    yield (*prefix, x)
+        low = 1 if interior else 0
+        return _points(self.weights, low, t - low)
 
     def count(self, t: int, interior: bool = False) -> int:
         return sum(1 for _ in self.lattice_points(t, interior))
@@ -263,28 +154,34 @@ class RationalPolytope:
         return total
 
 
-def unit_segment() -> RationalPolytope:
+def _points(weights: tuple[int, ...], low: int, room: int):
+    """The points ``x_i >= low`` with ``w . x <= room``, in lexicographic order."""
+    w, *rest = weights
+    for x in range(low, room // w + 1):
+        if rest:
+            for tail in _points(rest, low, room - w * x):
+                yield (x, *tail)
+        else:
+            yield (x,)
+
+
+def unit_segment() -> WeightedSimplex:
     """The segment [0, 1]."""
-    return RationalPolytope.from_inequalities(1, [((-1,), 0), ((1,), 1)])
+    return WeightedSimplex((1,))
 
 
-def halved_right_triangle() -> RationalPolytope:
+def halved_right_triangle() -> WeightedSimplex:
     """``x, y >= 0, 2x + y <= 1`` (period-2 count quasipolynomial)."""
-    return RationalPolytope.from_inequalities(
-        2, [((-1, 0), 0), ((0, -1), 0), ((2, 1), 1)]
-    )
+    return WeightedSimplex((2, 1))
 
 
-def standard_simplex(n: int) -> RationalPolytope:
+def standard_simplex(n: int) -> WeightedSimplex:
     """``x_i >= 0, sum x_i <= 1`` in dimension n."""
-    rows = [tuple(-(i == j) for j in range(n)) for i in range(n)]
-    return RationalPolytope.from_inequalities(
-        n, [*((row, 0) for row in rows), ((1,) * n, 1)]
-    )
+    return WeightedSimplex((1,) * n)
 
 
 def reciprocity_check(
-    polytope: RationalPolytope,
+    polytope: WeightedSimplex,
     t_max: int,
     period: int = 1,
     weight=None,
@@ -295,7 +192,7 @@ def reciprocity_check(
     interior sum at scale ``t`` of the weight at ``-x`` (the plain interior
     count when no weight is given), for ``t = 1 .. t_max // 2``.
     """
-    n = polytope.dim
+    n = len(polytope.weights)
     wdeg = max((sum(e) for e in weight), default=0) if weight else 0
     degree = n + wdeg
     if t_max < 2 * (degree + 2) * period:
@@ -330,15 +227,20 @@ def core_series(a: int, residue: int, num_samples: int, cap: int = DEFAULT_CAP) 
 
 
 def _moment_series(a: int, bs, cap: int) -> dict[int, tuple[int, int]]:
-    """``core_moments`` at each b of ``bs``, once the recursion's (a-1)(b+1) steps per b, summed, are within ``cap``."""
+    """``core_moments`` at each b of ``bs``, once the recursion's (a-1)(b+1) steps per b, summed, are within ``cap``.
+
+    The steps are counted as each b is drawn, so a lazy ``bs`` past the cap is never drawn whole.
+    """
     steps = 0
+    checked = []
     for b in bs:
         steps += (a - 1) * (b + 1)
         if steps > cap:
             raise CapExceededError(
-                f"the moment recursion at a={a} takes {int_text(steps)} steps up to b={int_text(b)}, over the cap of {cap}"
+                f"the moment recursion at a={int_text(a)} takes {int_text(steps)} steps up to b={int_text(b)}, over the cap of {cap}"
             )
-    return {b: core_moments(SimplexSpec(a, b)) for b in bs}
+        checked.append(b)
+    return {b: core_moments(SimplexSpec(a, b)) for b in checked}
 
 
 def _residue_values(a: int, residue: int, num_samples: int) -> range:
@@ -350,19 +252,20 @@ def _residue_values(a: int, residue: int, num_samples: int) -> range:
     return range(first, first + a * num_samples, a)
 
 
-def _coprime_values(a: int, count: int) -> list[int]:
+HELD_OUT_SAMPLES = 3  # samples beyond the a + 2 that determine G; each must match the fit
+
+
+def _fit_values(a: int):
+    """The b values that :func:`fit_core_polynomials` samples: the first a + 5 coprime to ``a``, drawn lazily."""
     if a < 2:
         raise ValueError("a must be >= 2")
-    out = []
-    b = 1
-    while len(out) < count:
-        if gcd(a, b) == 1:
-            out.append(b)
-        b += 1
-    return out
+    coprime = (b for b in count(1) if gcd(a, b) == 1)
+    return (b for _, b in zip(range((a + 1) + 1 + HELD_OUT_SAMPLES), coprime))  # not islice, whose stop is a C long
 
 
-HELD_OUT_SAMPLES = 3  # samples beyond the a + 2 that determine G; each must match the fit
+def fit_steps(a: int) -> int:
+    """The moment-recursion steps of :func:`fit_core_polynomials` at ``a``, as :func:`_moment_series` counts them."""
+    return sum((a - 1) * (b + 1) for b in _fit_values(a))
 
 
 def fit_core_polynomials(a: int, cap: int = DEFAULT_CAP) -> tuple[Coeffs, Coeffs, Coeffs]:
@@ -381,7 +284,7 @@ def fit_core_polynomials(a: int, cap: int = DEFAULT_CAP) -> tuple[Coeffs, Coeffs
     >>> fit_core_polynomials(2)[2]  # (b+3)(b-1)/24
     (Fraction(-1, 8), Fraction(1, 12), Fraction(1, 24))
     """
-    series = _moment_series(a, _coprime_values(a, (a + 1) + 1 + HELD_OUT_SAMPLES), cap)
+    series = _moment_series(a, _fit_values(a), cap)
     f = fit_quasipolynomial({b: n for b, (n, _) in series.items()}, 1, a - 1).constituents[0]
     g = fit_quasipolynomial({b: total for b, (_, total) in series.items()}, 1, a + 1).constituents[0]
     p = fit_quasipolynomial({b: Fraction(total, n) for b, (n, total) in series.items()}, 1, 2).constituents[0]

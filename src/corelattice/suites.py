@@ -179,6 +179,18 @@ def _sizmaj1_params(o: dict):
     return ({"a": a} for a in range(2, a_max + 1))
 
 
+def _root_structure_params(o: dict):
+    """``{"a": a}`` for ``root-structure``, refused before any check runs when the fits' recursion steps, summed, pass the cap."""
+    a_max, cap = o.get("a_max", 5), o["cap"]
+    steps, a = 0, 1
+    while steps <= cap and a < a_max:  # stops at the first a past the cap, so a huge bound costs nothing
+        a += 1
+        steps += ehrhart.fit_steps(a)
+    message = f"the fits up to a={a} take {int_text(steps)} moment-recursion steps, over the cap of {cap}"
+    _require_walk_within((steps,), cap, message)
+    return ({"a": a} for a in range(2, a_max + 1))
+
+
 def _ns(o: dict):
     """``{"n": n}`` for the permutation brute force, refused above its ceiling or the cap before any check runs."""
     n_max = o.get("n_max", 7)
@@ -248,7 +260,7 @@ SUITES = {
     "root-structure": lambda o: _checks(
         "root-structure",
         lambda a, cap: (ehrhart.check_root_structure(a, cap), None),
-        ({"a": a} for a in range(2, o.get("a_max", 5) + 1)),
+        _root_structure_params(o),
         cap=o["cap"],
     ),
     "unimodality": lambda o: _checks(

@@ -1,5 +1,6 @@
 """Signed abacus bijection, quadratic size form, and coordinate shifts."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -91,6 +92,21 @@ def test_core_beads_match_the_reference_routes_on_a_charge_box():
     for a in range(2, 6):
         for c in charge_vectors(a, 3):
             check_core_beads(a, c)
+
+
+def test_the_comb_table_grows_linearly(monkeypatch):
+    # 10,000 beads on runner 0; a table of every shorter comb held about 2a * k^2 bits, 50 MB here
+    monkeypatch.setattr(A, "_COMBS", {})
+    tracemalloc.start()
+    try:
+        beads, _ = A.core_beads(2, (-5000, 5000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert beads.bit_count() == 10_000
+    for c in charge_vectors(2, 3):  # short combs cut from the long one
+        check_core_beads(2, c)
 
 
 def test_filled_levels_are_a_descending_beta_set():

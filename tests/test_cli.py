@@ -307,6 +307,14 @@ def test_ehrhart_cap_equal_to_the_steps_is_not_exceeded(capsys):
     assert code == 0 and out == '{"a":3,"residue":1,"counts":[[1,1]],"size_sums":[[1,0]]}\n'
 
 
+def test_ehrhart_refuses_a_huge_a_before_drawing_its_b_values(capsys, monkeypatch):
+    # the a + 5 sample values of b are drawn one at a time, so the first one already passes the cap
+    monkeypatch.delenv("CORELATTICE_CAP", raising=False)
+    code, out, err = run_cli(capsys, "ehrhart", str(10**4000))
+    assert (code, out) == (3, "")
+    assert err == "error: the moment recursion at a=a 4001-digit number takes a 4001-digit number steps up to b=1, over the cap of 10000000\n"
+
+
 def test_core_json_line_matches_the_encoder():
     seen_empty = seen_negative = False
     for a in range(2, 8):
@@ -522,6 +530,31 @@ def test_sizmaj1_and_quadratic_over_the_cap_are_refused_before_any_check(capsys,
         monkeypatch.setenv("CORELATTICE_CAP", env)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "root-structure", "--a-max", "1000"), "the fits up to a=77 take 10127936 moment-recursion steps"),
+        (("verify", "root-structure", "--cap", "729"), "the fits up to a=5 take 730 moment-recursion steps"),
+    ],
+    ids=["a-max", "cap"],
+)
+def test_root_structure_over_the_cap_is_refused_before_any_check(capsys, monkeypatch, argv, message):
+    def walked(*args, **kwargs):
+        raise AssertionError("no check may run")
+
+    monkeypatch.delenv("CORELATTICE_CAP", raising=False)
+    monkeypatch.setattr(ehrhart, "check_root_structure", walked)
+    code, out, err = run_cli(capsys, *argv)
+    cap = argv[-1] if "--cap" in argv else "10000000"
+    assert (code, out, err) == (3, "", f"error: {message}, over the cap of {cap}\n")
+
+
+def test_root_structure_at_the_cap_runs(capsys):
+    # the fits of a = 2 ... 5 take 56 + 112 + 270 + 292 = 730 steps
+    code, out, _ = run_cli(capsys, "verify", "root-structure", "--cap", "730", "--summary")
+    assert code == 0 and out.endswith('"checks":4,"failures":0}\n')
 
 
 def test_sizmaj1_and_quadratic_at_the_cap_run(capsys):

@@ -1,8 +1,8 @@
-"""Quasipolynomial fitting, lattice-point counting, and core polynomials."""
+"""Quasipolynomial fitting, lattice points of weighted simplices, and core polynomials."""
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, comb, floor
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -105,28 +105,21 @@ def test_standard_simplex_polynomial():
             assert fit.evaluate(b) == comb(n + b, b)
 
 
-def test_vertices_and_bad_polytopes():
-    seg = E.unit_segment()
-    assert seg.vertices() == [(Fraction(0),), (Fraction(1),)]
-    tri = E.halved_right_triangle()
-    assert (Fraction(1, 2), Fraction(0)) in tri.vertices()
-    with pytest.raises(ValueError):
-        E.RationalPolytope.from_inequalities(1, [((1,), 1)])  # unbounded
+@pytest.mark.parametrize("weights", [(), (0, 1), (1, -2)], ids=["empty", "zero", "negative"])
+def test_weights_must_be_positive(weights):
+    with pytest.raises(ValueError, match="weights must be positive integers"):
+        E.WeightedSimplex(weights)
 
 
-def box_lattice_points(polytope, t, interior=False):
-    """Integer points of ``tP`` (or of its interior): the reference route.
+def box_lattice_points(weights, t, interior=False):
+    """Integer points of ``tP`` (or of its interior) for ``P = {x >= 0, w . x <= 1}``: the reference route.
 
-    Filters every point of the vertex bounding box of ``tP`` through all the
+    Filters every point of the box ``0 <= x_i <= t // w_i`` through the
     inequalities, sharing no bound arithmetic with ``lattice_points``.
     """
-    verts = polytope.vertices()
-    ranges = []
-    for i in range(polytope.dim):
-        ranges.append(range(ceil(min(v[i] for v in verts) * t), floor(max(v[i] for v in verts) * t) + 1))
-    for point in product(*ranges):
-        vals = [(sum(c * x for c, x in zip(coeffs, point)), t * rhs) for coeffs, rhs in polytope.inequalities]
-        if all(val < bound if interior else val <= bound for val, bound in vals):
+    for point in product(*(range(t // w + 1) for w in weights)):
+        height = sum(w * x for w, x in zip(weights, point))
+        if (min(point) >= 1 and height < t) if interior else height <= t:
             yield point
 
 
@@ -136,48 +129,31 @@ RECIPROCITY_POLYTOPES = {
     "simplex-dim2": E.standard_simplex(2),
     "simplex-dim3": E.standard_simplex(3),
 }
-# last coefficients of both signs above 1, rational vertices (0,0), (0,2), (12/5, 6/5): 0 <= x <= 2y, x + 3y <= 6
-SKEW_TRIANGLE = E.RationalPolytope.from_inequalities(2, [((-1, 0), 0), ((1, -2), 0), ((1, 3), 6)])
-# x + y <= 1 has a zero last coefficient and cuts the corner (1, 1) off the box of the first two coordinates
-TRIANGULAR_PRISM = E.RationalPolytope.from_inequalities(
-    3, [((-1, 0, 0), 0), ((0, -1, 0), 0), ((1, 1, 0), 1), ((0, 0, -1), 0), ((0, 0, 1), 1)]
-)
-# only negative last coefficients bound z from below: z >= x and z >= 1 - x/2, z <= 1, 0 <= y <= 1
-WEDGE = E.RationalPolytope.from_inequalities(
-    3, [((1, 0, -1), 0), ((-1, 0, -2), -2), ((0, 0, 1), 1), ((0, -1, 0), 0), ((0, 1, 0), 1)]
-)
+OTHER_WEIGHTS = [(3, 2), (1, 2, 3), (2, 5, 1)]
 
 
 def test_reciprocity_cases_use_the_compared_polytopes():
     assert set(suites.RECIPROCITY_CASES) == {*RECIPROCITY_POLYTOPES, "segment-weight-x^2"}
+    assert [p.weights for p in RECIPROCITY_POLYTOPES.values()] == [(1,), (2, 1), (1, 1), (1, 1, 1)]
 
 
 @pytest.mark.parametrize(
-    "polytope",
-    [*RECIPROCITY_POLYTOPES.values(), SKEW_TRIANGLE, TRIANGULAR_PRISM, WEDGE],
-    ids=[*RECIPROCITY_POLYTOPES, "skew-triangle", "triangular-prism", "wedge"],
+    "weights",
+    [*(p.weights for p in RECIPROCITY_POLYTOPES.values()), *OTHER_WEIGHTS],
+    ids=[*RECIPROCITY_POLYTOPES, *("weights-" + ",".join(map(str, w)) for w in OTHER_WEIGHTS)],
 )
 @pytest.mark.parametrize("interior", [False, True], ids=["closed", "interior"])
-def test_lattice_points_equal_the_box_filter(polytope, interior):
+def test_lattice_points_equal_the_box_filter(weights, interior):
+    simplex = E.WeightedSimplex(weights)
     for t in range(1, 21):
-        assert list(polytope.lattice_points(t, interior)) == list(box_lattice_points(polytope, t, interior)), t
+        assert list(simplex.lattice_points(t, interior)) == list(box_lattice_points(weights, t, interior)), t
 
 
-def test_vertices_are_solved_once_per_polytope(monkeypatch):
-    solved = []
-    real = E._solve_square
-
-    def counted(rows, rhs):
-        solved.append(1)
-        return real(rows, rhs)
-
-    monkeypatch.setattr(E, "_solve_square", counted)
-    tri = E.halved_right_triangle()
-    after_build = len(solved)
-    assert after_build == 3  # one square subsystem per pair of the three rows
-    assert [tri.count(t) for t in range(1, 5)] == [2, 4, 6, 9]
-    assert E.reciprocity_check(tri, 16, period=2)
-    assert len(solved) == after_build
+def test_lattice_points_are_drawn_lazily():
+    points = E.standard_simplex(3).lattice_points(10**9)
+    assert [next(points) for _ in range(3)] == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        E.unit_segment().lattice_points(0)
 
 
 def test_interior_counts():
@@ -229,7 +205,7 @@ def test_fit_core_polynomials_equal_the_fit_of_the_enumeration(monkeypatch):
     expected = {}
     for a in range(2, 6):
         counts, sums, averages = {}, {}, {}
-        for b in E._coprime_values(a, a + 5):
+        for b in E._fit_values(a):
             cores = enumerate_cores(SimplexSpec(a, b))
             counts[b] = len(cores)
             sums[b] = sum(size_of_charges(a, c) for c in cores)
