@@ -7,7 +7,9 @@ runner ``i`` determines the filled levels ``{k*a - i - 1 : k <= -c_i}`` (in
 the integer encoding of :mod:`corelattice.partitions`), and the charges sum
 to zero.  :func:`core_beads` builds the core's beta-set from its charges as
 the bitset that :mod:`corelattice.partitions` shares, one comb of beads per
-runner, and every statistic of an enumerated core is read from that bitset.
+runner, and every statistic of an enumerated core is read from that bitset,
+the package's one form of a beta-set.  :func:`charges_from_core` counts the
+charges back from the parts.
 
 Two coordinate systems are used throughout, both as plain int tuples:
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .partitions import Parts, _bead_mask, beta_set, parts_of_beads
+from .partitions import Parts, is_core, parts_of_beads
 
 
 def _require_charges(a: int, c) -> None:
@@ -58,8 +60,8 @@ def core_beads(a: int, c) -> tuple[int, list[int]]:
     ``a`` apart: one comb ``(2^(a*k) - 1) / (2^a - 1)``, shifted so that the
     lowest empty level is bit 0.  At charge zero there are exactly as many
     beads as the core has parts (asserted: the popcount is minus the lowest
-    empty level), so the bitset is :func:`~corelattice.partitions._bead_mask`
-    of the beta-set.  The top bead of each runner has an empty level ``a``
+    empty level), so the bitset is :func:`~corelattice.partitions.beads_of_parts`
+    of its parts.  The top bead of each runner has an empty level ``a``
     above it, so the runner tops are the a-rows.
     """
     tops = [-a * ci - i - 1 for i, ci in enumerate(c)]
@@ -92,7 +94,9 @@ def charges_from_core(parts: Parts, a: int) -> tuple[int, ...]:
 
     Below level ``-n`` (``n`` parts) the core and the vacuum are both filled,
     so the charge of runner ``i`` is the vacuum's beads on it among the
-    levels ``-1 ... -n`` less the core's beads on it above ``-n``.
+    levels ``-1 ... -n`` less the core's beads on it above ``-n``.  The part
+    ``v`` in 0-based row ``k`` pairs the vacuum level ``-k-1``, on runner
+    ``k mod a``, with the core's level ``v-k-1``, on runner ``(k-v) mod a``.
 
     >>> charges_from_core((3, 1, 1), 3)
     (-1, 0, 1)
@@ -101,13 +105,12 @@ def charges_from_core(parts: Parts, a: int) -> tuple[int, ...]:
     """
     if a < 2:
         raise ValueError("a must be >= 2")
-    levels = beta_set(parts)
-    beads = _bead_mask(levels)
-    if beads >> a & ~beads:  # a hook of length a, as in is_core
+    if not is_core(parts, a):
         raise ValueError(f"partition {parts} is not a {a}-core")
-    c = [len(range(i, len(parts), a)) for i in range(a)]  # level m = -j - 1 lies on runner j mod a
-    for m in levels:
-        c[(-m - 1) % a] -= 1
+    c = [0] * a
+    for k, v in enumerate(parts):
+        c[k % a] += 1
+        c[(k - v) % a] -= 1
     return tuple(c)
 
 

@@ -37,6 +37,7 @@ from .simplex import (
     DEFAULT_CAP,
     SimplexSpec,
     armstrong_ratio,
+    core_fold,
     core_record,
     iter_cores,
     rational_catalan,
@@ -112,29 +113,32 @@ def _core_json_line(r: tuple) -> str:
 
 
 def cmd_enumerate(args, out) -> int:
-    """Stream one record per core, then the footer, in a single pass over :func:`iter_cores`."""
+    """Stream one record per core, then the footer, in a single pass over :func:`iter_cores`.
+
+    ``--summary`` folds the walk (:func:`core_fold`) and builds no record: its sizes come from the quadratic
+    form, which :func:`core_record` checks against the parts wherever records are printed.
+    """
     spec = SimplexSpec(args.a, args.b)
-    csv_rows = args.format == "csv" and not args.summary
-    batch = []
-    if csv_rows:
-        # the header goes out with the first batch, after the cap check has passed
-        batch.append(",".join(CORE_FIELDS) + "\n")
-    count = total = 0
-    for z, charges in iter_cores(spec, args.cap):
-        r = core_record(spec, charges, z)
-        count += 1
-        total += r[3]
-        if args.summary:
-            continue
-        if csv_rows:
-            line = ",".join((_ints_csv(r[0]), _ints_csv(r[1]), _ints_csv(r[2]), *map(str, r[3:])))
-        else:
-            line = _core_json_line(r)
-        batch.append(line + "\n")
-        if len(batch) >= WRITE_BATCH:
-            out.write("".join(batch))
-            batch.clear()
-    out.write("".join(batch))
+    if args.summary:
+        count, total, _, _ = core_fold(spec, args.cap)
+    else:
+        csv_rows = args.format == "csv"
+        # the CSV header goes out with the first batch, after the cap check has passed
+        batch = [",".join(CORE_FIELDS) + "\n"] if csv_rows else []
+        count = total = 0
+        for z, charges in iter_cores(spec, args.cap):
+            r = core_record(spec, charges, z)
+            count += 1
+            total += r[3]
+            if csv_rows:
+                line = ",".join((_ints_csv(r[0]), _ints_csv(r[1]), _ints_csv(r[2]), *map(str, r[3:])))
+            else:
+                line = _core_json_line(r)
+            batch.append(line + "\n")
+            if len(batch) >= WRITE_BATCH:
+                out.write("".join(batch))
+                batch.clear()
+        out.write("".join(batch))
     average = _ratio_text(total, count)
     if args.format == "csv":
         print(f"# count={count} total_size={total} average_size={average}", file=out)

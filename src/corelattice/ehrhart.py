@@ -8,15 +8,15 @@ degree or period hypothesis surfaces as :class:`FitValidationError` rather
 than a silently bad fit.
 
 The fitted polynomials are the one dense exception to the package's sparse
-:class:`~corelattice.polys.LaurentPoly`: :func:`poly_eval`,
-:func:`lagrange_coefficients` and :class:`Quasipolynomial` work on
-coefficient tuples of ``Fraction``, which interpolation needs, while
-``LaurentPoly`` holds ints.
+:class:`~corelattice.polys.LaurentPoly`: a fit is a coefficient tuple of
+``Fraction`` (low to high), which interpolation needs, while ``LaurentPoly``
+holds ints.  A quasipolynomial of period ``d`` is the tuple of its ``d``
+constituents, the one for the residue class ``r`` at index ``r``, so its
+value at ``t`` is ``poly_eval(fit[t % d], t)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -59,28 +59,8 @@ def lagrange_coefficients(points) -> Coeffs:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class Quasipolynomial:
-    """One exact-rational polynomial per residue class of a fixed period."""
-
-    period: int
-    constituents: tuple[Coeffs, ...]
-
-    def __post_init__(self):
-        if self.period < 1 or len(self.constituents) != self.period:
-            raise ValueError("need one constituent per residue class")
-        object.__setattr__(
-            self,
-            "constituents",
-            tuple(tuple(Fraction(c) for c in cs) for cs in self.constituents),
-        )
-
-    def evaluate(self, t: int) -> Fraction:
-        return poly_eval(self.constituents[t % self.period], t)
-
-
-def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
-    """Fit one degree-``degree`` polynomial per residue class and validate.
+def fit_quasipolynomial(samples, period: int, degree: int) -> tuple[Coeffs, ...]:
+    """Fit one degree-``degree`` polynomial per residue class and validate; the constituents, by residue.
 
     ``samples`` maps integer arguments to exact values.  Every residue class
     mod ``period`` needs at least ``degree + 2`` samples: ``degree + 1`` fix
@@ -95,18 +75,14 @@ def fit_quasipolynomial(samples, period: int, degree: int) -> Quasipolynomial:
     for r in range(period):
         pts = sorted(by_class[r])
         if len(pts) < degree + 2:
-            raise ValueError(
-                f"residue class {r} has {len(pts)} samples; need at least {degree + 2}"
-            )
+            raise ValueError(f"residue class {r} has {len(pts)} samples; need at least {degree + 2}")
         coeffs = lagrange_coefficients(pts[: degree + 1])
         for t, v in pts[degree + 1 :]:
             got = poly_eval(coeffs, t)
             if got != v:
-                raise FitValidationError(
-                    f"held-out sample at t={t} gives {v}, fit predicts {got}"
-                )
+                raise FitValidationError(f"held-out sample at t={t} gives {v}, fit predicts {got}")
         constituents.append(coeffs)
-    return Quasipolynomial(period, tuple(constituents))
+    return tuple(constituents)
 
 
 class WeightedSimplex:
@@ -115,7 +91,7 @@ class WeightedSimplex:
     Its dilate ``tP`` is ``x_i >= 0, w . x <= t``, and the interior of ``tP``
     is ``x_i >= 1, w . x <= t - 1``.
 
-    >>> halved_right_triangle().count(4)
+    >>> WeightedSimplex((2, 1)).count(4)
     9
     """
 
@@ -165,27 +141,7 @@ def _points(weights: tuple[int, ...], low: int, room: int):
             yield (x,)
 
 
-def unit_segment() -> WeightedSimplex:
-    """The segment [0, 1]."""
-    return WeightedSimplex((1,))
-
-
-def halved_right_triangle() -> WeightedSimplex:
-    """``x, y >= 0, 2x + y <= 1`` (period-2 count quasipolynomial)."""
-    return WeightedSimplex((2, 1))
-
-
-def standard_simplex(n: int) -> WeightedSimplex:
-    """``x_i >= 0, sum x_i <= 1`` in dimension n."""
-    return WeightedSimplex((1,) * n)
-
-
-def reciprocity_check(
-    polytope: WeightedSimplex,
-    t_max: int,
-    period: int = 1,
-    weight=None,
-) -> bool:
+def reciprocity_check(polytope: WeightedSimplex, t_max: int, period: int = 1, weight=None) -> bool:
     """Fit the (weighted) count at positive scales; compare at negated scales.
 
     The fitted function evaluated at ``-t`` must equal ``(-1)^dim`` times the
@@ -208,7 +164,7 @@ def reciprocity_check(
             inside = polytope.weighted_sum(t, weight, interior=True, negate=True)
         else:
             inside = Fraction(polytope.count(t, interior=True))
-        if fit.evaluate(-t) != sign * inside:
+        if poly_eval(fit[-t % period], -t) != sign * inside:
             return False
     return True
 
@@ -285,9 +241,9 @@ def fit_core_polynomials(a: int, cap: int = DEFAULT_CAP) -> tuple[Coeffs, Coeffs
     (Fraction(-1, 8), Fraction(1, 12), Fraction(1, 24))
     """
     series = _moment_series(a, _fit_values(a), cap)
-    f = fit_quasipolynomial({b: n for b, (n, _) in series.items()}, 1, a - 1).constituents[0]
-    g = fit_quasipolynomial({b: total for b, (_, total) in series.items()}, 1, a + 1).constituents[0]
-    p = fit_quasipolynomial({b: Fraction(total, n) for b, (n, total) in series.items()}, 1, 2).constituents[0]
+    f = fit_quasipolynomial({b: n for b, (n, _) in series.items()}, 1, a - 1)[0]
+    g = fit_quasipolynomial({b: total for b, (_, total) in series.items()}, 1, a + 1)[0]
+    p = fit_quasipolynomial({b: Fraction(total, n) for b, (n, total) in series.items()}, 1, 2)[0]
     return f, g, p
 
 

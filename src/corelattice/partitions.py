@@ -11,11 +11,11 @@ energy levels.  We index the level ``m + 1/2`` by the integer ``m``; for a
 partition ``p`` of length ``L`` at charge ``c`` the filled levels are
 ``{p[i] - (i+1) - c}`` together with every ``m <= -L-1-c``.
 
-At charge 0 the levels above that tail form the beta-set (:func:`beta_set`):
-one level per part, all above the empty level ``-L``, the k-th largest
-being ``p[k-1] - k``.  The representation this module shares with the
-abacus layer is that beta-set as an int bitset, bit ``m + L`` for each
-level ``m`` (:func:`_bead_mask`; bit 0 is the empty level ``-L``).
+At charge 0 the levels above that tail form the beta-set: one level per
+part, all above the empty level ``-L``, the k-th largest being
+``p[k-1] - k``.  Its one form in the package is an int bitset, bit ``m + L``
+for each level ``m`` (bit 0 is the empty level ``-L``), which
+:func:`beads_of_parts` builds from the parts.
 :func:`corelattice.abacus.core_beads` builds an enumerated core's bitset
 straight from its charges; :func:`parts_of_beads` reads its parts, and
 :func:`skew_length_of_beads` runs the a-core and b-core tests and counts
@@ -30,20 +30,31 @@ The brute-force oracle grows cores one row at a time on this basis.
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from itertools import accumulate
 from math import gcd
 
 Parts = tuple[int, ...]
 
 
-def beta_set(parts: Parts) -> frozenset[int]:
-    """Filled energy levels above the consecutive tail: ``{p[i] - (i+1)}``."""
-    return frozenset(v - i for i, v in enumerate(parts, start=1))
+def beads_of_parts(parts: Parts) -> int:
+    """The beta-set of ``parts`` as a bitset: bit ``p_k - k + n`` for the k-th of its ``n`` parts.
+
+    Bit 0 is the empty level ``-n``; the filled tail below it has no bits,
+    so ``beads >> t & ~beads`` is the set of empty levels lying ``t`` under
+    a bead: the hooks of length ``t``.
+
+    >>> bin(beads_of_parts((3, 1, 1)))
+    '0b100110'
+    """
+    top = len(parts) - 1
+    beads = 0
+    for k, v in enumerate(parts):
+        beads |= 1 << (v + top - k)
+    return beads
 
 
 def parts_of_beads(beads: int) -> list[int]:
-    """The parts of the beta-set bitset ``beads`` (:func:`_bead_mask`), largest first.
+    """The parts of the beta-set bitset ``beads`` (:func:`beads_of_parts`), largest first.
 
     The part of a bead is the number of empty levels below it, down to the
     empty bit 0, so the parts are the suffix sums of the runs of zeros that
@@ -51,7 +62,7 @@ def parts_of_beads(beads: int) -> list[int]:
     hold it: a tuple per core fills CPython's tuple free lists, which raised
     the peak RSS of ``enumerate 7 24`` from 17.7 to 21.4 MB.
 
-    >>> parts_of_beads(_bead_mask(beta_set((3, 1, 1))))
+    >>> parts_of_beads(beads_of_parts((3, 1, 1)))
     [3, 1, 1]
     """
     parts = list(accumulate(map(len, bin(beads).split("1")[:0:-1])))
@@ -68,22 +79,8 @@ def is_core(parts: Parts, a: int) -> bool:
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    beads = _bead_mask(beta_set(parts))
+    beads = beads_of_parts(parts)
     return not beads >> a & ~beads
-
-
-def _bead_mask(levels: Collection[int]) -> int:
-    """A beta-set of ``n`` levels as the bitset with bit ``m + n`` for each level ``m``.
-
-    Bit 0 is the empty level ``-n``; the filled tail below it has no bits,
-    so ``beads >> t & ~beads`` is the set of empty levels lying ``t`` under
-    a bead: the hooks of length ``t``.
-    """
-    n = len(levels)
-    beads = 0
-    for m in levels:
-        beads |= 1 << (m + n)
-    return beads
 
 
 def skew_length(parts: Parts, a: int, b: int) -> int:
@@ -97,7 +94,7 @@ def skew_length(parts: Parts, a: int, b: int) -> int:
     """
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
-    return skew_length_of_beads(_bead_mask(beta_set(parts)), a, b)
+    return skew_length_of_beads(beads_of_parts(parts), a, b)
 
 
 def skew_length_of_beads(beads: int, a: int, b: int, rows=None) -> int:

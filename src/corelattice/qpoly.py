@@ -307,8 +307,7 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
     b_ref = bs[-1]
 
     for b in bs:
-        _classify_cosets(a, b, cap)  # census sanity on real cores
-    sizes_ref = {lab: (b_ref - sum(lab)) // a for lab in coset_labels(a, b_ref % a)}
+        sizes_ref = _classify_cosets(a, b, cap)  # census sanity on real cores; the last is b_ref's
     if any(m < 0 for m in sizes_ref.values()):
         missing = sum(1 for m in sizes_ref.values() if m < 0)
         return AgeSearchResult(a, bs, "no_solution", 0, None, None, None,
@@ -328,15 +327,14 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
         for m in group_sizes
         for b in bs
     }
-    points = {(m, b): comb(size_at(m, b) + a - 1, a - 1) if size_at(m, b) >= 0 else 0
-              for m in group_sizes for b in bs}
+    points = {key: p.total() for key, p in polys.items()}
     class_targets = {
         (r, b): _restrict_to_class(cat_q(a, b), a, r) for r in range(a) for b in bs
     }
 
     budget = [max_nodes]
     remaining = {m: len(g) for m, g in groups.items()}
-    class_counts = {(r, b): class_targets[(r, b)](1) for r in range(a) for b in bs}
+    class_counts = {key: t.total() for key, t in class_targets.items()}
     assignment: list[list[tuple[int, int]]] = []
 
     def apportion(r: int, idx: int, counts: dict[int, int], acc: dict[int, int]) -> bool:

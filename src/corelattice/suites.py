@@ -131,11 +131,11 @@ def unimodality(a: int, b: int):
 
 
 RECIPROCITY_CASES = {
-    "segment": lambda: ehrhart.reciprocity_check(ehrhart.unit_segment(), 12),
-    "triangle-2x+y<=1": lambda: ehrhart.reciprocity_check(ehrhart.halved_right_triangle(), 16, period=2),
-    "simplex-dim2": lambda: ehrhart.reciprocity_check(ehrhart.standard_simplex(2), 14),
-    "simplex-dim3": lambda: ehrhart.reciprocity_check(ehrhart.standard_simplex(3), 20),
-    "segment-weight-x^2": lambda: ehrhart.reciprocity_check(ehrhart.unit_segment(), 16, weight={(2,): 1}),
+    "segment": lambda: ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1,)), 12),
+    "triangle-2x+y<=1": lambda: ehrhart.reciprocity_check(ehrhart.WeightedSimplex((2, 1)), 16, period=2),
+    "simplex-dim2": lambda: ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1, 1)), 14),
+    "simplex-dim3": lambda: ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1, 1, 1)), 20),
+    "segment-weight-x^2": lambda: ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1,)), 16, weight={(2,): 1}),
 }
 
 MOMENTS_SCALE_A_MAX = 30  # the closed-form rows of `moments`; (30, 211) has Cat(a,b) near 6.9e35

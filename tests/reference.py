@@ -9,6 +9,7 @@ docstring examples.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,25 @@ from corelattice.qpoly import AgeSearchResult, q_int
 from corelattice.simplex import SimplexSpec, _z_offset
 
 Parts = tuple[int, ...]
+
+
+def beta_set(parts: Parts) -> frozenset[int]:
+    """Filled energy levels above the consecutive tail: ``{p[i] - (i+1)}``."""
+    return frozenset(v - i for i, v in enumerate(parts, start=1))
+
+
+def _bead_mask(levels: Collection[int]) -> int:
+    """A beta-set of ``n`` levels as the bitset with bit ``m + n`` for each level ``m``.
+
+    Bit 0 is the empty level ``-n``; the filled tail below it has no bits,
+    so ``beads >> t & ~beads`` is the set of empty levels lying ``t`` under
+    a bead: the hooks of length ``t``.
+    """
+    n = len(levels)
+    beads = 0
+    for m in levels:
+        beads |= 1 << (m + n)
+    return beads
 
 
 def conjugate(parts: Parts) -> Parts:

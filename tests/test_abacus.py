@@ -13,7 +13,7 @@ from corelattice import abacus as A
 from corelattice import partitions as P
 from corelattice.partitions import is_core
 from corelattice.simplex import SimplexSpec, iter_cores
-from reference import hook_multiset, shifted_x, size_from_x, unshift, zero_charges
+from reference import _bead_mask, beta_set, hook_multiset, shifted_x, size_from_x, unshift, zero_charges
 from test_partitions import partitions_of, skew_length_of_levels
 from test_simplex import skew_length_by_hooks
 
@@ -63,7 +63,7 @@ def check_core_beads(a, c, b=None):
     parts = P.parts_of_beads(beads)
     levels = filled_levels(a, c)
     assert parts == [m + k for k, m in enumerate(levels, start=1)], (a, c)
-    assert beads == P._bead_mask(P.beta_set(parts)) == P._bead_mask(levels), (a, c)
+    assert beads == P.beads_of_parts(parts) == _bead_mask(beta_set(parts)) == _bead_mask(levels), (a, c)
     assert A.charges_from_core(tuple(parts), a) == tuple(c), (a, c)
     # the runner tops are the beads with no bead a above them
     assert sorted(rows) == [m + len(levels) for m in levels if m + a not in levels][::-1], (a, c)
@@ -119,7 +119,7 @@ def test_filled_levels_are_a_descending_beta_set():
                 assert m <= -a * c[i] - i - 1  # runner i is filled from -a*c_i - i - 1 down
             assert A.core_from_charges(a, c) == tuple(m + k for k, m in enumerate(levels, start=1))
     assert filled_levels(3, (0, 3, -3)) == [6, 3, 0, -1, -3, -4, -6, -7]
-    assert A.core_beads(3, (0, 3, -3)) == (P._bead_mask([6, 3, 0, -1, -3, -4, -6, -7]), [7, 14])
+    assert A.core_beads(3, (0, 3, -3)) == (_bead_mask([6, 3, 0, -1, -3, -4, -6, -7]), [7, 14])
 
 
 def test_filled_levels_bookkeeping_rejects_nonzero_charge():

@@ -157,10 +157,10 @@ def test_criterion_09_permutation_suite():
 
 
 def test_criterion_10_ehrhart():
-    tri = ehrhart.halved_right_triangle()
+    tri = ehrhart.WeightedSimplex((2, 1))
     fit = ehrhart.fit_quasipolynomial({t: tri.count(t) for t in range(1, 9)}, 2, 2)
-    ok = fit.constituents[0] == (Fraction(1), Fraction(1), Fraction(1, 4))
-    ok = ok and fit.constituents[1] == (Fraction(3, 4), Fraction(1), Fraction(1, 4))
+    ok = fit[0] == (Fraction(1), Fraction(1), Fraction(1, 4))
+    ok = ok and fit[1] == (Fraction(3, 4), Fraction(1), Fraction(1, 4))
     for a in range(2, 6):
         if not ok:
             break
@@ -168,11 +168,11 @@ def test_criterion_10_ehrhart():
         ok = all(ehrhart.poly_eval(f, -r) == 0 for r in range(1, a))
         ok = ok and ehrhart.poly_eval(p, 0) == Fraction(-(a * a - 1), 24)
         ok = ok and ehrhart.check_root_structure(a)
-    ok = ok and ehrhart.reciprocity_check(ehrhart.unit_segment(), 12)
+    ok = ok and ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1,)), 12)
     ok = ok and ehrhart.reciprocity_check(tri, 16, period=2)
-    ok = ok and ehrhart.reciprocity_check(ehrhart.standard_simplex(2), 14)
-    ok = ok and ehrhart.reciprocity_check(ehrhart.standard_simplex(3), 20)
-    ok = ok and ehrhart.reciprocity_check(ehrhart.unit_segment(), 16, weight={(2,): 1})
+    ok = ok and ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1, 1)), 14)
+    ok = ok and ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1, 1, 1)), 20)
+    ok = ok and ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1,)), 16, weight={(2,): 1})
     report(10, "ehrhart-fits-and-reciprocity", ok)
 
 

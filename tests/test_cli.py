@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from corelattice import ehrhart, perms, qpoly, qt, simplex, suites
+from corelattice import cli, ehrhart, perms, qpoly, qt, simplex, suites
 from corelattice.cli import _core_json_line, _ratio_text, main
 from corelattice.errors import FitValidationError
 
@@ -216,6 +216,12 @@ GOLDEN_STDOUT = [
     (("enumerate", "7", "17"), "bfe46322aae94237dab3b1cc3d2522b773519c572ee051aa69b5977a4d220f04"),
     (("enumerate", "5", "16", "--format", "csv"), "e643f7a72110590457540dd4f2ec7d61f06502334a438f567a132c77d6886890"),
     (("poly", "6", "19"), "67354e7aa4d38c15f5230e13ed5918d3d0a6829b6c68441048b9b7cb2c67a88d"),
+    # recorded while --summary still built every core's record
+    (("enumerate", "2", "20001", "--summary"), "a3fe52496fa41ca2d239d655cb985b4d1bf2b33ec441aad54a444c8d12b0f687"),
+    (
+        ("enumerate", "2", "20001", "--summary", "--format", "csv"),
+        "cd512162428d2bc6b53d1bbf6807c072949088bd7dd68c5dc1e5b84bdd3e3f43",
+    ),
 ]
 
 
@@ -336,6 +342,19 @@ def test_enumerate_summary_honours_csv(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "3", "4", "--summary", "--format", "csv")
     assert code == 0
     assert out == "# count=5 total_size=10 average_size=2\n"
+
+
+def test_enumerate_summary_builds_no_record(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("--summary must not build a record")
+
+    monkeypatch.setattr(cli, "core_record", refuse)
+    monkeypatch.setattr(simplex, "core_record", refuse)
+    code, out, err = run_cli(capsys, "enumerate", "5", "12", "--summary")
+    assert (code, err, json.loads(out)["count"]) == (0, "", 364)
+    code, out, err = run_cli(capsys, "enumerate", "5", "12", "--summary", "--format", "csv")
+    assert (code, err) == (0, "") and out.startswith("# count=364 ")
+    assert run_cli(capsys, "enumerate", "3", "4")[0] == 1  # the record path still reaches it
 
 
 def test_verify_honours_explicit_zero_bounds(capsys):

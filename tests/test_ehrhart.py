@@ -67,17 +67,17 @@ def test_core_fits_match_the_basis_polynomials(monkeypatch):
 
 
 def test_triangle_counts_and_quasipolynomial():
-    tri = E.halved_right_triangle()
+    tri = E.WeightedSimplex((2, 1))
     assert [tri.count(t) for t in range(1, 5)] == [2, 4, 6, 9]
     fit = E.fit_quasipolynomial({t: tri.count(t) for t in range(1, 9)}, 2, 2)
-    assert fit.constituents[0] == (Fraction(1), Fraction(1), Fraction(1, 4))
-    assert fit.constituents[1] == (Fraction(3, 4), Fraction(1), Fraction(1, 4))
-    assert fit.evaluate(10) == (100 + 40 + 4) / 4
+    assert fit[0] == (Fraction(1), Fraction(1), Fraction(1, 4))
+    assert fit[1] == (Fraction(3, 4), Fraction(1), Fraction(1, 4))
+    assert E.poly_eval(fit[10 % 2], 10) == (100 + 40 + 4) / 4
 
 
 def test_fit_constant_series():
     fit = E.fit_quasipolynomial({t: 7 for t in range(1, 6)}, 1, 0)
-    assert fit.constituents == ((Fraction(7),),) and fit.evaluate(123) == 7
+    assert fit == ((Fraction(7),),) and E.poly_eval(fit[123 % 1], 123) == 7
 
 
 def test_fitted_count_matches_catalan_formula_beyond_samples():
@@ -89,7 +89,7 @@ def test_fitted_count_matches_catalan_formula_beyond_samples():
 
 
 def test_fit_validation_errors():
-    tri = E.halved_right_triangle()
+    tri = E.WeightedSimplex((2, 1))
     samples = {t: tri.count(t) for t in range(1, 9)}
     with pytest.raises(FitValidationError):
         E.fit_quasipolynomial(samples, 1, 2)  # wrong period
@@ -99,10 +99,10 @@ def test_fit_validation_errors():
 
 def test_standard_simplex_polynomial():
     for n in (2, 3):
-        sim = E.standard_simplex(n)
+        sim = E.WeightedSimplex((1,) * n)
         fit = E.fit_quasipolynomial({b: sim.count(b) for b in range(1, n + 4)}, 1, n)
         for b in range(1, 9):
-            assert fit.evaluate(b) == comb(n + b, b)
+            assert E.poly_eval(fit[b % 1], b) == comb(n + b, b)
 
 
 @pytest.mark.parametrize("weights", [(), (0, 1), (1, -2)], ids=["empty", "zero", "negative"])
@@ -124,10 +124,10 @@ def box_lattice_points(weights, t, interior=False):
 
 
 RECIPROCITY_POLYTOPES = {
-    "segment": E.unit_segment(),
-    "triangle-2x+y<=1": E.halved_right_triangle(),
-    "simplex-dim2": E.standard_simplex(2),
-    "simplex-dim3": E.standard_simplex(3),
+    "segment": E.WeightedSimplex((1,)),
+    "triangle-2x+y<=1": E.WeightedSimplex((2, 1)),
+    "simplex-dim2": E.WeightedSimplex((1, 1)),
+    "simplex-dim3": E.WeightedSimplex((1, 1, 1)),
 }
 OTHER_WEIGHTS = [(3, 2), (1, 2, 3), (2, 5, 1)]
 
@@ -150,32 +150,34 @@ def test_lattice_points_equal_the_box_filter(weights, interior):
 
 
 def test_lattice_points_are_drawn_lazily():
-    points = E.standard_simplex(3).lattice_points(10**9)
+    points = E.WeightedSimplex((1, 1, 1)).lattice_points(10**9)
     assert [next(points) for _ in range(3)] == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
     with pytest.raises(ValueError, match="t must be >= 1"):
-        E.unit_segment().lattice_points(0)
+        E.WeightedSimplex((1,)).lattice_points(0)
 
 
 def test_interior_counts():
-    seg = E.unit_segment()
+    seg = E.WeightedSimplex((1,))
     assert [seg.count(t, interior=True) for t in range(1, 5)] == [0, 1, 2, 3]
-    tri = E.halved_right_triangle()
+    tri = E.WeightedSimplex((2, 1))
     assert tri.count(2, interior=True) == 0
     assert tri.count(4, interior=True) == 1  # only (1, 1) satisfies 2x + y < 4 strictly
 
 
 def test_reciprocity_checks():
-    assert E.reciprocity_check(E.unit_segment(), 12)
-    assert E.reciprocity_check(E.halved_right_triangle(), 16, period=2)
-    assert E.reciprocity_check(E.standard_simplex(2), 14)
-    assert E.reciprocity_check(E.unit_segment(), 16, weight={(2,): 1})
-    assert E.reciprocity_check(E.halved_right_triangle(), 20, period=2, weight={(1, 0): 1, (0, 1): 1})
+    assert E.reciprocity_check(E.WeightedSimplex((1,)), 12)
+    assert E.reciprocity_check(E.WeightedSimplex((2, 1)), 16, period=2)
+    assert E.reciprocity_check(E.WeightedSimplex((1, 1)), 14)
+    assert E.reciprocity_check(E.WeightedSimplex((1,)), 16, weight={(2,): 1})
+    assert E.reciprocity_check(E.WeightedSimplex((2, 1)), 20, period=2, weight={(1, 0): 1, (0, 1): 1})
+    # period 3, where the constituent at -t (residue -t mod 3) is not the one at t
+    assert E.reciprocity_check(E.WeightedSimplex((3, 1)), 24, period=3)
     with pytest.raises(ValueError):
-        E.reciprocity_check(E.unit_segment(), 3)
+        E.reciprocity_check(E.WeightedSimplex((1,)), 3)
 
 
 def test_weighted_sums():
-    seg = E.unit_segment()
+    seg = E.WeightedSimplex((1,))
     # sum of squares over [0, t] and its interior
     assert seg.weighted_sum(4, {(2,): 1}) == 1 + 4 + 9 + 16
     assert seg.weighted_sum(4, {(2,): 1}, interior=True) == 1 + 4 + 9
@@ -210,9 +212,9 @@ def test_fit_core_polynomials_equal_the_fit_of_the_enumeration(monkeypatch):
             counts[b] = len(cores)
             sums[b] = sum(size_of_charges(a, c) for c in cores)
             averages[b] = Fraction(sums[b], counts[b])
-        f = E.fit_quasipolynomial(counts, 1, a - 1).constituents[0]
-        g = E.fit_quasipolynomial(sums, 1, a + 1).constituents[0]
-        p = E.fit_quasipolynomial(averages, 1, 2).constituents[0]
+        f = E.fit_quasipolynomial(counts, 1, a - 1)[0]
+        g = E.fit_quasipolynomial(sums, 1, a + 1)[0]
+        p = E.fit_quasipolynomial(averages, 1, 2)[0]
         assert _convolve(f, p) == list(g), a  # F*P = G, coefficient by coefficient
         expected[a] = (f, g, p)
 

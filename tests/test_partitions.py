@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from corelattice import partitions as P
 from corelattice.abacus import charges_from_core, core_beads, core_from_charges
 from corelattice.simplex import SimplexSpec, enumerate_cores
-from reference import conjugate, hook_lengths, hook_multiset
+from reference import _bead_mask, conjugate, hook_lengths, hook_multiset
 
 
 def partitions_of(n):
@@ -129,7 +129,7 @@ def skew_length_of_levels(levels, a, b):
     The a-rows are the beads ``m`` with ``m + a`` empty; the row at ``m``
     adds the empty levels in ``[m - b + 1, m)`` above the tail.
     """
-    beads = P._bead_mask(levels)
+    beads = _bead_mask(levels)
     if beads >> a & ~beads or beads >> b & ~beads:
         raise ValueError("skew length is only defined for (a,b)-cores")
     a_rows = beads & ~(beads >> a)
@@ -143,7 +143,7 @@ def skew_length_of_levels(levels, a, b):
 
 
 def test_skew_length_of_levels_requires_an_ab_core():
-    for skew in (skew_length_of_levels, lambda levels, a, b: P.skew_length_of_beads(P._bead_mask(levels), a, b)):
+    for skew in (skew_length_of_levels, lambda levels, a, b: P.skew_length_of_beads(_bead_mask(levels), a, b)):
         assert skew([], 3, 4) == 0
         assert skew([8, 5, 2, -1, -3, -4, -6, -7], 3, 11) == 9  # (9, 7, 5, 3, 2, 2, 1, 1)
         with pytest.raises(ValueError):

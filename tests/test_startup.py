@@ -58,10 +58,15 @@ def test_enumerate_loads_no_dataclasses_or_fractions():
         text=True,
         check=True,
     )
-    probe = loaded_by("enumerate", "2", "1", "--summary")
-    assert probe["code"] == 0
-    added = set(probe["modules"]) - set(json.loads(bare.stdout))
-    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
+    # ehrhart fits in Fraction, but its coefficient tuples need neither dataclasses nor inspect
+    for argv, unwanted in (
+        (("enumerate", "2", "1", "--summary"), {"dataclasses", "inspect", "fractions", "decimal"}),
+        (("ehrhart", "4"), {"dataclasses", "inspect"}),
+    ):
+        probe = loaded_by(*argv)
+        assert probe["code"] == 0, argv
+        added = set(probe["modules"]) - set(json.loads(bare.stdout))
+        assert not added & unwanted, argv
 
 
 def test_importing_the_package_loads_no_submodule():
