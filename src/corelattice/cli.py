@@ -19,7 +19,8 @@ check, or held-out samples that contradict a fit), 2 usage or validation
 error, or output that cannot be written, 3 cap exceeded.
 ``CORELATTICE_CAP`` overrides the default cap of 10^7 cores enumerated (permutations for
 ``perm`` and the permutation suites, moment-recursion steps for ``ehrhart`` and ``verify root-structure``,
-orbifold cosets for ``verify sizmaj1`` and charge tuples for ``verify quadratic``).
+orbifold cosets for ``verify sizmaj1``, charge tuples for ``verify quadratic`` and the coefficients
+of the a = 4 targets for ``verify coset-identities``).
 """
 
 from __future__ import annotations

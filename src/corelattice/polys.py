@@ -18,7 +18,6 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 
@@ -99,13 +98,21 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def sub_shifted(self, polys, e) -> "LaurentPoly":
-        """``self - q^e * sum(polys)``, built in one dict with no temporary polynomials."""
+    def sub_shifted(self, terms, e) -> "LaurentPoly":
+        """``self - q^e * sum(n * p)`` over the ``(p, n)`` pairs of ``terms``, built in one dict.
+
+        A polynomial repeated n times is one pair with multiplier n, so each
+        coefficient is subtracted once; no temporary polynomial is built.
+
+        >>> p = LaurentPoly({0: 1, 1: 3, 2: 2})
+        >>> p.sub_shifted([(LaurentPoly({0: 1, 1: 1}), 2)], 1)
+        LaurentPoly({0: 1, 1: 1})
+        """
         c = dict(self._c)
-        for p in polys:
+        for p, n in terms:
             for k, v in p._c.items():
                 k += e
-                nv = c.get(k, 0) - v
+                nv = c.get(k, 0) - n * v
                 if nv:
                     c[k] = nv
                 else:
@@ -128,6 +135,8 @@ class LaurentPoly:
 
     def __call__(self, x):
         """Evaluate at ``x`` (int or Fraction; exact)."""
+        from fractions import Fraction  # only evaluation needs it; no command evaluates a polynomial
+
         if self.is_zero:
             return 0 * x if isinstance(x, Fraction) else 0
         if not isinstance(x, Fraction) and self.min_exp() < 0:
@@ -141,7 +150,7 @@ class LaurentPoly:
         return LaurentPoly({e * m: v for e, v in self._c.items()})
 
     def nonnegative(self) -> bool:
-        return all(v > 0 for v in self._c.values())
+        return min(self._c.values(), default=1) > 0
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ``ArithmeticError`` on a nonzero remainder.

@@ -18,9 +18,9 @@ hold across a list of b values, where ``m`` is the per-coset simplex size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import comb, gcd
 
 from .abacus import shift
@@ -54,7 +54,7 @@ def _q_binomial_base(n: int, k: int) -> LaurentPoly:
     # product is [n-k+i choose i], so every division is exact
     out = LaurentPoly.one()
     for i in range(1, k + 1):
-        out = out.sub_shifted((out,), n - k + i).divexact(LaurentPoly({0: 1, i: -1}))
+        out = out.sub_shifted(((out, 1),), n - k + i).divexact(LaurentPoly({0: 1, i: -1}))
     return out
 
 
@@ -118,11 +118,10 @@ def is_unimodal(seq) -> bool:
     return i + 1 >= len(values)
 
 
-@dataclass(frozen=True)
-class ResidueUnimodality:
-    residue: int
-    coefficients: tuple[int, ...]
-    unimodal: bool
+class ResidueUnimodality(namedtuple("ResidueUnimodality", "residue coefficients unimodal")):
+    """One residue class of :func:`unimodality_report`: its coefficient subsequence and verdict."""
+
+    __slots__ = ()
 
 
 def unimodality_report(poly: LaurentPoly, a: int) -> list[ResidueUnimodality]:
@@ -158,8 +157,9 @@ def coset_label(spec: SimplexSpec, c) -> tuple[int, ...]:
     return tuple(v % a for v in to_z(spec, shift(a, c)))
 
 
-@dataclass(frozen=True)
-class AgeSearchResult:
+class AgeSearchResult(
+    namedtuple("AgeSearchResult", "a b_list status nodes_used shifts simplex_sizes age_product_ok reason", defaults=(None,))
+):
     """Outcome of the shift search; a failure is a result, not an exception.
 
     ``status`` is ``found``, ``no_solution`` (the search finished without one,
@@ -170,16 +170,13 @@ class AgeSearchResult:
     Cosets of equal simplex size contribute identical polynomials at every
     sampled b, so shifts are only determined up to permutation within each
     equal-size group; ``shifts`` records one valid assignment.
+
+    The fields are ``a``, ``b_list``, ``status``, ``nodes_used``, ``shifts``
+    and ``simplex_sizes`` (coset label -> shift, and -> size at the largest
+    b), ``age_product_ok`` and ``reason`` (``None`` when found).
     """
 
-    a: int
-    b_list: tuple[int, ...]
-    status: str
-    nodes_used: int
-    shifts: dict[tuple[int, ...], int] | None
-    simplex_sizes: dict[tuple[int, ...], int] | None
-    age_product_ok: bool | None
-    reason: str | None = None
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
@@ -233,6 +230,25 @@ def _restrict_to_class(poly: LaurentPoly, a: int, r: int) -> LaurentPoly:
     return LaurentPoly({(e - r) // a: v for e, v in poly.items() if e % a == r})
 
 
+def _multisets(sizes, counts: dict[int, int], batch: int):
+    """The multisets of ``batch`` items from ``sizes`` that take at most ``counts[m]`` of each m.
+
+    Each is a tuple of ``(size, multiplicity)`` pairs, multiplicity >= 1, in
+    the order of ``sizes``.  They come in the order in which
+    ``combinations_with_replacement(sizes, batch)`` lists their expansions:
+    most copies of the first size first, then of the second, and so on.
+    """
+    if not sizes:
+        if not batch:
+            yield ()
+        return
+    m, rest = sizes[0], sizes[1:]
+    room = sum(counts[s] for s in rest)
+    for n in range(min(batch, counts[m]), max(batch - room, 0) - 1, -1):
+        for tail in _multisets(rest, counts, batch - n):
+            yield ((m, n), *tail) if n else tail
+
+
 def _solve_class(counts: dict[int, int], targets: dict[int, LaurentPoly],
                  polys, bs, budget: list[int]) -> list[tuple[int, int]] | None:
     """Greedy-forced backtracking for one exponent class.
@@ -241,7 +257,9 @@ def _solve_class(counts: dict[int, int], targets: dict[int, LaurentPoly],
     must absorb.  Every unassigned coset has a unit constant term at the
     largest b, so the residual's coefficient at its minimal exponent equals
     the exact number of cosets taking that shift; the only branching is over
-    which multiset of sizes they carry.
+    which multiset of sizes they carry.  Only the multisets that ``counts``
+    allows are drawn (:func:`_multisets`), and each size is subtracted once,
+    times its multiplicity.
     """
     if all(v == 0 for v in counts.values()):
         return [] if all(t.is_zero for t in targets.values()) else None
@@ -256,29 +274,25 @@ def _solve_class(counts: dict[int, int], targets: dict[int, LaurentPoly],
     if e < 0:
         return None
     batch = ref.coefficient(e)
-    if batch > sum(counts.values()):
-        return None
     distinct = sorted((m for m, n in counts.items() if n), reverse=True)
-    for chosen in combinations_with_replacement(distinct, batch):
-        if any(chosen.count(m) > counts[m] for m in distinct):
-            continue
+    for chosen in _multisets(distinct, counts, batch):
         trial = {}
         ok = True
         for b in bs:
-            residual = targets[b].sub_shifted([polys[(m, b)] for m in chosen], e)
+            residual = targets[b].sub_shifted([(polys[(m, b)], n) for m, n in chosen], e)
             if not residual.nonnegative():
                 ok = False
                 break
             trial[b] = residual
         if not ok:
             continue
-        for m in chosen:
-            counts[m] -= 1
+        for m, n in chosen:
+            counts[m] -= n
         rest = _solve_class(counts, trial, polys, bs, budget)
-        for m in chosen:
-            counts[m] += 1
+        for m, n in chosen:
+            counts[m] += n
         if rest is not None:
-            return [(m, e) for m in chosen] + rest
+            return [(m, e) for m, n in chosen for _ in range(n)] + rest
     return None
 
 

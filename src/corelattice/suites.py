@@ -191,6 +191,19 @@ def _root_structure_params(o: dict):
     return ({"a": a} for a in range(2, a_max + 1))
 
 
+def _coset_ks(o: dict):
+    """The k of ``coset-identities``, refused before any check runs when the a = 4 targets' coefficients pass the cap.
+
+    ``cat_q(4, 4k+1)`` has degree 12k, so the targets up to k_max hold
+    ``sum(12k + 1) = 6 k_max (k_max + 1) + k_max`` coefficients.
+    """
+    k_max, cap = o.get("k_max", 6), o["cap"]
+    coeffs = 6 * k_max * (k_max + 1) + k_max
+    message = f"the a=4 targets up to k={k_max} have {int_text(coeffs)} coefficients, over the cap of {cap}"
+    _require_walk_within((coeffs,), cap, message)
+    return range(1, k_max + 1)
+
+
 def _ns(o: dict):
     """``{"n": n}`` for the permutation brute force, refused above its ceiling or the cap before any check runs."""
     n_max = o.get("n_max", 7)
@@ -239,12 +252,12 @@ SUITES = {
         _checks(
             "coset-identity-a3",
             lambda k, delta: (qpoly.check_coset_identity_a3(k, delta), None),
-            ({"k": k, "delta": d} for k in range(1, o.get("k_max", 6) + 1) for d in (0, 1)),
+            ({"k": k, "delta": d} for k in _coset_ks(o) for d in (0, 1)),
         )
         + _checks(
             "coset-identity-a4",
             lambda k: (qpoly.check_coset_identity_a4(k), None),
-            ({"k": k} for k in range(1, o.get("k_max", 6) + 1)),
+            ({"k": k} for k in _coset_ks(o)),
         )
     ),
     "delta-table": lambda o: _checks(

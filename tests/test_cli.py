@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -568,6 +569,39 @@ def test_root_structure_over_the_cap_is_refused_before_any_check(capsys, monkeyp
     code, out, err = run_cli(capsys, *argv)
     cap = argv[-1] if "--cap" in argv else "10000000"
     assert (code, out, err) == (3, "", f"error: {message}, over the cap of {cap}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "coset-identities", "--k-max", "100000"), "up to k=100000 have 60000700000 coefficients"),
+        (("verify", "coset-identities", "--k-max", "2", "--cap", "37"), "up to k=2 have 38 coefficients"),
+        (("verify", "all", "--k-max", "100000"), "up to k=100000 have 60000700000 coefficients"),
+    ],
+    ids=["k-max", "cap", "all"],
+)
+def test_coset_identities_over_the_cap_are_refused_before_any_check(capsys, monkeypatch, argv, message):
+    def walked(*args, **kwargs):
+        raise AssertionError("no check may run")
+
+    monkeypatch.delenv("CORELATTICE_CAP", raising=False)
+    monkeypatch.setattr(qpoly, "check_coset_identity_a3", walked)
+    monkeypatch.setattr(qpoly, "check_coset_identity_a4", walked)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    cap = argv[-1] if "--cap" in argv else "10000000"
+    assert (code, out, err) == (3, "", f"error: the a=4 targets {message}, over the cap of {cap}\n")
+
+
+def test_coset_identities_within_the_cap_keep_their_output(capsys):
+    # the a = 4 targets up to k = 2 hold 13 + 25 = 38 coefficients, and up to k = 40 hold 9,880
+    code, out, _ = run_cli(capsys, "verify", "coset-identities", "--k-max", "2", "--cap", "38", "--summary")
+    assert code == 0 and out.endswith('"checks":6,"failures":0}\n')
+    code, out, _ = run_cli(capsys, "verify", "coset-identities", "--k-max", "40", "--summary")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    # the digest perfbench/baseline.json records for this command
+    assert code == 0 and digest == "b1d0b1d103b9ab91135a98de60874607984e0a9c39dcae067065e3a407357f4a"
 
 
 def test_root_structure_at_the_cap_runs(capsys):

@@ -59,25 +59,30 @@ def test_divexact_inverts_multiplication(p, d):
 
 
 @settings(max_examples=300, deadline=None)
-@given(laurent_polys, st.lists(laurent_polys, max_size=4), st.integers(-8, 8))
-def test_sub_shifted_matches_the_operator_route(p, ps, e):
+@given(laurent_polys, st.lists(st.tuples(laurent_polys, st.integers(1, 4)), max_size=4), st.integers(-8, 8))
+def test_sub_shifted_matches_the_operator_route(p, terms, e):
     total = LaurentPoly.zero()
-    for x in ps:
-        total = total + x
+    for x, n in terms:
+        for _ in range(n):
+            total = total + x
     expected = p - LaurentPoly.monomial(e) * total
-    got = p.sub_shifted(ps, e)
+    got = p.sub_shifted(terms, e)
     assert got == expected
     assert 0 not in got._c.values()
+    # one pair with multiplier n subtracts what n copies of the polynomial do
+    assert got == p.sub_shifted([(x, 1) for x, n in terms for _ in range(n)], e)
     # subtracting a shifted copy of the whole difference cancels everything
-    assert got.sub_shifted([got], 0).is_zero
-    assert (LaurentPoly.monomial(e) * p).sub_shifted([p], e).is_zero
+    assert got.sub_shifted([(got, 1)], 0).is_zero
+    assert (LaurentPoly.monomial(e) * p * 3).sub_shifted([(p, 3)], e).is_zero
 
 
 def test_sub_shifted_cancels_to_zero_and_leaves_its_inputs():
     p = LaurentPoly({0: 1, 1: 2, 2: 1})
-    parts = [LaurentPoly({-3: 1, -2: 1}), LaurentPoly({-2: 1, -1: 1})]
+    parts = [(LaurentPoly({-3: 1, -2: 1}), 1), (LaurentPoly({-2: 1, -1: 1}), 1)]
     assert p.sub_shifted(parts, 3).is_zero
     assert p.sub_shifted(parts[:1], 3) == LaurentPoly({1: 1, 2: 1})
+    assert p.sub_shifted([(LaurentPoly({0: 1, 1: 1}), 2)], 0) == LaurentPoly({0: -1, 2: 1})
+    assert p.sub_shifted([(LaurentPoly.monomial(-1), 2)], 2) == LaurentPoly({0: 1, 2: 1})
     assert p == LaurentPoly({0: 1, 1: 2, 2: 1}) and p.sub_shifted([], 5) == p
 
 
@@ -100,7 +105,8 @@ def test_bivariate_arithmetic():
     inv = LaurentPoly.monomial((-1, 1))
     assert inv * q == t
     assert p.coefficient((1, 1)) == 1 and p.coefficient((1, 0)) == 0
-    assert p.sub_shifted([q, t], (1, 0)) == t * t
+    assert p.sub_shifted([(q, 1), (t, 1)], (1, 0)) == t * t
+    assert (p + q * t).sub_shifted([(t, 2), (q, 1)], (1, 0)) == t * t
     assert str(p - 2 * q * t) == "t^2 - qt + q^2"
 
 

@@ -215,6 +215,26 @@ def test_search_age_function_reports_thin_data():
     assert "empty" in res.reason
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 30), unique=True, max_size=4).flatmap(
+        lambda sizes: st.tuples(
+            st.just(sorted(sizes, reverse=True)),
+            st.fixed_dictionaries({m: st.integers(0, 5) for m in sizes}),
+            st.integers(0, 12),
+        )
+    )
+)
+def test_multisets_are_the_feasible_combinations_in_their_order(case):
+    distinct, counts, batch = case
+    expanded = [tuple(m for m, n in chosen for _ in range(n)) for chosen in Q._multisets(distinct, counts, batch)]
+    feasible = [
+        c for c in combinations_with_replacement(distinct, batch) if all(c.count(m) <= counts[m] for m in distinct)
+    ]
+    assert expanded == feasible
+    assert all(n >= 1 for chosen in Q._multisets(distinct, counts, batch) for _, n in chosen)
+
+
 # Search nodes for a = 5, pinned as the smallest max_nodes with which the
 # search still finds its solution (measured before the fused residual kernel):
 # equal counts mean the search walks the same tree.

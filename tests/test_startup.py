@@ -58,10 +58,13 @@ def test_enumerate_loads_no_dataclasses_or_fractions():
         text=True,
         check=True,
     )
-    # ehrhart fits in Fraction, but its coefficient tuples need neither dataclasses nor inspect
+    # ehrhart fits in Fraction, but its coefficient tuples need neither dataclasses nor inspect;
+    # the age search and the permutation brute force evaluate no polynomial
     for argv, unwanted in (
         (("enumerate", "2", "1", "--summary"), {"dataclasses", "inspect", "fractions", "decimal"}),
         (("ehrhart", "4"), {"dataclasses", "inspect"}),
+        (("search-age", "2", "--b-list", "3"), {"dataclasses", "inspect", "fractions", "decimal"}),
+        (("perm", "4"), {"fractions", "decimal"}),
     ):
         probe = loaded_by(*argv)
         assert probe["code"] == 0, argv
