@@ -6,8 +6,7 @@ other commands reject ``--format``.  Data records are byte-deterministic for
 a fixed configuration; timings go to stderr only.  ``enumerate`` writes its
 records as it walks the simplex, and ``verify`` writes each check's record
 as the check ends (the checks run serially, whatever ``--jobs`` says), so a
-failed internal check or an exceeded cap can leave partial output before the
-exit code.
+failed internal check can leave partial output; an exceeded cap leaves none.
 
 A command imports only the modules it runs, at the top of its function:
 ``enumerate`` and the parser load ``simplex`` and what it imports
@@ -17,10 +16,9 @@ through ``suites``.
 Exit codes: 0 success, 1 assertion failure (a verify suite, an internal
 check, or held-out samples that contradict a fit), 2 usage or validation
 error, or output that cannot be written, 3 cap exceeded.
-``CORELATTICE_CAP`` overrides the default cap of 10^7 cores enumerated (permutations for
-``perm`` and the permutation suites, moment-recursion steps for ``ehrhart`` and ``verify root-structure``,
-orbifold cosets for ``verify sizmaj1``, charge tuples for ``verify quadratic`` and the coefficients
-of the a = 4 targets for ``verify coset-identities``).
+``CORELATTICE_CAP`` overrides the default cap of 10^7 cores enumerated (permutations for ``perm``, recursion steps for
+``ehrhart``, coset labels for ``search-age``); ``verify`` sums its checks' costs per unit: cores, brute-force
+candidates, charge tuples, orbifold cosets, moment-recursion steps, permutations, coefficients, skew-length terms.
 """
 
 from __future__ import annotations

@@ -208,6 +208,8 @@ def _classify_cosets(a: int, b: int, cap: int) -> dict[tuple[int, ...], int]:
     enumeration pass checks that each core lands in a valid label and that
     each nonempty coset holds exactly ``binom(m + a-1, a-1)`` cores.
     """
+    if any(a**k > cap for k in range(a - 1)):  # a^(a-2) > cap, without building a^(a-2) for a huge a
+        raise CapExceededError(f"the coset census at a={a} builds {a}^{a - 2} labels, over the cap of {cap}")
     spec = SimplexSpec(a, b)
     seen: dict[tuple[int, ...], int] = {}
     for c in enumerate_cores(spec, cap):

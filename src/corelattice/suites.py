@@ -8,6 +8,13 @@ tagged ``exploration`` report findings (conjecture sweeps) and never fail
 a run.  ``anderson``, ``armstrong`` and ``self-conjugate`` read one
 :func:`~corelattice.simplex.core_fold` per (a,b), memoised for the one
 :func:`build_suite` call that made them; ``moments`` reads its own.
+
+Each suite declares the cost of one check as a unit (cores, brute-force
+candidates, charge tuples, orbifold cosets, moment-recursion steps,
+permutations, coefficients, skew-length terms) and a closed form in its
+params; the fixed grids of ``reciprocity`` and ``moments-closed-form``
+declare none.  :func:`build_suite` sums each unit over every check it
+draws, ``all`` included, and refuses at the first sum past the cap.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product, repeat
-from math import gcd
+from itertools import chain, product
+from math import factorial, gcd
 from typing import Callable
 
 from . import ehrhart, perms, qpoly, qt
@@ -26,7 +33,6 @@ from .partitions import brute_force_simultaneous_cores, parts_of_beads, skew_len
 from .simplex import (
     SimplexSpec,
     armstrong_average,
-    capped_count,
     core_fold,
     core_moments,
     enumerate_cores,
@@ -45,10 +51,8 @@ class Check:
 
 def _folded(folds: dict, a: int, b: int, cap: int) -> tuple[int, int, int, int]:
     """:func:`~corelattice.simplex.core_fold` of (a,b), walked once per suite build (``folds`` is its memo)."""
-    spec = SimplexSpec(a, b)
-    capped_count(spec, cap)  # before the memo is read, so an exceeded cap raises where it would without one
     if (a, b) not in folds:
-        folds[a, b] = core_fold(spec, cap)
+        folds[a, b] = core_fold(SimplexSpec(a, b), cap)
     return folds[a, b]
 
 
@@ -84,12 +88,17 @@ def quadratic(a: int, radius: int):
     return True, None
 
 
+def _largest_size(a: int, b: int) -> int:
+    """The size of the largest (a,b)-core (Olsson-Stanton)."""
+    return (a * a - 1) * (b * b - 1) // 24
+
+
 def oracle(a: int, b: int, cap: int):
     cores = enumerate_cores(SimplexSpec(a, b), cap)
     enumerated = {core_from_charges(a, c) for c in cores}
     max_size = max((size_of_charges(a, c) for c in cores), default=0)
-    # to the largest core size (Olsson-Stanton), not max_size: a dropped core must still be found
-    brute = set(brute_force_simultaneous_cores(a, b, (a * a - 1) * (b * b - 1) // 24))
+    # to the largest core size, not max_size: a dropped core must still be found
+    brute = set(brute_force_simultaneous_cores(a, b, _largest_size(a, b)))
     return enumerated == brute, {"count": len(enumerated), "max_size": max_size}
 
 
@@ -141,129 +150,118 @@ RECIPROCITY_CASES = {
 MOMENTS_SCALE_A_MAX = 30  # the closed-form rows of `moments`; (30, 211) has Cat(a,b) near 6.9e35
 
 
-def _checks(name: str, fn, params, *, exploration=None, **bound) -> list[Check]:
-    """One check per param dict, running ``fn(**params, **bound)``; ``exploration(params)`` marks a sweep."""
-    return [Check(name, p, partial(fn, **p, **bound), bool(exploration and exploration(p))) for p in params]
+def _checks(name: str, fn, params, *, cost=None, exploration=None, **bound):
+    """Yield ``(check, cost)`` per param dict, drawn lazily; the check runs ``fn(**params, **bound)``.
+
+    ``cost=(unit, f)`` is yielded as ``(unit, f(**params))``, the closed-form cost of the check, and as None
+    for a fixed grid, which declares none; ``exploration(params)`` marks a sweep."""
+    for p in params:
+        check = Check(name, p, partial(fn, **p, **bound), bool(exploration and exploration(p)))
+        yield check, cost and (cost[0], cost[1](**p))
 
 
-def _coprime_pairs(o: dict, a_max: int, b_max: int):
-    """``{"a": a, "b": b}`` for coprime ``2 <= a < b``, up to the bounds in ``o`` or these defaults."""
-    for a in range(2, o.get("a_max", a_max) + 1):
+def _coprime_pairs(o: dict, a_max: int, b_max: int, a_min: int = 2):
+    """``{"a": a, "b": b}`` for coprime ``a_min <= a < b``, up to the bounds in ``o`` or these defaults."""
+    for a in range(a_min, o.get("a_max", a_max) + 1):
         for b in range(a + 1, o.get("b_max", b_max) + 1):
             if gcd(a, b) == 1:
                 yield {"a": a, "b": b}
 
 
-def _require_walk_within(factors, cap: int, message: str) -> None:
-    """Raise :class:`CapExceededError` with ``message`` once the running product of ``factors`` passes ``cap``."""
-    size = 1
-    for f in factors:
-        size *= f
-        if size > cap:
-            raise CapExceededError(message)
-
-
-def _quadratic_params(o: dict):
-    """``{"a": a, "radius": r}`` for ``quadratic``, refused before any check runs when the a_max box passes the cap."""
-    a_max, radius, cap = o.get("a_max", 6), o.get("radius", 4), o["cap"]
-    side = 2 * radius + 1
-    message = f"a={a_max} walks a box of {int_text(side)}^{a_max - 1} charge tuples, over the cap of {cap}"
-    _require_walk_within(repeat(side, a_max - 1), cap, message)
-    return ({"a": a, "radius": radius} for a in range(2, a_max + 1))
-
-
-def _sizmaj1_params(o: dict):
-    """``{"a": a}`` for ``sizmaj1``, refused before any check runs when the (a_max-1)! cosets at a_max pass the cap."""
-    a_max, cap = o.get("a_max", 6), o["cap"]
-    _require_walk_within(range(2, a_max), cap, f"a={a_max} has {a_max - 1}! orbifold cosets, over the cap of {cap}")
-    return ({"a": a} for a in range(2, a_max + 1))
-
-
-def _root_structure_params(o: dict):
-    """``{"a": a}`` for ``root-structure``, refused before any check runs when the fits' recursion steps, summed, pass the cap."""
-    a_max, cap = o.get("a_max", 5), o["cap"]
-    steps, a = 0, 1
-    while steps <= cap and a < a_max:  # stops at the first a past the cap, so a huge bound costs nothing
-        a += 1
-        steps += ehrhart.fit_steps(a)
-    message = f"the fits up to a={a} take {int_text(steps)} moment-recursion steps, over the cap of {cap}"
-    _require_walk_within((steps,), cap, message)
-    return ({"a": a} for a in range(2, a_max + 1))
-
-
-def _coset_ks(o: dict):
-    """The k of ``coset-identities``, refused before any check runs when the a = 4 targets' coefficients pass the cap.
-
-    ``cat_q(4, 4k+1)`` has degree 12k, so the targets up to k_max hold
-    ``sum(12k + 1) = 6 k_max (k_max + 1) + k_max`` coefficients.
-    """
-    k_max, cap = o.get("k_max", 6), o["cap"]
-    coeffs = 6 * k_max * (k_max + 1) + k_max
-    message = f"the a=4 targets up to k={k_max} have {int_text(coeffs)} coefficients, over the cap of {cap}"
-    _require_walk_within((coeffs,), cap, message)
-    return range(1, k_max + 1)
-
-
 def _ns(o: dict):
-    """``{"n": n}`` for the permutation brute force, refused above its ceiling or the cap before any check runs."""
-    n_max = o.get("n_max", 7)
-    perms.require_walk_within(n_max, o["cap"])
-    return ({"n": n} for n in range(1, n_max + 1))
+    """``{"n": n}`` for the permutation suites, up to ``n_max`` or its default."""
+    return ({"n": n} for n in range(1, o.get("n_max", 7) + 1))
+
+
+def _coefficients(a: int, b: int) -> int:
+    """The coefficients of cat_q(a, b), which has degree (a-1)(b-1)."""
+    return (a - 1) * (b - 1) + 1
+
+
+def _permutations(n: int) -> int:
+    """The n! permutations of S_n; above the brute-force ceiling, n is refused whatever the cap."""
+    perms.require_within_cap(n)
+    return factorial(n)
+
+
+CORES = ("cores", lambda a, b: rational_catalan(a, b))  # looked up at each call, like the check functions below
+PERMS = ("permutations", _permutations)
 
 
 # suite name -> its checks, built from the bounds that were given (a bound left as None is absent), "cap" and "folds";
 # the check functions are looked up when a suite is built, never stored here
 SUITES = {
-    "anderson": lambda o: _checks("anderson", anderson, _coprime_pairs(o, 6, 20), cap=o["cap"], folds=o["folds"]),
-    "armstrong": lambda o: _checks("armstrong", armstrong, _coprime_pairs(o, 6, 20), cap=o["cap"], folds=o["folds"]),
-    "self-conjugate": lambda o: _checks(
-        "self-conjugate", self_conjugate, _coprime_pairs(o, 6, 20), cap=o["cap"], folds=o["folds"]
+    "anderson": lambda o: _checks(
+        "anderson", anderson, _coprime_pairs(o, 6, 20), cost=CORES, cap=o["cap"], folds=o["folds"]
     ),
-    "quadratic": lambda o: _checks("quadratic", quadratic, _quadratic_params(o)),
-    "oracle": lambda o: _checks("oracle", oracle, _coprime_pairs(o, 4, 9), cap=o["cap"]),
-    "moments": lambda o: (
-        _checks("moments", moments, _coprime_pairs(o, 5, 20), cap=o["cap"])
-        + _checks(
+    "armstrong": lambda o: _checks(
+        "armstrong", armstrong, _coprime_pairs(o, 6, 20), cost=CORES, cap=o["cap"], folds=o["folds"]
+    ),
+    "self-conjugate": lambda o: _checks(
+        "self-conjugate", self_conjugate, _coprime_pairs(o, 6, 20), cost=CORES, cap=o["cap"], folds=o["folds"]
+    ),
+    "quadratic": lambda o: _checks(
+        "quadratic",
+        quadratic,
+        ({"a": a, "radius": o.get("radius", 4)} for a in range(2, o.get("a_max", 6) + 1)),
+        cost=("charge tuples", lambda a, radius: (2 * radius + 1) ** (a - 1)),
+    ),
+    "oracle": lambda o: _checks(
+        "oracle",
+        oracle,
+        _coprime_pairs(o, 4, 9),
+        cost=("brute-force candidates", lambda a, b: 1 + rational_catalan(a, b) * _largest_size(a, b)),
+        cap=o["cap"],
+    ),
+    "moments": lambda o: chain(
+        _checks("moments", moments, _coprime_pairs(o, 5, 20), cost=CORES, cap=o["cap"]),
+        _checks(
             "moments-closed-form",
             moments_closed_form,
             ({"a": a, "b": b} for a in range(2, MOMENTS_SCALE_A_MAX + 1) for b in (a + 1, 2 * a + 1, 7 * a + 1)),
-        )
+        ),
     ),
-    "statistics": lambda o: _checks("statistics", statistics, _coprime_pairs(o, 5, 13), cap=o["cap"]),
+    "statistics": lambda o: _checks("statistics", statistics, _coprime_pairs(o, 5, 13), cost=CORES, cap=o["cap"]),
     "qt3": lambda o: _checks(
         "qt3",
         lambda b, cap: (qt.check_qt3_identity(b, cap), None),
         ({"b": b} for b in range(4, o.get("b_max", 20) + 1) if gcd(b, 3) == 1),
+        cost=("cores", lambda b: rational_catalan(3, b)),
         cap=o["cap"],
     ),
     # proven for a = 3; a conjecture sweep beyond that
     "qt-symmetry": lambda o: _checks(
-        "qt-symmetry",
-        qt_symmetry,
-        (p for p in _coprime_pairs(o, 5, 13) if p["a"] > 2),
+        "qt-symmetry", qt_symmetry, _coprime_pairs(o, 5, 13, 3), cost=CORES, cap=o["cap"],
         exploration=lambda p: p["a"] > 3,
-        cap=o["cap"],
     ),
-    "sizmaj1": lambda o: _checks("sizmaj1", lambda a: (qt.check_sizmaj1(a), None), _sizmaj1_params(o)),
-    "sizmaj2": lambda o: _checks("sizmaj2", lambda n: (perms.check_sizmaj2(n), None), _ns(o)),
-    "ld-weights": lambda o: _checks("ld-weights", lambda n: (perms.check_ld_weights(n), None), _ns(o)),
-    "sqin": lambda o: _checks("sqin", lambda n: (perms.check_sqin_relation(n), None), _ns(o)),
-    "coset-identities": lambda o: (
+    "sizmaj1": lambda o: _checks(
+        "sizmaj1",
+        lambda a: (qt.check_sizmaj1(a), None),
+        ({"a": a} for a in range(2, o.get("a_max", 6) + 1)),
+        cost=("orbifold cosets", lambda a: factorial(a - 1)),
+    ),
+    "sizmaj2": lambda o: _checks("sizmaj2", lambda n: (perms.check_sizmaj2(n), None), _ns(o), cost=PERMS),
+    "ld-weights": lambda o: _checks("ld-weights", lambda n: (perms.check_ld_weights(n), None), _ns(o), cost=PERMS),
+    "sqin": lambda o: _checks("sqin", lambda n: (perms.check_sqin_relation(n), None), _ns(o), cost=PERMS),
+    "coset-identities": lambda o: chain(
         _checks(
             "coset-identity-a3",
             lambda k, delta: (qpoly.check_coset_identity_a3(k, delta), None),
-            ({"k": k, "delta": d} for k in _coset_ks(o) for d in (0, 1)),
-        )
-        + _checks(
+            ({"k": k, "delta": d} for k in range(1, o.get("k_max", 6) + 1) for d in (0, 1)),
+            cost=("coefficients", lambda k, delta: _coefficients(3, 3 * k + 1 + delta)),
+        ),
+        _checks(
             "coset-identity-a4",
             lambda k: (qpoly.check_coset_identity_a4(k), None),
-            ({"k": k} for k in _coset_ks(o)),
-        )
+            ({"k": k} for k in range(1, o.get("k_max", 6) + 1)),
+            cost=("coefficients", lambda k: _coefficients(4, 4 * k + 1)),
+        ),
     ),
     "delta-table": lambda o: _checks(
         "delta-table",
         lambda a, b: (qt.delta_table_check(a, b), None),
         ({"a": a, "b": 2 * a + 1} for a in range(2, o.get("a_max", 5) + 1)),
+        cost=("skew-length terms", lambda a, b: 4 * a * (a - 1) ** 2),  # 4(a-1) skew lengths of a(a-1) terms each
     ),
     "reciprocity": lambda o: _checks(
         "reciprocity",
@@ -273,18 +271,16 @@ SUITES = {
     "root-structure": lambda o: _checks(
         "root-structure",
         lambda a, cap: (ehrhart.check_root_structure(a, cap), None),
-        _root_structure_params(o),
+        ({"a": a} for a in range(2, o.get("a_max", 5) + 1)),
+        cost=("moment-recursion steps", ehrhart.fit_steps),
         cap=o["cap"],
     ),
     "unimodality": lambda o: _checks(
         "unimodality",
         unimodality,
-        (
-            {"a": a, "b": b}
-            for a in range(2, o.get("a_max", 5) + 1)
-            for b in range(1, o.get("b_max", 30) + 1)
-            if gcd(a, b) == 1
-        ),
+        ({"a": a, "b": b} for a in range(2, o.get("a_max", 5) + 1)
+         for b in range(1, o.get("b_max", 30) + 1) if gcd(a, b) == 1),
+        cost=("coefficients", _coefficients),
         exploration=lambda p: True,
     ),
 }
@@ -300,8 +296,17 @@ def build_suite(name: str, *, a_max, b_max, n_max, k_max, radius, cap) -> list[C
     given = {key: value for key, value in bounds.items() if value is not None}
     given["cap"] = cap
     given["folds"] = {}  # (a, b) -> core_fold, shared by anderson, armstrong and self-conjugate for this build only
-    if name == "all":
-        return [check for key in sorted(SUITES) if key not in NOT_IN_ALL for check in SUITES[key](given)]
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))} or 'all'")
-    return SUITES[name](given)
+    names = [key for key in sorted(SUITES) if key not in NOT_IN_ALL] if name == "all" else [name]
+    checks, spent = [], {}
+    for check, declared in chain.from_iterable(SUITES[key](given) for key in names):
+        if declared is not None:
+            unit, cost = declared
+            spent[unit] = total = spent.get(unit, 0) + cost
+            if total > cap:
+                params = ", ".join(f"{key}={value}" for key, value in check.params.items())
+                message = f"{check.name}({params}) brings the {unit} to {int_text(total)}, over the cap of {cap}"
+                raise CapExceededError(message)
+        checks.append(check)
+    return checks

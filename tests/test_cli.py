@@ -136,7 +136,7 @@ def test_closed_pipe_exits_two_without_traceback(tmp_path):
     [
         ["enumerate", "3", "4"],
         ["enumerate", "3", "4", "--output", "/dev/full"],
-        ["verify", "anderson", "--cap", "20"],  # records are buffered when the cap is exceeded
+        ["verify", "anderson"],  # its records are still buffered when the final flush fails
     ],
     ids=" ".join,
 )
@@ -506,21 +506,13 @@ def test_verify_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
-def test_verify_streams_the_records_before_an_exceeded_cap(capsys):
-    # Cat(2,3) = 2 and Cat(2,5) = 3 fit under the cap, Cat(3,4) = 5 does not
-    code, out, err = run_cli(capsys, "verify", "anderson", "--a-max", "3", "--b-max", "5", "--cap", "4")
-    assert code == 3 and err.endswith("exceeds the cap of 4\n")
-    records = [json.loads(line) for line in out.splitlines()]
-    assert [r["params"] for r in records] == [{"a": 2, "b": 3}, {"a": 2, "b": 5}]
-
-
-@pytest.mark.parametrize("suite", ["armstrong", "self-conjugate"])
-def test_fold_suites_stop_at_an_exceeded_cap_after_the_records_before_it(capsys, suite):
-    # the (a,b) walk is memoised per run, but the cap is still checked at each check
-    code, out, err = run_cli(capsys, "verify", suite, "--a-max", "3", "--b-max", "5", "--cap", "4")
-    assert code == 3 and err.endswith("\nerror: Cat(3,4) = 5 exceeds the cap of 4\n")
-    records = [json.loads(line) for line in out.splitlines()]
-    assert [(r["params"], r["pass"]) for r in records] == [({"a": 2, "b": 3}, True), ({"a": 2, "b": 5}, True)]
+@pytest.mark.parametrize("suite", ["anderson", "armstrong", "self-conjugate"])
+def test_fold_suites_refuse_an_exceeded_cap_before_any_record(capsys, suite):
+    # Cat(2,3) + Cat(2,5) + Cat(3,4) + Cat(3,5) = 2 + 3 + 5 + 7 = 17 cores
+    code, out, _ = run_cli(capsys, "verify", suite, "--a-max", "3", "--b-max", "5", "--cap", "17", "--summary")
+    assert code == 0 and out.endswith('"checks":4,"failures":0}\n')
+    code, out, err = run_cli(capsys, "verify", suite, "--a-max", "3", "--b-max", "5", "--cap", "16")
+    assert (code, out, err) == (3, "", f"error: {suite}(a=3, b=5) brings the cores to 17, over the cap of 16\n")
 
 
 @pytest.mark.parametrize(
@@ -529,16 +521,21 @@ def test_fold_suites_stop_at_an_exceeded_cap_after_the_records_before_it(capsys,
         (
             ("verify", "sizmaj1", "--a-max", "13", "--cap", "1000"),
             None,
-            "a=13 has 12! orbifold cosets, over the cap of 1000",
+            "sizmaj1(a=8) brings the orbifold cosets to 5913, over the cap of 1000",
         ),
-        (("verify", "sizmaj1", "--a-max", "8"), "1000", "a=8 has 7! orbifold cosets, over the cap of 1000"),
+        (("verify", "sizmaj1"), "152", "sizmaj1(a=6) brings the orbifold cosets to 153, over the cap of 152"),
         (
             ("verify", "quadratic", "--radius", "40", "--cap", "1000"),
             None,
-            "a=6 walks a box of 81^5 charge tuples, over the cap of 1000",
+            "quadratic(a=3, radius=40) brings the charge tuples to 6642, over the cap of 1000",
         ),
-        (("verify", "quadratic", "--a-max", "4"), "728", "a=4 walks a box of 9^3 charge tuples, over the cap of 728"),
+        (
+            ("verify", "quadratic", "--a-max", "3"),
+            "89",
+            "quadratic(a=3, radius=4) brings the charge tuples to 90, over the cap of 89",
+        ),
     ],
+    ids=["sizmaj1-a-max", "sizmaj1-env", "quadratic-box", "quadratic-env"],
 )
 def test_sizmaj1_and_quadratic_over_the_cap_are_refused_before_any_check(capsys, monkeypatch, argv, env, message):
     def walked(*args, **kwargs):
@@ -555,8 +552,11 @@ def test_sizmaj1_and_quadratic_over_the_cap_are_refused_before_any_check(capsys,
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("verify", "root-structure", "--a-max", "1000"), "the fits up to a=77 take 10127936 moment-recursion steps"),
-        (("verify", "root-structure", "--cap", "729"), "the fits up to a=5 take 730 moment-recursion steps"),
+        (
+            ("verify", "root-structure", "--a-max", "1000"),
+            "root-structure(a=77) brings the moment-recursion steps to 10127936",
+        ),
+        (("verify", "root-structure", "--cap", "729"), "root-structure(a=5) brings the moment-recursion steps to 730"),
     ],
     ids=["a-max", "cap"],
 )
@@ -574,9 +574,18 @@ def test_root_structure_over_the_cap_is_refused_before_any_check(capsys, monkeyp
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (("verify", "coset-identities", "--k-max", "100000"), "up to k=100000 have 60000700000 coefficients"),
-        (("verify", "coset-identities", "--k-max", "2", "--cap", "37"), "up to k=2 have 38 coefficients"),
-        (("verify", "all", "--k-max", "100000"), "up to k=100000 have 60000700000 coefficients"),
+        (
+            ("verify", "coset-identities", "--k-max", "100000"),
+            "coset-identity-a3(k=1291, delta=0) brings the coefficients to 10005247",
+        ),
+        (
+            ("verify", "coset-identities", "--k-max", "2", "--cap", "81"),
+            "coset-identity-a4(k=2) brings the coefficients to 82",
+        ),
+        (
+            ("verify", "all", "--k-max", "100000"),
+            "coset-identity-a3(k=1291, delta=0) brings the coefficients to 10005247",
+        ),
     ],
     ids=["k-max", "cap", "all"],
 )
@@ -591,12 +600,12 @@ def test_coset_identities_over_the_cap_are_refused_before_any_check(capsys, monk
     code, out, err = run_cli(capsys, *argv)
     assert time.monotonic() - start < 1.0
     cap = argv[-1] if "--cap" in argv else "10000000"
-    assert (code, out, err) == (3, "", f"error: the a=4 targets {message}, over the cap of {cap}\n")
+    assert (code, out, err) == (3, "", f"error: {message}, over the cap of {cap}\n")
 
 
 def test_coset_identities_within_the_cap_keep_their_output(capsys):
-    # the a = 4 targets up to k = 2 hold 13 + 25 = 38 coefficients, and up to k = 40 hold 9,880
-    code, out, _ = run_cli(capsys, "verify", "coset-identities", "--k-max", "2", "--cap", "38", "--summary")
+    # the targets up to k = 2 hold 7 + 9 + 13 + 15 = 44 coefficients at a = 3 and 13 + 25 = 38 at a = 4
+    code, out, _ = run_cli(capsys, "verify", "coset-identities", "--k-max", "2", "--cap", "82", "--summary")
     assert code == 0 and out.endswith('"checks":6,"failures":0}\n')
     code, out, _ = run_cli(capsys, "verify", "coset-identities", "--k-max", "40", "--summary")
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
@@ -611,11 +620,60 @@ def test_root_structure_at_the_cap_runs(capsys):
 
 
 def test_sizmaj1_and_quadratic_at_the_cap_run(capsys):
-    # 5! = 120 cosets at a = 6, and 9^2 = 81 charge tuples at a = 3, radius 4
-    code, out, _ = run_cli(capsys, "verify", "sizmaj1", "--cap", "120", "--summary")
+    # 1! + ... + 5! = 153 cosets for a = 2 ... 6, and 9 + 9^2 = 90 charge tuples for a = 2, 3 at radius 4
+    code, out, _ = run_cli(capsys, "verify", "sizmaj1", "--cap", "153", "--summary")
     assert code == 0 and out.endswith('"checks":5,"failures":0}\n')
-    code, out, _ = run_cli(capsys, "verify", "quadratic", "--a-max", "3", "--cap", "81", "--summary")
+    code, out, _ = run_cli(capsys, "verify", "quadratic", "--a-max", "3", "--cap", "90", "--summary")
     assert code == 0 and out.endswith('"checks":2,"failures":0}\n')
+
+
+@pytest.mark.parametrize(
+    "argv,total,message",
+    [
+        # 1 + Cat·(a²-1)(b²-1)/24 = 1 + 2·1 and 1 + 3·3 candidates at (2,3) and (2,5)
+        (("verify", "oracle", "--a-max", "2", "--b-max", "5"), 13, "oracle(a=2, b=5) brings the brute-force candidates"),
+        # 4a(a-1)² = 8 + 48 + 144 + 320 terms for a = 2 ... 5
+        (("verify", "delta-table"), 520, "delta-table(a=5, b=11) brings the skew-length terms"),
+    ],
+    ids=["oracle", "delta-table"],
+)
+def test_oracle_and_delta_table_run_at_their_total_and_are_refused_one_below(capsys, argv, total, message):
+    code, out, _ = run_cli(capsys, *argv, "--cap", str(total), "--summary")
+    assert code == 0 and out.endswith('"failures":0}\n')
+    code, out, err = run_cli(capsys, *argv, "--cap", str(total - 1))
+    assert (code, out, err) == (3, "", f"error: {message} to {total}, over the cap of {total - 1}\n")
+
+
+HUGE_BOUNDS = tuple(flag for key in ("a-max", "b-max", "n-max", "k-max", "radius") for flag in (f"--{key}", "1000000"))
+OVERSIZED = (
+    *(("verify", suite, *HUGE_BOUNDS) for suite in cli.SUITE_NAMES),
+    # each of these ran past a 20 s timeout when the cap bounded one check at a time, not the run
+    ("verify", "anderson", "--b-max", "100000"),
+    ("verify", "self-conjugate", "--b-max", "100000"),
+    ("verify", "armstrong", "--b-max", "100000"),
+    ("verify", "moments", "--a-max", "4", "--b-max", "100000"),
+    ("verify", "statistics", "--a-max", "3", "--b-max", "3000"),
+    ("verify", "oracle", "--a-max", "3", "--b-max", "200"),
+    ("verify", "qt3", "--b-max", "5000"),
+    ("verify", "unimodality", "--a-max", "40", "--b-max", "400"),
+    ("verify", "delta-table", "--a-max", "100"),
+    ("verify", "root-structure", "--a-max", "1000"),
+    ("verify", "coset-identities", "--k-max", "100000"),
+    ("verify", "sizmaj1", "--a-max", "13"),
+)
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=lambda argv: " ".join(argv[1:]).replace(" ".join(HUGE_BOUNDS), "at 10^6"))
+def test_oversized_suites_are_refused_at_once(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CORELATTICE_CAP", raising=False)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    if argv[1] == "reciprocity":  # a fixed grid of five polytopes, which no bound reaches
+        assert code == 0 and out.endswith('"checks":5,"failures":0}\n')
+    else:
+        # a check that ran would have logged its timing on stderr before the error line
+        assert (code, out) == (3, "") and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_exploration_suite_exits_zero(capsys):
@@ -750,12 +808,11 @@ def test_perm_honours_cap_flag(capsys, cap, code):
 
 @pytest.mark.parametrize("suite", ["sizmaj2", "ld-weights", "sqin"])
 def test_permutation_suites_honour_the_cap_flag(capsys, suite):
-    # 8! = 40320 permutations; the refusal comes before any check runs
-    code, out, err = run_cli(capsys, "verify", suite, "--n-max", "8", "--cap", "1000", "--summary")
-    assert code == 3 and out == ""
-    assert err.endswith("n=8 has 40320 permutations, over the cap of 1000\n")
-    _, _, perm_err = run_cli(capsys, "perm", "8", "--cap", "1000")
-    assert perm_err == err
+    # 1! + ... + 5! = 153 permutations; the refusal comes before any check runs
+    code, out, _ = run_cli(capsys, "verify", suite, "--n-max", "5", "--cap", "153", "--summary")
+    assert code == 0 and out.endswith('"checks":5,"failures":0}\n')
+    code, out, err = run_cli(capsys, "verify", suite, "--n-max", "5", "--cap", "152", "--summary")
+    assert (code, out, err) == (3, "", f"error: {suite}(n=5) brings the permutations to 153, over the cap of 152\n")
 
 
 def test_perm_honours_env_cap(capsys, monkeypatch):
@@ -791,6 +848,23 @@ def test_search_age_rejects_small_a(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: a must be >= 2\n"
+
+
+def test_search_age_refuses_a_census_over_the_cap_before_any_label(capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("no coset label may be built")
+
+    monkeypatch.delenv("CORELATTICE_CAP", raising=False)
+    with monkeypatch.context() as patched:
+        patched.setattr(qpoly, "coset_labels", built)
+        patched.setattr(qpoly, "coset_label", built)
+        code, out, err = run_cli(capsys, "search-age", "10", "--b-list", "11")
+        assert (code, out) == (3, "")
+        assert err == "error: the coset census at a=10 builds 10^8 labels, over the cap of 10000000\n"
+        code, out, err = run_cli(capsys, "search-age", "4", "--b-list", "5", "--cap", "15")
+        assert (code, out, err) == (3, "", "error: the coset census at a=4 builds 4^2 labels, over the cap of 15\n")
+    code, out, _ = run_cli(capsys, "search-age", "4", "--b-list", "5", "--cap", "16")
+    assert code == 0 and json.loads(out)["found"] is False
 
 
 def test_search_age_failure_still_exits_zero(capsys):

@@ -1,6 +1,7 @@
 """Verification suites: what a check catches when the enumeration goes wrong."""
 
 import dataclasses
+import re
 from collections import Counter
 
 import pytest
@@ -97,11 +98,34 @@ def test_fold_suites_walk_each_pair_once_per_build(monkeypatch):
 
 
 @pytest.mark.parametrize("fn", [suites.anderson, suites.armstrong, suites.self_conjugate])
-def test_fold_suites_check_the_cap_before_the_memo(fn):
-    folds = {(3, 4): (5, 10, 3, 6)}
-    assert fn(3, 4, cap=5, folds=folds)[0]
-    with pytest.raises(CapExceededError, match="Cat\\(3,4\\) = 5 exceeds the cap of 4"):
-        fn(3, 4, cap=4, folds=folds)
+def test_fold_suites_check_the_cap_before_the_memo(monkeypatch, fn):
+    # the build sums Cat(2,3) + Cat(3,4) = 2 + 5 = 7 cores before any walk fills the memo
+    walks = Counter()
+    real = simplex.iter_cores
+
+    def counted(spec, cap=DEFAULT_CAP):
+        walks[spec.a, spec.b] += 1
+        return real(spec, cap)
+
+    monkeypatch.setattr(simplex, "iter_cores", counted)
+    name = fn.__name__.replace("_", "-")
+    with pytest.raises(CapExceededError, match=re.escape(f"{name}(a=3, b=4) brings the cores to 7, over the cap of 6")):
+        build(name, a_max=3, b_max=4, cap=6)
+    assert not walks
+    assert all(c.run()[0] for c in build(name, a_max=3, b_max=4, cap=7))
+    assert walks == Counter({(2, 3): 1, (3, 4): 1})
+
+
+def test_all_sums_each_unit_across_its_suites():
+    # at the default bounds each fold suite declares 22,911 cores, and the suites of `all` 73,007 together
+    with pytest.raises(CapExceededError, match=re.escape("anderson(a=6, b=19) brings the cores to 22911,")):
+        build("anderson", cap=22910)
+    for name in ("anderson", "armstrong", "self-conjugate", "statistics", "qt3", "qt-symmetry"):
+        assert len(build(name, cap=73006)) == len(build(name))
+    message = "statistics(a=5, b=13) brings the cores to 73007, over the cap of 73006"
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        build("all", cap=73006)
+    assert len(build("all", cap=73007)) == len(build("all")) == 330
 
 
 def test_moments_closed_form_rows_pass_beyond_the_cap():
@@ -139,9 +163,11 @@ def test_n_max_whose_permutations_exceed_the_cap_is_refused_before_any_check(mon
         raise AssertionError("no permutation may be visited")
 
     monkeypatch.setattr(perms, "_ld_tree", walked)
-    with pytest.raises(CapExceededError, match="n=8 has 40320 permutations, over the cap of 40319"):
-        build(name, n_max=8, cap=40319)
-    assert len(build(name, n_max=8, cap=40320)) == 8
+    # the suite walks 1! + ... + 8! = 46233 permutations up to n = 8
+    message = f"{name}(n=8) brings the permutations to 46233, over the cap of 46232"
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        build(name, n_max=8, cap=46232)
+    assert len(build(name, n_max=8, cap=46233)) == 8
     # a cap above 10! never lifts the ceiling of 9
     with pytest.raises(CapExceededError, match="n=10 exceeds the brute-force cap of 9"):
         build(name, n_max=10, cap=10**12)
