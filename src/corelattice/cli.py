@@ -18,7 +18,7 @@ check, or held-out samples that contradict a fit), 2 usage or validation
 error, or output that cannot be written, 3 cap exceeded.
 ``CORELATTICE_CAP`` overrides the default cap of 10^7 cores enumerated (permutations for ``perm``, recursion steps for
 ``ehrhart``, coset labels for ``search-age``); ``verify`` sums its checks' costs per unit: cores, brute-force
-candidates, charge tuples, orbifold cosets, moment-recursion steps, permutations, coefficients, skew-length terms.
+candidates, abacus beads, orbifold cosets, moment-recursion steps, permutations, coefficients, skew-length terms.
 """
 
 from __future__ import annotations

@@ -256,28 +256,37 @@ def _solve_class(counts: dict[int, int], targets: dict[int, LaurentPoly],
     """Greedy-forced backtracking for one exponent class.
 
     ``counts`` maps simplex size to how many cosets of that size this class
-    must absorb.  Every unassigned coset has a unit constant term at the
-    largest b, so the residual's coefficient at its minimal exponent equals
-    the exact number of cosets taking that shift; the only branching is over
-    which multiset of sizes they carry.  Only the multisets that ``counts``
-    allows are drawn (:func:`_multisets`), and each size is subtracted once,
-    times its multiplicity.
+    must absorb.  Each step is driven at the smallest sampled b where an
+    unassigned coset is nonempty.  There each such coset has a unit
+    constant term, the empty ones contribute nothing and no contribution is
+    negative, so the residual's coefficient at its minimal exponent is the
+    exact number of nonempty cosets taking that shift: the only branching
+    is over their sizes, and the search stays complete.  (The residual at a
+    smaller b is nonnegative with total 0, as the apportionment fixed each
+    class's total, so it is zero.)  A coset first nonempty at b has size 0
+    there, so when the b step by a it is read off without branching.  Only
+    the multisets that ``counts`` allows are drawn (:func:`_multisets`),
+    each size subtracted once, times its multiplicity.  All cosets of one
+    size become nonempty at the same b and are placed while it drives, by
+    ascending shift, as the search driven at the largest b placed them.
     """
     if all(v == 0 for v in counts.values()):
         return [] if all(t.is_zero for t in targets.values()) else None
     budget[0] -= 1
     if budget[0] < 0:
         raise CapExceededError("age search exceeded its work limit (inconclusive)")
-    b_ref = bs[-1]
-    ref = targets[b_ref]
+    for b in bs:
+        visible = sorted((m for m, n in counts.items() if n and not polys[(m, b)].is_zero), reverse=True)
+        if visible:
+            break
+    ref = targets[b]
     if ref.is_zero:
         return None
     e = ref.min_exp()
     if e < 0:
         return None
     batch = ref.coefficient(e)
-    distinct = sorted((m for m, n in counts.items() if n), reverse=True)
-    for chosen in _multisets(distinct, counts, batch):
+    for chosen in _multisets(visible, counts, batch):
         trial = {}
         ok = True
         for b in bs:
@@ -308,8 +317,10 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
     A coset with shift ``s`` only ever touches exponents ``s mod a``, so the
     search splits the target by exponent class: first apportion the coset
     sizes among the classes (the value at q = 1 of every class and every b
-    pins the multiplicities), then solve each class separately, where the
-    minimal residual exponent forces each successive shift.
+    pins the multiplicities), then solve each class separately
+    (:func:`_solve_class`): at the smallest sampled b where an unassigned
+    coset is nonempty, the minimal residual exponent and its coefficient
+    force the next shift and how many cosets take it.
     """
     if a < 2:
         raise ValueError("a must be >= 2")

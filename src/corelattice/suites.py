@@ -10,7 +10,7 @@ a run.  ``anderson``, ``armstrong`` and ``self-conjugate`` read one
 :func:`build_suite` call that made them; ``moments`` reads its own.
 
 Each suite declares the cost of one check as a unit (cores, brute-force
-candidates, charge tuples, orbifold cosets, moment-recursion steps,
+candidates, abacus beads, orbifold cosets, moment-recursion steps,
 permutations, coefficients, skew-length terms) and a closed form in its
 params; the fixed grids of ``reciprocity`` and ``moments-closed-form``
 declare none.  :func:`build_suite` sums each unit over every check it
@@ -204,7 +204,8 @@ SUITES = {
         "quadratic",
         quadratic,
         ({"a": a, "radius": o.get("radius", 4)} for a in range(2, o.get("a_max", 6) + 1)),
-        cost=("charge tuples", lambda a, radius: (2 * radius + 1) ** (a - 1)),
+        # each charge tuple's abacus holds up to a(r+1) beads
+        cost=("abacus beads", lambda a, radius: a * (radius + 1) * (2 * radius + 1) ** (a - 1)),
     ),
     "oracle": lambda o: _checks(
         "oracle",

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from corelattice.perms import des_set, inv
 from corelattice.polys import LaurentPoly
-from corelattice.qpoly import AgeSearchResult, q_int
+from corelattice.errors import CapExceededError
+from corelattice.qpoly import AgeSearchResult, _multisets, q_int
 from corelattice.simplex import SimplexSpec, _z_offset
 
 Parts = tuple[int, ...]
@@ -173,6 +174,46 @@ def assignments(res: AgeSearchResult) -> tuple[tuple[int, int], ...]:
     if not res.shifts:
         return ()
     return tuple(sorted((s, res.simplex_sizes[lab]) for lab, s in res.shifts.items()))
+
+
+def solve_class_at_largest_b(counts: dict[int, int], targets: dict[int, LaurentPoly],
+                             polys, bs, budget: list[int]) -> list[tuple[int, int]] | None:
+    """``qpoly._solve_class`` driven at the largest b alone, where every unassigned coset is nonempty.
+
+    There each unassigned coset has a unit constant term, so the residual's
+    coefficient at its minimal exponent is the number of cosets taking that
+    shift, and only their sizes are branched on.  Cosets still empty at the
+    smaller b are placed too, so the tree is wider than the package's.
+    """
+    if all(v == 0 for v in counts.values()):
+        return [] if all(t.is_zero for t in targets.values()) else None
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise CapExceededError("age search exceeded its work limit (inconclusive)")
+    ref = targets[bs[-1]]
+    if ref.is_zero:
+        return None
+    e = ref.min_exp()
+    if e < 0:
+        return None
+    batch = ref.coefficient(e)
+    distinct = sorted((m for m, n in counts.items() if n), reverse=True)
+    for chosen in _multisets(distinct, counts, batch):
+        trial = {}
+        for b in bs:
+            residual = targets[b].sub_shifted([(polys[(m, b)], n) for m, n in chosen], e)
+            if not residual.nonnegative():
+                break
+            trial[b] = residual
+        else:
+            for m, n in chosen:
+                counts[m] -= n
+            rest = solve_class_at_largest_b(counts, trial, polys, bs, budget)
+            for m, n in chosen:
+                counts[m] += n
+            if rest is not None:
+                return [(m, e) for m, n in chosen for _ in range(n)] + rest
+    return None
 
 
 def sqin(sigma) -> int:

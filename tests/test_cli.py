@@ -525,14 +525,14 @@ def test_fold_suites_refuse_an_exceeded_cap_before_any_record(capsys, suite):
         ),
         (("verify", "sizmaj1"), "152", "sizmaj1(a=6) brings the orbifold cosets to 153, over the cap of 152"),
         (
-            ("verify", "quadratic", "--radius", "40", "--cap", "1000"),
+            ("verify", "quadratic", "--radius", "40", "--cap", "10000"),
             None,
-            "quadratic(a=3, radius=40) brings the charge tuples to 6642, over the cap of 1000",
+            "quadratic(a=3, radius=40) brings the abacus beads to 813645, over the cap of 10000",
         ),
         (
             ("verify", "quadratic", "--a-max", "3"),
-            "89",
-            "quadratic(a=3, radius=4) brings the charge tuples to 90, over the cap of 89",
+            "1304",
+            "quadratic(a=3, radius=4) brings the abacus beads to 1305, over the cap of 1304",
         ),
     ],
     ids=["sizmaj1-a-max", "sizmaj1-env", "quadratic-box", "quadratic-env"],
@@ -620,10 +620,10 @@ def test_root_structure_at_the_cap_runs(capsys):
 
 
 def test_sizmaj1_and_quadratic_at_the_cap_run(capsys):
-    # 1! + ... + 5! = 153 cosets for a = 2 ... 6, and 9 + 9^2 = 90 charge tuples for a = 2, 3 at radius 4
+    # 1! + ... + 5! = 153 cosets for a = 2 ... 6, and 2·5·9 + 3·5·9^2 = 1305 abacus beads for a = 2, 3 at radius 4
     code, out, _ = run_cli(capsys, "verify", "sizmaj1", "--cap", "153", "--summary")
     assert code == 0 and out.endswith('"checks":5,"failures":0}\n')
-    code, out, _ = run_cli(capsys, "verify", "quadratic", "--a-max", "3", "--cap", "90", "--summary")
+    code, out, _ = run_cli(capsys, "verify", "quadratic", "--a-max", "3", "--cap", "1305", "--summary")
     assert code == 0 and out.endswith('"checks":2,"failures":0}\n')
 
 
@@ -660,6 +660,9 @@ OVERSIZED = (
     ("verify", "root-structure", "--a-max", "1000"),
     ("verify", "coset-identities", "--k-max", "100000"),
     ("verify", "sizmaj1", "--a-max", "13"),
+    # counted as charge tuples, these declared 8,001 and 11,999 and ran 23 and 25 s on a 2-vCPU VM
+    ("verify", "quadratic", "--a-max", "2", "--radius", "4000"),
+    ("verify", "quadratic", "--radius", "0", "--a-max", "12000"),
 )
 
 

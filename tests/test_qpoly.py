@@ -1,7 +1,7 @@
 """q-analogs, the q-rational Catalan polynomial, and coset decompositions."""
 
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from corelattice import qpoly as Q
 from corelattice.polys import LaurentPoly
 from corelattice.simplex import rational_catalan
-from reference import assignments, q_factorial, shift_multiset
+from reference import assignments, q_factorial, shift_multiset, solve_class_at_largest_b
 
 
 def test_q_int_and_factorial():
@@ -235,22 +235,67 @@ def test_multisets_are_the_feasible_combinations_in_their_order(case):
     assert all(n >= 1 for chosen in Q._multisets(distinct, counts, batch) for _, n in chosen)
 
 
+# The nine b-lists the benchmark's algebra workload searches at a = 5.
+ALGEBRA_B_LISTS = ("6,11,16", "7,12,17", "8,13,18", "9,14,19", "12,17", "14,19", "16,21", "11,16,21", "1,6,11,16")
+
+
+def _b_list(text):
+    return [int(b) for b in text.split(",")]
+
+
 # Search nodes for a = 5, pinned as the smallest max_nodes with which the
-# search still finds its solution (measured before the fused residual kernel):
-# equal counts mean the search walks the same tree.
-@pytest.mark.parametrize("b_list, nodes", [([6, 11, 16], 4919), ([7, 12, 17], 64), ([1, 6, 11, 16], 60)])
+# search still finds its solution: equal counts mean the search walks the
+# same tree.  Driven at the largest b alone, the same lists took 4919, 64,
+# 68, 128, 1114, 1122, 228, 164 and 60 nodes (7867 in all).
+@pytest.mark.parametrize(
+    "b_list, nodes",
+    zip(ALGEBRA_B_LISTS, (81, 76, 78, 83, 141, 273, 201, 119, 75)),
+)
 def test_search_age_reports_nodes_used(b_list, nodes):
-    res = Q.search_age_function(5, b_list)
+    res = Q.search_age_function(5, _b_list(b_list))
     assert res.status == "found" and res.found and res.age_product_ok
     assert res.nodes_used == nodes
-    assert Q.search_age_function(5, b_list, max_nodes=nodes).nodes_used == nodes
+    assert Q.search_age_function(5, _b_list(b_list), max_nodes=nodes).nodes_used == nodes
 
 
 def test_search_age_reports_an_exhausted_budget():
-    res = Q.search_age_function(5, [6, 11, 16], max_nodes=4918)
+    res = Q.search_age_function(5, [6, 11, 16], max_nodes=80)
     assert res.status == "budget_exhausted" and not res.found
-    assert res.nodes_used == 4918
+    assert res.nodes_used == 80
     assert res.shifts is None and "work limit" in res.reason
+
+
+def _one_class_b_lists(a):
+    """Every list of 1 to 3 b values coprime to a, b <= 4a+1, in one residue class mod a."""
+    bs = [b for b in range(1, 4 * a + 2) if gcd(a, b) == 1]
+    for r in range(a):
+        same = [b for b in bs if b % a == r]
+        for k in (1, 2, 3):
+            yield from combinations(same, k)
+
+
+@pytest.mark.parametrize(
+    "a, b_lists",
+    [
+        (3, list(_one_class_b_lists(3))),
+        (4, list(_one_class_b_lists(4))),
+        (5, [_b_list(text) for text in (*ALGEBRA_B_LISTS, "11,16")]),
+    ],
+    ids=["a=3", "a=4", "a=5"],
+)
+def test_search_age_matches_the_search_driven_at_the_largest_b(monkeypatch, a, b_lists):
+    compared = 0
+    for b_list in b_lists:
+        res = Q.search_age_function(a, b_list)
+        with monkeypatch.context() as m:
+            m.setattr(Q, "_solve_class", solve_class_at_largest_b)
+            ref = Q.search_age_function(a, b_list, max_nodes=20_000)
+        if ref.status == "budget_exhausted":  # the reference's tree is far wider; none of these lists reaches this
+            continue
+        fields = ("status", "shifts", "simplex_sizes", "age_product_ok")
+        assert [getattr(res, f) for f in fields] == [getattr(ref, f) for f in fields], b_list
+        compared += 1
+    assert compared, "the reference exhausted its budget on every list"
 
 
 def test_search_age_status_without_a_solution():

@@ -122,10 +122,15 @@ def test_all_sums_each_unit_across_its_suites():
         build("anderson", cap=22910)
     for name in ("anderson", "armstrong", "self-conjugate", "statistics", "qt3", "qt-symmetry"):
         assert len(build(name, cap=73006)) == len(build(name))
+    # quadratic's 1,951,380 abacus beads would pass a cap of 73,006 first; at radius 1 they are 4,008
     message = "statistics(a=5, b=13) brings the cores to 73007, over the cap of 73006"
     with pytest.raises(CapExceededError, match=re.escape(message)):
-        build("all", cap=73006)
-    assert len(build("all", cap=73007)) == len(build("all")) == 330
+        build("all", radius=1, cap=73006)
+    assert len(build("all", radius=1, cap=73007)) == len(build("all")) == 330
+    message = "quadratic(a=6, radius=4) brings the abacus beads to 1951380, over the cap of 1951379"
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        build("all", cap=1951379)
+    assert len(build("all", cap=1951380)) == 330
 
 
 def test_moments_closed_form_rows_pass_beyond_the_cap():
