@@ -10,8 +10,8 @@ failed internal check can leave partial output; an exceeded cap leaves none.
 
 A command imports only the modules it runs, at the top of its function:
 ``enumerate`` and the parser load ``simplex`` and what it imports
-(``abacus``, ``errors``, ``partitions``), and ``verify`` loads every module
-through ``suites``.
+(``abacus``, ``errors``, ``partitions``), and ``verify`` loads ``suites``,
+whose checks import the modules they run in their own bodies.
 
 Exit codes: 0 success, 1 assertion failure (a verify suite, an internal
 check, or held-out samples that contradict a fit), 2 usage or validation
@@ -43,7 +43,7 @@ from .simplex import (
 )
 
 # the choices of ``verify``, ``suites.SUITES`` and "all" (a test pins the two together): argparse reads the
-# choices while the parser is built, and importing ``suites`` would load every module for every command
+# choices while the parser is built, and importing ``suites`` would load it and ``dataclasses`` for every command
 SUITE_NAMES = (
     "anderson", "armstrong", "self-conjugate", "quadratic", "oracle", "moments", "statistics", "qt3", "qt-symmetry",
     "sizmaj1", "sizmaj2", "ld-weights", "sqin", "coset-identities", "delta-table", "reciprocity", "root-structure",
@@ -168,7 +168,7 @@ def cmd_poly(args, out) -> int:
         "cat_q": catq.to_rows(),
         "cat_qt": catqt.to_rows(),
         "qt_symmetric": qt.check_symmetry(catqt),
-        "qt_specialization": qt.check_specialization(spec, catqt),
+        "qt_specialization": qt.specialization(spec, catqt) == catq,  # cat_q built once: no q-binomial is cached
         "unimodality": [
             {"residue": r.residue, "coefficients": list(r.coefficients), "unimodal": r.unimodal}
             for r in qpoly.unimodality_report(catq, args.a)

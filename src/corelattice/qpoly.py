@@ -2,7 +2,9 @@
 
 ``cat_q(a, b)`` is ``[a+b choose a]_q / [a+b]_q``, computed by exact
 polynomial division so that any arithmetic slip raises instead of silently
-corrupting coefficients.
+corrupting coefficients.  No q-binomial is kept between calls: a cache
+would grow with every ``verify`` check past what the cap bounds, so a
+function that needs one binomial more than once builds it once itself.
 
 The coset machinery investigates a conjectural positive decomposition:
 inside the charge lattice sits the sublattice of vectors congruent to a
@@ -19,7 +21,6 @@ hold across a list of b values, where ``m`` is the per-coset simplex size.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
 from itertools import product
 from math import comb, gcd
 
@@ -44,18 +45,13 @@ def q_binomial(n: int, k: int, power: int = 1) -> LaurentPoly:
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    base = _q_binomial_base(n, min(k, n - k))
-    return base if power == 1 else base.subs_power(power)
-
-
-@cache
-def _q_binomial_base(n: int, k: int) -> LaurentPoly:
     # [n,k] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i); after step i the
     # product is [n-k+i choose i], so every division is exact
+    k = min(k, n - k)
     out = LaurentPoly.one()
     for i in range(1, k + 1):
         out = out.sub_shifted(((out, 1),), n - k + i).divexact(LaurentPoly({0: 1, i: -1}))
-    return out
+    return out if power == 1 else out.subs_power(power)
 
 
 def cat_q(a: int, b: int) -> LaurentPoly:
@@ -98,12 +94,12 @@ def check_coset_identity_a4(k: int) -> bool:
     """Sixteen-term decomposition of ``cat_q(4, 4k+1)``."""
     if k < 1:
         raise ValueError("need k >= 1")
+    # the three distinct binomials, one per size offset that is not below 0
+    binomials = {off: q_binomial(k + off + 3, 3, power=4) for off in (0, -1, -2) if k + off >= 0}
     rhs = LaurentPoly.zero()
     for shift_exp, off in _A4_TERMS:
-        top = k + off + 3
-        if top < 3:
-            continue
-        rhs = rhs + LaurentPoly.monomial(shift_exp) * q_binomial(top, 3, power=4)
+        if off in binomials:
+            rhs = rhs + LaurentPoly.monomial(shift_exp) * binomials[off]
     return rhs == cat_q(4, 4 * k + 1)
 
 
@@ -349,14 +345,14 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
     def size_at(m_ref: int, b: int) -> int:
         return m_ref - (b_ref - b) // a
 
-    polys = {
-        (m, b): (q_binomial(size_at(m, b) + a - 1, a - 1) if size_at(m, b) >= 0 else LaurentPoly.zero())
-        for m in group_sizes
-        for b in bs
-    }
+    # each simplex size's binomial and each b's cat_q are built once in this call, and dropped with it
+    sizes = {(m, b): size_at(m, b) for m in group_sizes for b in bs}
+    binomials = {s: q_binomial(s + a - 1, a - 1) for s in set(sizes.values()) if s >= 0}
+    polys = {key: binomials.get(s, LaurentPoly.zero()) for key, s in sizes.items()}
     points = {key: p.total() for key, p in polys.items()}
+    targets = {b: cat_q(a, b) for b in bs}
     class_targets = {
-        (r, b): _restrict_to_class(cat_q(a, b), a, r) for r in range(a) for b in bs
+        (r, b): _restrict_to_class(targets[b], a, r) for r in range(a) for b in bs
     }
 
     budget = [max_nodes]
@@ -424,7 +420,7 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
         total = LaurentPoly.zero()
         for lab, e in shifts.items():
             total = total + LaurentPoly.monomial(e) * polys[(sizes_ref[lab], b)].subs_power(a)
-        if total != cat_q(a, b):
+        if total != targets[b]:
             raise AssertionError("solver produced an invalid decomposition")
     age_poly = LaurentPoly.zero()
     for e in shifts.values():

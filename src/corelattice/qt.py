@@ -79,19 +79,22 @@ def check_symmetry(poly: LaurentPoly) -> bool:
     return poly == poly.swapped()
 
 
-def check_specialization(spec: SimplexSpec, poly: LaurentPoly) -> bool:
-    """Does ``sum q^(length + skew)`` over cores equal ``cat_q(a, b)``?
+def specialization(spec: SimplexSpec, poly: LaurentPoly) -> LaurentPoly:
+    """``sum q^(length + skew)`` over cores, read off ``poly = cat_qt(spec)``.
 
-    The sum is read off ``poly = cat_qt(spec)``: skew is
-    ``(a-1)(b-1)/2 - coskew``, so ``q^e t^f`` becomes
-    ``q^(e + (a-1)(b-1)/2 - f)``.  The other side, :func:`cat_q`, walks no
-    simplex.
+    Skew is ``(a-1)(b-1)/2 - coskew``, so ``q^e t^f`` becomes
+    ``q^(e + (a-1)(b-1)/2 - f)``.
     """
     half = (spec.a - 1) * (spec.b - 1) // 2
     out: dict[int, int] = {}
     for (e, f), coeff in poly.items():
         out[e + half - f] = out.get(e + half - f, 0) + coeff
-    return LaurentPoly(out) == cat_q(spec.a, spec.b)
+    return LaurentPoly(out)
+
+
+def check_specialization(spec: SimplexSpec, poly: LaurentPoly) -> bool:
+    """Does :func:`specialization` equal ``cat_q(a, b)``?  The other side, :func:`cat_q`, walks no simplex."""
+    return specialization(spec, poly) == cat_q(spec.a, spec.b)
 
 
 def _qt(qexp: int, texp: int, coeff: int = 1) -> LaurentPoly:

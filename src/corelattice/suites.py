@@ -11,22 +11,27 @@ a run.  ``anderson``, ``armstrong`` and ``self-conjugate`` read one
 
 Each suite declares the cost of one check as a unit (cores, brute-force
 candidates, abacus beads, orbifold cosets, moment-recursion steps,
-permutations, coefficients, skew-length terms) and a closed form in its
-params; the fixed grids of ``reciprocity`` and ``moments-closed-form``
-declare none.  :func:`build_suite` sums each unit over every check it
-draws, ``all`` included, and refuses at the first sum past the cap.
+permutations, coefficients, coefficient reads, skew-length terms) and a
+closed form in its params; the fixed grids of ``reciprocity`` and
+``moments-closed-form`` declare none.  :func:`build_suite` sums each unit
+over every check it draws, ``all`` included, and refuses at the first sum
+past the cap.
+
+Like a ``cli`` command, a check or cost imports the modules it runs
+(``ehrhart``, ``perms``, ``qpoly``, ``qt``, ``fractions``) in its own body,
+so a suite loads only what its checks use: ``verify coset-identities`` adds
+``polys`` and ``qpoly`` to the enumeration modules, ``verify oracle`` adds
+none, and ``verify all`` loads every module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain, product
 from math import factorial, gcd
 from typing import Callable
 
-from . import ehrhart, perms, qpoly, qt
 from .abacus import charges_from_core, core_beads, core_from_charges, shift, size_of_charges
 from .errors import CapExceededError, int_text
 from .partitions import brute_force_simultaneous_cores, parts_of_beads, skew_length
@@ -67,6 +72,8 @@ def armstrong(a: int, b: int, cap: int, folds: dict):
 
 
 def self_conjugate(a: int, b: int, cap: int, folds: dict):
+    from fractions import Fraction
+
     _, _, count, total = _folded(folds, a, b, cap)
     if count != self_conjugate_count(a, b):
         return False, {"count": count}
@@ -114,11 +121,15 @@ def moments_closed_form(a: int, b: int):
 
     The recursion costs O(a·b) whatever Cat(a,b) is, so the enumeration cap does not apply.
     """
+    from fractions import Fraction
+
     count, total = core_moments(SimplexSpec(a, b))
     return count == rational_catalan(a, b) and Fraction(total, count) == armstrong_average(a, b), None
 
 
 def statistics(a: int, b: int, cap: int):
+    from . import qt
+
     spec = SimplexSpec(a, b)
     for c in enumerate_cores(spec, cap):
         p = core_from_charges(a, c)
@@ -129,23 +140,90 @@ def statistics(a: int, b: int, cap: int):
 
 
 def qt_symmetry(a: int, b: int, cap: int):
+    from . import qt
+
     spec = SimplexSpec(a, b)
     poly = qt.cat_qt(spec, cap)
     return qt.check_symmetry(poly) and qt.check_specialization(spec, poly), None
 
 
+def qt3(b: int, cap: int):
+    from . import qt
+
+    return qt.check_qt3_identity(b, cap), None
+
+
+def sizmaj1(a: int):
+    from . import qt
+
+    return qt.check_sizmaj1(a), None
+
+
+def sizmaj2(n: int):
+    from . import perms
+
+    return perms.check_sizmaj2(n), None
+
+
+def ld_weights(n: int):
+    from . import perms
+
+    return perms.check_ld_weights(n), None
+
+
+def sqin(n: int):
+    from . import perms
+
+    return perms.check_sqin_relation(n), None
+
+
+def coset_identity_a3(k: int, delta: int):
+    from . import qpoly
+
+    return qpoly.check_coset_identity_a3(k, delta), None
+
+
+def coset_identity_a4(k: int):
+    from . import qpoly
+
+    return qpoly.check_coset_identity_a4(k), None
+
+
+def delta_table(a: int, b: int):
+    from . import qt
+
+    return qt.delta_table_check(a, b), None
+
+
+# polytope -> the weights of its WeightedSimplex, t_max, and the other arguments of its reciprocity check
+RECIPROCITY_CASES = {
+    "segment": ((1,), 12, {}),
+    "triangle-2x+y<=1": ((2, 1), 16, {"period": 2}),
+    "simplex-dim2": ((1, 1), 14, {}),
+    "simplex-dim3": ((1, 1, 1), 20, {}),
+    "segment-weight-x^2": ((1,), 16, {"weight": {(2,): 1}}),
+}
+
+
+def reciprocity(polytope: str):
+    from . import ehrhart
+
+    weights, t_max, options = RECIPROCITY_CASES[polytope]
+    return ehrhart.reciprocity_check(ehrhart.WeightedSimplex(weights), t_max, **options), None
+
+
+def root_structure(a: int, cap: int):
+    from . import ehrhart
+
+    return ehrhart.check_root_structure(a, cap), None
+
+
 def unimodality(a: int, b: int):
+    from . import qpoly
+
     bad = [r.residue for r in qpoly.unimodality_report(qpoly.cat_q(a, b), a) if not r.unimodal]
     return not bad, {"violations": bad}
 
-
-RECIPROCITY_CASES = {
-    "segment": lambda: ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1,)), 12),
-    "triangle-2x+y<=1": lambda: ehrhart.reciprocity_check(ehrhart.WeightedSimplex((2, 1)), 16, period=2),
-    "simplex-dim2": lambda: ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1, 1)), 14),
-    "simplex-dim3": lambda: ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1, 1, 1)), 20),
-    "segment-weight-x^2": lambda: ehrhart.reciprocity_check(ehrhart.WeightedSimplex((1,)), 16, weight={(2,): 1}),
-}
 
 MOMENTS_SCALE_A_MAX = 30  # the closed-form rows of `moments`; (30, 211) has Cat(a,b) near 6.9e35
 
@@ -178,10 +256,23 @@ def _coefficients(a: int, b: int) -> int:
     return (a - 1) * (b - 1) + 1
 
 
+def _coefficient_reads(a: int, b: int) -> int:
+    """The coefficients of cat_q(a, b), read once for each of its a residue classes."""
+    return a * _coefficients(a, b)
+
+
 def _permutations(n: int) -> int:
     """The n! permutations of S_n; above the brute-force ceiling, n is refused whatever the cap."""
+    from . import perms
+
     perms.require_within_cap(n)
     return factorial(n)
+
+
+def _fit_steps(a: int) -> int:
+    from . import ehrhart
+
+    return ehrhart.fit_steps(a)
 
 
 CORES = ("cores", lambda a, b: rational_catalan(a, b))  # looked up at each call, like the check functions below
@@ -225,7 +316,7 @@ SUITES = {
     "statistics": lambda o: _checks("statistics", statistics, _coprime_pairs(o, 5, 13), cost=CORES, cap=o["cap"]),
     "qt3": lambda o: _checks(
         "qt3",
-        lambda b, cap: (qt.check_qt3_identity(b, cap), None),
+        qt3,
         ({"b": b} for b in range(4, o.get("b_max", 20) + 1) if gcd(b, 3) == 1),
         cost=("cores", lambda b: rational_catalan(3, b)),
         cap=o["cap"],
@@ -237,43 +328,43 @@ SUITES = {
     ),
     "sizmaj1": lambda o: _checks(
         "sizmaj1",
-        lambda a: (qt.check_sizmaj1(a), None),
+        sizmaj1,
         ({"a": a} for a in range(2, o.get("a_max", 6) + 1)),
         cost=("orbifold cosets", lambda a: factorial(a - 1)),
     ),
-    "sizmaj2": lambda o: _checks("sizmaj2", lambda n: (perms.check_sizmaj2(n), None), _ns(o), cost=PERMS),
-    "ld-weights": lambda o: _checks("ld-weights", lambda n: (perms.check_ld_weights(n), None), _ns(o), cost=PERMS),
-    "sqin": lambda o: _checks("sqin", lambda n: (perms.check_sqin_relation(n), None), _ns(o), cost=PERMS),
+    "sizmaj2": lambda o: _checks("sizmaj2", sizmaj2, _ns(o), cost=PERMS),
+    "ld-weights": lambda o: _checks("ld-weights", ld_weights, _ns(o), cost=PERMS),
+    "sqin": lambda o: _checks("sqin", sqin, _ns(o), cost=PERMS),
     "coset-identities": lambda o: chain(
         _checks(
             "coset-identity-a3",
-            lambda k, delta: (qpoly.check_coset_identity_a3(k, delta), None),
+            coset_identity_a3,
             ({"k": k, "delta": d} for k in range(1, o.get("k_max", 6) + 1) for d in (0, 1)),
             cost=("coefficients", lambda k, delta: _coefficients(3, 3 * k + 1 + delta)),
         ),
         _checks(
             "coset-identity-a4",
-            lambda k: (qpoly.check_coset_identity_a4(k), None),
+            coset_identity_a4,
             ({"k": k} for k in range(1, o.get("k_max", 6) + 1)),
             cost=("coefficients", lambda k: _coefficients(4, 4 * k + 1)),
         ),
     ),
     "delta-table": lambda o: _checks(
         "delta-table",
-        lambda a, b: (qt.delta_table_check(a, b), None),
+        delta_table,
         ({"a": a, "b": 2 * a + 1} for a in range(2, o.get("a_max", 5) + 1)),
         cost=("skew-length terms", lambda a, b: 4 * a * (a - 1) ** 2),  # 4(a-1) skew lengths of a(a-1) terms each
     ),
     "reciprocity": lambda o: _checks(
         "reciprocity",
-        lambda polytope: (RECIPROCITY_CASES[polytope](), None),
+        reciprocity,
         ({"polytope": name} for name in RECIPROCITY_CASES),
     ),
     "root-structure": lambda o: _checks(
         "root-structure",
-        lambda a, cap: (ehrhart.check_root_structure(a, cap), None),
+        root_structure,
         ({"a": a} for a in range(2, o.get("a_max", 5) + 1)),
-        cost=("moment-recursion steps", ehrhart.fit_steps),
+        cost=("moment-recursion steps", _fit_steps),
         cap=o["cap"],
     ),
     "unimodality": lambda o: _checks(
@@ -281,7 +372,7 @@ SUITES = {
         unimodality,
         ({"a": a, "b": b} for a in range(2, o.get("a_max", 5) + 1)
          for b in range(1, o.get("b_max", 30) + 1) if gcd(a, b) == 1),
-        cost=("coefficients", _coefficients),
+        cost=("coefficient reads", _coefficient_reads),
         exploration=lambda p: True,
     ),
 }

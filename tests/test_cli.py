@@ -1,5 +1,6 @@
 """Command-line behavior: records, formats, exit codes, determinism."""
 
+import gc
 import hashlib
 import importlib
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -613,6 +615,23 @@ def test_coset_identities_within_the_cap_keep_their_output(capsys):
     assert code == 0 and digest == "b1d0b1d103b9ab91135a98de60874607984e0a9c39dcae067065e3a407357f4a"
 
 
+def test_verify_keeps_nothing_once_it_ends(capsys):
+    # each q-binomial dies with the check that built it: a cache across calls would grow with k past what the cap bounds
+    run_cli(capsys, "verify", "coset-identities", "--k-max", "1", "--summary")  # load the modules the run imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code, out, _ = run_cli(capsys, "verify", "coset-identities", "--k-max", "60", "--summary")
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, '{"type":"summary","suite":"coset-identities","checks":180,"failures":0}\n')
+    assert kept < 512 * 1024, kept
+    assert [name for name, obj in vars(qpoly).items() if hasattr(obj, "cache_info")] == []
+
+
 def test_root_structure_at_the_cap_runs(capsys):
     # the fits of a = 2 ... 5 take 56 + 112 + 270 + 292 = 730 steps
     code, out, _ = run_cli(capsys, "verify", "root-structure", "--cap", "730", "--summary")
@@ -644,6 +663,16 @@ def test_oracle_and_delta_table_run_at_their_total_and_are_refused_one_below(cap
     assert (code, out, err) == (3, "", f"error: {message} to {total}, over the cap of {total - 1}\n")
 
 
+def test_unimodality_counts_a_read_of_each_coefficient_per_residue_class(capsys):
+    # a((a-1)(b-1)+1) = 2·(1 + 3 + 5 + 7) + 3·(1 + 3 + 7 + 9 + 13 + 15) = 176 reads at b <= 8 coprime to a = 2, 3
+    argv = ("verify", "unimodality", "--a-max", "3", "--b-max", "8")
+    code, out, _ = run_cli(capsys, *argv, "--cap", "176", "--summary")
+    assert code == 0 and out.endswith('"checks":10,"failures":0}\n')
+    code, out, err = run_cli(capsys, *argv, "--cap", "175")
+    message = "unimodality(a=3, b=8) brings the coefficient reads to 176, over the cap of 175"
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 HUGE_BOUNDS = tuple(flag for key in ("a-max", "b-max", "n-max", "k-max", "radius") for flag in (f"--{key}", "1000000"))
 OVERSIZED = (
     *(("verify", suite, *HUGE_BOUNDS) for suite in cli.SUITE_NAMES),
@@ -656,6 +685,8 @@ OVERSIZED = (
     ("verify", "oracle", "--a-max", "3", "--b-max", "200"),
     ("verify", "qt3", "--b-max", "5000"),
     ("verify", "unimodality", "--a-max", "40", "--b-max", "400"),
+    # 2,301,264 coefficients but 32,206,719 reads, a per coefficient; it ran 32 s on a 2-vCPU VM
+    ("verify", "unimodality", "--a-max", "20", "--b-max", "200"),
     ("verify", "delta-table", "--a-max", "100"),
     ("verify", "root-structure", "--a-max", "1000"),
     ("verify", "coset-identities", "--k-max", "100000"),

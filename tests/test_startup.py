@@ -41,7 +41,11 @@ def loaded_by(*argv):
         (("enumerate", "2", "1", "--summary"), ENUMERATE_SET),
         (("ehrhart", "4"), sorted([*ENUMERATE_SET, "ehrhart"])),
         (("search-age", "2", "--b-list", "3"), sorted([*ENUMERATE_SET, "polys", "qpoly"])),
-        (("verify", "anderson", "--a-max", "0"), EVERY_MODULE),
+        # a check imports the modules it runs when it runs: a build that draws no check loads none of them
+        (("verify", "anderson", "--a-max", "0"), sorted([*ENUMERATE_SET, "suites"])),
+        (("verify", "oracle", "--a-max", "2", "--b-max", "3"), sorted([*ENUMERATE_SET, "suites"])),
+        (("verify", "coset-identities", "--k-max", "1"), sorted([*ENUMERATE_SET, "polys", "qpoly", "suites"])),
+        (("verify", "all", "--a-max", "3", "--b-max", "4", "--n-max", "1", "--k-max", "1"), EVERY_MODULE),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
 )
@@ -65,6 +69,8 @@ def test_enumerate_loads_no_dataclasses_or_fractions():
         (("ehrhart", "4"), {"dataclasses", "inspect"}),
         (("search-age", "2", "--b-list", "3"), {"dataclasses", "inspect", "fractions", "decimal"}),
         (("perm", "4"), {"fractions", "decimal"}),
+        (("verify", "oracle", "--a-max", "2", "--b-max", "3"), {"fractions", "decimal"}),
+        (("verify", "coset-identities", "--k-max", "1"), {"fractions", "decimal"}),
     ):
         probe = loaded_by(*argv)
         assert probe["code"] == 0, argv
