@@ -9,9 +9,10 @@ as the check ends (the checks run serially, whatever ``--jobs`` says), so a
 failed internal check can leave partial output; an exceeded cap leaves none.
 
 A command imports only the modules it runs, at the top of its function:
-``enumerate`` and the parser load ``simplex`` and what it imports
-(``abacus``, ``errors``, ``partitions``), and ``verify`` loads ``suites``,
-whose checks import the modules they run in their own bodies.
+the parser loads ``errors`` alone, ``enumerate`` loads ``simplex`` and what
+it imports (``abacus``, ``partitions``), ``perm`` loads ``perms`` and
+``polys``, and ``verify`` loads ``suites``, whose checks import the modules
+they run in their own bodies.
 
 Exit codes: 0 success, 1 assertion failure (a verify suite, an internal
 check, or held-out samples that contradict a fit), 2 usage or validation
@@ -30,17 +31,7 @@ import sys
 import time
 from math import gcd
 
-from .errors import DISTRIBUTION_CAP, CapExceededError, FitValidationError
-from .simplex import (
-    CORE_FIELDS,
-    DEFAULT_CAP,
-    SimplexSpec,
-    armstrong_ratio,
-    core_fold,
-    core_record,
-    iter_cores,
-    rational_catalan,
-)
+from .errors import DEFAULT_CAP, DISTRIBUTION_CAP, CapExceededError, FitValidationError
 
 # the choices of ``verify``, ``suites.SUITES`` and "all" (a test pins the two together): argparse reads the
 # choices while the parser is built, and importing ``suites`` would load it and ``dataclasses`` for every command
@@ -117,6 +108,8 @@ def cmd_enumerate(args, out) -> int:
     ``--summary`` folds the walk (:func:`core_fold`) and builds no record: its sizes come from the quadratic
     form, which :func:`core_record` checks against the parts wherever records are printed.
     """
+    from .simplex import CORE_FIELDS, SimplexSpec, armstrong_ratio, core_fold, core_record, iter_cores
+
     spec = SimplexSpec(args.a, args.b)
     if args.summary:
         count, total, _, _ = core_fold(spec, args.cap)
@@ -157,6 +150,7 @@ def cmd_poly(args, out) -> int:
     import csv
 
     from . import qpoly, qt
+    from .simplex import SimplexSpec, rational_catalan
 
     spec = SimplexSpec(args.a, args.b)
     catqt = qt.cat_qt(spec, args.cap)  # the one walk of the simplex, which checks the cap first

@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import count
 from math import gcd
 
-from .errors import CapExceededError, FitValidationError, int_text
-from .simplex import DEFAULT_CAP, SimplexSpec, core_moments
+from .errors import DEFAULT_CAP, CapExceededError, FitValidationError, int_text
+from .simplex import SimplexSpec, core_moments
 
 Coeffs = tuple[Fraction, ...]
 

@@ -1,7 +1,8 @@
-"""Shared exception types, the permutation ceiling, and the text of the ints a cap message names."""
+"""Shared exception types, the default cap, the permutation ceiling, and the text of the ints a cap message names."""
 
 from __future__ import annotations
 
+DEFAULT_CAP = 10_000_000  # cores enumerated, or what a command counts in their place
 DISTRIBUTION_CAP = 9  # the largest n whose S_n the permutation brute force walks
 SHOWN_DIGITS = 40  # a longer int is named in a message by its digit count
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import combinations, starmap
+from itertools import combinations, compress, starmap
 from itertools import permutations as _permutations  # perfbench's tracer wraps this name to count permutations
 from math import factorial
 from operator import gt, mul
@@ -40,21 +40,19 @@ def siz(sigma) -> int:
     return sum((n + 1 - i) * i for i in des_set(sigma)) - inv(sigma)
 
 
-def _maj_siz_sqin(sigma) -> tuple[int, int, int]:
-    """``maj``, ``siz`` and ``sqin`` from one list of descents and one inversion count."""
-    n = len(sigma)
-    d = [k for k in range(1, n) if sigma[k - 1] > sigma[k]]
-    m, squares, i = sum(d), sum(map(mul, d, d)), inv(sigma)
-    return m, (n + 1) * m - squares - i, i + squares
-
-
-def _cycle_power_left(sigma, k: int, r: int) -> tuple[int, ...]:
-    """``C_k^r * sigma``, where ``C_k`` is the decreasing cycle (k, k-1, ..., 1).
+@cache
+def _cycle_power_table(k: int, r: int, n: int) -> tuple[int, ...]:
+    """``C_k^r`` as its values on ``1..n`` (index 0 unused); ``r < k <= n <= DISTRIBUTION_CAP`` bounds the memo.
 
     ``C_k`` sends 1 -> k and j -> j-1 for 2 <= j <= k, so ``C_k^r`` sends a
     value ``v <= k`` to ``((v - 1 - r) mod k) + 1`` and fixes the rest.
     """
-    return tuple((v - 1 - r) % k + 1 if v <= k else v for v in sigma)
+    return (0, *((v - 1 - r) % k + 1 if v <= k else v for v in range(1, n + 1)))
+
+
+def _cycle_power_left(sigma, k: int, r: int) -> tuple[int, ...]:
+    """``C_k^r * sigma``, where ``C_k`` is the decreasing cycle (k, k-1, ..., 1)."""
+    return tuple(map(_cycle_power_table(k, r % k, len(sigma)).__getitem__, sigma))
 
 
 def _ld_tree(n: int):
@@ -106,8 +104,11 @@ def _joint_distributions(n: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
     siz_maj: Counter = Counter()
     sqin_maj: Counter = Counter()
     weights_hold = True
+    descent_positions = range(1, n)
     for sigma, _, w_maj, w_siz in _ld_tree(n):
-        maj_, siz_, sqin_ = _maj_siz_sqin(sigma)
+        d = list(compress(descent_positions, map(gt, sigma, sigma[1:])))
+        maj_, squares, inv_ = sum(d), sum(map(mul, d, d)), inv(sigma)
+        siz_, sqin_ = (n + 1) * maj_ - squares - inv_, inv_ + squares
         siz_maj[siz_, maj_] += 1
         sqin_maj[sqin_, maj_] += 1
         if maj_ != w_maj or siz_ != w_siz:

@@ -35,9 +35,9 @@ class LaurentPoly:
 
     A tuple exponent is stored as an :class:`Exponents`, so the products and
     :meth:`sub_shifted` add exponents with one ``+`` in either case.  The
-    exponent bounds, evaluation, :meth:`subs_power` and
-    :meth:`divexact` are one-variable operations; :meth:`swapped` exchanges
-    the two variables of a (q, t) polynomial.
+    exponent bounds, evaluation and :meth:`subs_power` are one-variable
+    operations; :meth:`swapped` exchanges the two variables of a (q, t)
+    polynomial.
     """
 
     __slots__ = ("_c",)
@@ -151,35 +151,6 @@ class LaurentPoly:
 
     def nonnegative(self) -> bool:
         return min(self._c.values(), default=1) > 0
-
-    def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ``ArithmeticError`` on a nonzero remainder.
-
-        One descending sweep over the quotient's exponent range,
-        ``max(self) - max(other)`` down to ``min(self) - min(other)``; the
-        quotient is then multiplied back by ``other``, so any remainder is caught.
-        """
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly.zero()
-        rem = dict(self._c)
-        dmax = other.max_exp()
-        dlead = other._c[dmax]
-        quot: dict[int, int] = {}
-        for e in range(self.max_exp() - dmax, self.min_exp() - other.min_exp() - 1, -1):
-            v = rem.get(e + dmax)
-            if not v:
-                continue
-            if v % dlead:
-                raise ArithmeticError("exact division failed (leading coefficient)")
-            t = quot[e] = v // dlead
-            for de, dv in other._c.items():
-                rem[e + de] = rem.get(e + de, 0) - t * dv
-        q = LaurentPoly(quot)
-        if q * other != self:
-            raise ArithmeticError("exact division failed (nonzero remainder)")
-        return q
 
     def total(self) -> int:
         """Sum of all coefficients (the value at q = t = 1)."""

@@ -1,10 +1,10 @@
 """q-analogs and the q-rational Catalan polynomial, with coset tooling.
 
-``cat_q(a, b)`` is ``[a+b choose a]_q / [a+b]_q``, computed by exact
-polynomial division so that any arithmetic slip raises instead of silently
-corrupting coefficients.  No q-binomial is kept between calls: a cache
-would grow with every ``verify`` check past what the cap bounds, so a
-function that needs one binomial more than once builds it once itself.
+``cat_q(a, b)`` is ``[a+b choose a]_q / [a+b]_q``.  It and the q-binomials
+are built on coefficient lists, each exact division multiplied back, so any
+slip raises instead of corrupting coefficients.  No q-binomial is kept
+between calls: a cache would grow with every ``verify`` check past what the
+cap bounds, so a function that needs a binomial twice builds it once.
 
 The coset machinery investigates a conjectural positive decomposition:
 inside the charge lattice sits the sublattice of vectors congruent to a
@@ -20,14 +20,15 @@ hold across a list of b values, where ``m`` is the per-coset simplex size.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from itertools import product
+from collections import Counter, namedtuple
+from itertools import accumulate, product
 from math import comb, gcd
+from operator import add, sub
 
 from .abacus import shift
-from .errors import CapExceededError
+from .errors import DEFAULT_CAP, CapExceededError
 from .polys import LaurentPoly
-from .simplex import DEFAULT_CAP, SimplexSpec, enumerate_cores, to_z
+from .simplex import SimplexSpec, enumerate_cores, to_z
 
 
 def q_int(n: int, power: int = 1) -> LaurentPoly:
@@ -37,45 +38,90 @@ def q_int(n: int, power: int = 1) -> LaurentPoly:
     return LaurentPoly({power * j: 1 for j in range(n)})
 
 
+def _poly(c: list[int], power: int = 1) -> LaurentPoly:
+    """The polynomial ``sum c[e] q^(power*e)`` of a coefficient list."""
+    return LaurentPoly(dict(zip(range(0, power * len(c), power), c)))
+
+
+def _times_one_minus(c: list[int], m: int) -> list[int]:
+    """``c * (1 - q^m)``, on coefficient lists."""
+    pad = [0] * m
+    return list(map(sub, c + pad, pad + c))
+
+
+def _over_one_minus(c: list[int], i: int) -> list[int]:
+    """``c / (1 - q^i)``: running sums along the classes mod i, multiplied back; a remainder raises ArithmeticError."""
+    quot = [0] * (len(c) - i)
+    for r in range(i):
+        quot[r::i] = accumulate(c[r : len(quot) : i])
+    if _times_one_minus(quot, i) != c:
+        raise ArithmeticError("exact division failed (nonzero remainder)")
+    return quot
+
+
+def _binomial_coefficients(n: int, k: int) -> list[int]:
+    """The coefficients of ``[n choose k]_q``, ``0 <= k <= n``, from ``q^0`` up."""
+    # [n,k] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i); after step i the
+    # product is [n-k+i choose i], so every division is exact
+    k = min(k, n - k)
+    c = [1]
+    for i in range(1, k + 1):
+        c = _over_one_minus(_times_one_minus(c, n - k + i), i)
+    return c
+
+
+def _cat_q_coefficients(a: int, b: int) -> list[int]:
+    """The coefficients of :func:`cat_q`, from ``q^0`` up."""
+    n = a + b
+    return _over_one_minus(_times_one_minus(_binomial_coefficients(n, a), 1), n)
+
+
+def _spread(terms, power: int) -> list[int]:
+    """The coefficients of ``sum q^shift * p(q^power)`` over the ``(shift, coefficients of p)`` pairs, in one list.
+
+    An empty list (zero) sets no length, so the result ends on a positive coefficient when the other lists do.
+    """
+    out = [0] * max((s + power * (len(c) - 1) + 1 for s, c in terms if c), default=0)
+    for s, c in terms:
+        window = slice(s, s + power * len(c), power)
+        out[window] = map(add, out[window], c)
+    return out
+
+
 def q_binomial(n: int, k: int, power: int = 1) -> LaurentPoly:
     """Gaussian binomial ``[n choose k]_q``, in the variable ``q^power``.
+
+    Built by ``k`` multiplications by ``1 - q^m`` and exact divisions by ``1 - q^i``, each multiplied back.
 
     >>> print(q_binomial(4, 2))
     1 + q + 2*q^2 + q^3 + q^4
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    # [n,k] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i); after step i the
-    # product is [n-k+i choose i], so every division is exact
-    k = min(k, n - k)
-    out = LaurentPoly.one()
-    for i in range(1, k + 1):
-        out = out.sub_shifted(((out, 1),), n - k + i).divexact(LaurentPoly({0: 1, i: -1}))
-    return out if power == 1 else out.subs_power(power)
+    if power < 1:
+        raise ValueError("power substitution needs m >= 1")
+    return _poly(_binomial_coefficients(n, k), power)
 
 
 def cat_q(a: int, b: int) -> LaurentPoly:
     """The q-rational Catalan polynomial ``[a+b choose a]_q / [a+b]_q``.
 
     Computed as ``([a+b choose a]_q (1 - q)) / (1 - q^(a+b))``: the same
-    quotient, since ``[n]_q (1 - q) = 1 - q^n``, but each step of the exact
-    division by a binomial costs two terms instead of a+b.
+    quotient, since ``[n]_q (1 - q) = 1 - q^n``, but the exact division on
+    coefficient lists is one running sum per residue class, multiplied back.
     """
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
-    n = a + b
-    return (q_binomial(n, a) * LaurentPoly({0: 1, 1: -1})).divexact(LaurentPoly({0: 1, n: -1}))
+    return _poly(_cat_q_coefficients(a, b))
 
 
 def check_coset_identity_a3(k: int, delta: int) -> bool:
     """Three-term decomposition of ``cat_q(3, 3k+1+delta)``, delta in {0, 1}."""
     if k < 1 or delta not in (0, 1):
         raise ValueError("need k >= 1 and delta in {0, 1}")
-    big = q_binomial(k + 2, 2, power=3)
-    small = q_binomial(k + 1, 2, power=3)
-    mid = big if delta else small
-    rhs = big + LaurentPoly.monomial(2) * mid + LaurentPoly.monomial(4) * small
-    return rhs == cat_q(3, 3 * k + 1 + delta)
+    big = _binomial_coefficients(k + 2, 2)
+    small = _binomial_coefficients(k + 1, 2)
+    return _spread(((0, big), (2, big if delta else small), (4, small)), 3) == _cat_q_coefficients(3, 3 * k + 1 + delta)
 
 
 # Sixteen (shift, simplex-size offset) pairs for the a = 4, b = 4k+1 identity:
@@ -95,12 +141,9 @@ def check_coset_identity_a4(k: int) -> bool:
     if k < 1:
         raise ValueError("need k >= 1")
     # the three distinct binomials, one per size offset that is not below 0
-    binomials = {off: q_binomial(k + off + 3, 3, power=4) for off in (0, -1, -2) if k + off >= 0}
-    rhs = LaurentPoly.zero()
-    for shift_exp, off in _A4_TERMS:
-        if off in binomials:
-            rhs = rhs + LaurentPoly.monomial(shift_exp) * binomials[off]
-    return rhs == cat_q(4, 4 * k + 1)
+    binomials = {off: _binomial_coefficients(k + off + 3, 3) for off in (0, -1, -2) if k + off >= 0}
+    rhs = _spread([(s, binomials[off]) for s, off in _A4_TERMS if off in binomials], 4)
+    return rhs == _cat_q_coefficients(4, 4 * k + 1)
 
 
 def is_unimodal(seq) -> bool:
@@ -223,11 +266,6 @@ def _classify_cosets(a: int, b: int, cap: int) -> dict[tuple[int, ...], int]:
     return sizes
 
 
-def _restrict_to_class(poly: LaurentPoly, a: int, r: int) -> LaurentPoly:
-    """Coefficients on exponents ``r mod a``, reindexed by ``(e - r) / a``."""
-    return LaurentPoly({(e - r) // a: v for e, v in poly.items() if e % a == r})
-
-
 def _multisets(sizes, counts: dict[int, int], batch: int):
     """The multisets of ``batch`` items from ``sizes`` that take at most ``counts[m]`` of each m.
 
@@ -347,13 +385,13 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
 
     # each simplex size's binomial and each b's cat_q are built once in this call, and dropped with it
     sizes = {(m, b): size_at(m, b) for m in group_sizes for b in bs}
-    binomials = {s: q_binomial(s + a - 1, a - 1) for s in set(sizes.values()) if s >= 0}
-    polys = {key: binomials.get(s, LaurentPoly.zero()) for key, s in sizes.items()}
-    points = {key: p.total() for key, p in polys.items()}
-    targets = {b: cat_q(a, b) for b in bs}
-    class_targets = {
-        (r, b): _restrict_to_class(targets[b], a, r) for r in range(a) for b in bs
-    }
+    binomials = {s: _binomial_coefficients(s + a - 1, a - 1) for s in set(sizes.values()) if s >= 0}
+    dense = {key: binomials.get(s, []) for key, s in sizes.items()}
+    polys = {key: _poly(c) for key, c in dense.items()}
+    points = {key: sum(c) for key, c in dense.items()}
+    targets = {b: _cat_q_coefficients(a, b) for b in bs}
+    # the coefficients on exponents r mod a, reindexed by (e - r) / a
+    class_targets = {(r, b): _poly(targets[b][r::a]) for r in range(a) for b in bs}
 
     budget = [max_nodes]
     remaining = {m: len(g) for m, g in groups.items()}
@@ -417,14 +455,10 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
         for m, s in solved:
             shifts[pools[m].pop()] = r + a * s
     for b in bs:  # reassemble the decomposition and compare, end to end
-        total = LaurentPoly.zero()
-        for lab, e in shifts.items():
-            total = total + LaurentPoly.monomial(e) * polys[(sizes_ref[lab], b)].subs_power(a)
+        total = _spread([(e, dense[(sizes_ref[lab], b)]) for lab, e in shifts.items()], a)
         if total != targets[b]:
             raise AssertionError("solver produced an invalid decomposition")
-    age_poly = LaurentPoly.zero()
-    for e in shifts.values():
-        age_poly = age_poly + LaurentPoly.monomial(e)
+    age_poly = LaurentPoly(Counter(shifts.values()))
     expected = LaurentPoly.one()
     for j in range(2, a):
         expected = expected * q_int(a, power=j)

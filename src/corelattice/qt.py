@@ -32,11 +32,12 @@ from itertools import permutations
 from math import gcd
 
 from .abacus import core_beads
+from .errors import DEFAULT_CAP
 from .partitions import skew_length_of_beads
 from .perms import des_set, maj, siz
 from .polys import LaurentPoly
 from .qpoly import cat_q
-from .simplex import DEFAULT_CAP, SimplexSpec, iter_cores
+from .simplex import SimplexSpec, iter_cores
 
 
 def length_from_x(tx) -> int:

@@ -22,9 +22,7 @@ from operator import add, itemgetter, sub
 
 from . import partitions
 from .abacus import core_beads, size_of_charges
-from .errors import CapExceededError, int_text
-
-DEFAULT_CAP = 10_000_000
+from .errors import DEFAULT_CAP, CapExceededError, int_text
 
 
 class SimplexSpec(namedtuple("SimplexSpec", "a b")):

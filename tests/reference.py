@@ -164,6 +164,39 @@ def q_factorial(n: int, power: int = 1) -> LaurentPoly:
     return out
 
 
+def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """Exact division by long division on the sparse type; raises ``ArithmeticError`` on a nonzero remainder.
+
+    One descending sweep over the quotient's exponent range,
+    ``max(num) - max(den)`` down to ``min(num) - min(den)``; the quotient is
+    then multiplied back by ``den``, so any remainder is caught.
+
+    >>> print(divexact(LaurentPoly({0: 1, 1: 2, 2: 1}), LaurentPoly({0: 1, 1: 1})))
+    1 + q
+    """
+    if den.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if num.is_zero:
+        return LaurentPoly.zero()
+    rem = dict(num.items())
+    terms = den.items()
+    dmax, dlead = terms[-1]
+    quot: dict[int, int] = {}
+    for e in range(num.max_exp() - dmax, num.min_exp() - den.min_exp() - 1, -1):
+        v = rem.get(e + dmax)
+        if not v:
+            continue
+        if v % dlead:
+            raise ArithmeticError("exact division failed (leading coefficient)")
+        t = quot[e] = v // dlead
+        for de, dv in terms:
+            rem[e + de] = rem.get(e + de, 0) - t * dv
+    q = LaurentPoly(quot)
+    if q * den != num:
+        raise ArithmeticError("exact division failed (nonzero remainder)")
+    return q
+
+
 def shift_multiset(res: AgeSearchResult) -> tuple[int, ...]:
     """The found shifts, sorted."""
     return tuple(sorted(res.shifts.values())) if res.shifts else ()

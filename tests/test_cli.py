@@ -351,7 +351,6 @@ def test_enumerate_summary_builds_no_record(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("--summary must not build a record")
 
-    monkeypatch.setattr(cli, "core_record", refuse)
     monkeypatch.setattr(simplex, "core_record", refuse)
     code, out, err = run_cli(capsys, "enumerate", "5", "12", "--summary")
     assert (code, err, json.loads(out)["count"]) == (0, "", 364)

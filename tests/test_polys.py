@@ -36,28 +36,6 @@ def test_arithmetic_and_evaluation():
     assert (3 * q) == LaurentPoly({1: 3})
 
 
-def test_divexact():
-    num = LaurentPoly({0: 1, 1: 2, 2: 1})
-    den = LaurentPoly({0: 1, 1: 1})
-    assert num.divexact(den) == den
-    with pytest.raises(ArithmeticError, match="nonzero remainder"):
-        LaurentPoly({0: 1, 2: 1}).divexact(den)
-    with pytest.raises(ArithmeticError, match="leading coefficient"):
-        LaurentPoly({0: 1, 1: 3}).divexact(LaurentPoly({0: 1, 1: 2}))
-    shifted = LaurentPoly.monomial(-3) * num
-    assert shifted.divexact(den) == LaurentPoly.monomial(-3) * den
-    with pytest.raises(ZeroDivisionError):
-        num.divexact(LaurentPoly.zero())
-
-
-@settings(max_examples=200, deadline=None)
-@given(laurent_polys, laurent_polys)
-def test_divexact_inverts_multiplication(p, d):
-    if d.is_zero:
-        return
-    assert (p * d).divexact(d) == p
-
-
 @settings(max_examples=300, deadline=None)
 @given(laurent_polys, st.lists(st.tuples(laurent_polys, st.integers(1, 4)), max_size=4), st.integers(-8, 8))
 def test_sub_shifted_matches_the_operator_route(p, terms, e):

@@ -1,5 +1,6 @@
 """q-analogs, the q-rational Catalan polynomial, and coset decompositions."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from corelattice import qpoly as Q
 from corelattice.polys import LaurentPoly
 from corelattice.simplex import rational_catalan
-from reference import assignments, q_factorial, shift_multiset, solve_class_at_largest_b
+from reference import assignments, divexact, q_factorial, shift_multiset, solve_class_at_largest_b
+
+laurent_polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5).map(LaurentPoly)
 
 
 def test_q_int_and_factorial():
@@ -26,26 +29,56 @@ def test_q_int_and_factorial():
 def test_q_binomial_examples():
     assert Q.q_binomial(4, 0) == LaurentPoly.one()
     assert Q.q_binomial(4, 2) == LaurentPoly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
-    assert Q.q_binomial(5, 2, power=3) == Q.q_binomial(5, 2).subs_power(3)
     with pytest.raises(ValueError):
         Q.q_binomial(3, 4)
     with pytest.raises(ValueError):
         Q.q_binomial(3, -1)
+    for power in (0, -1):
+        with pytest.raises(ValueError, match="needs m >= 1"):
+            Q.q_binomial(3, 1, power)
 
 
 def test_q_binomial_is_quotient_of_factorials():
     for n in range(9):
         for k in range(n + 1):
-            expected = q_factorial(n).divexact(q_factorial(k) * q_factorial(n - k))
+            expected = divexact(q_factorial(n), q_factorial(k) * q_factorial(n - k))
             assert Q.q_binomial(n, k) == expected
 
 
 def test_q_binomial_counts_the_partitions_in_a_box():
     # a route that divides nothing: [n choose k]_q = sum over partitions in a k x (n-k) box of q^size
-    for n in range(13):
+    for n in range(15):
         for k in range(n + 1):
             sizes = Counter(sum(parts) for parts in combinations_with_replacement(range(n - k + 1), k))
-            assert Q.q_binomial(n, k) == LaurentPoly(dict(sizes)), (n, k)
+            for power in range(1, 5):
+                expected = LaurentPoly({power * e: v for e, v in sizes.items()})
+                assert Q.q_binomial(n, k, power) == expected, (n, k, power)
+
+
+def test_a_corrupted_multiply_is_caught_by_the_multiply_back(monkeypatch):
+    real = Q._times_one_minus
+    monkeypatch.setattr(Q, "_times_one_minus", lambda c, m: [v + (j == 0) for j, v in enumerate(real(c, m))])
+    with pytest.raises(ArithmeticError, match="nonzero remainder"):
+        Q.q_binomial(6, 3)
+    with pytest.raises(ArithmeticError, match="nonzero remainder"):
+        Q.cat_q(3, 4)
+
+
+def test_an_inexact_division_is_loud():
+    with pytest.raises(ArithmeticError, match="nonzero remainder"):
+        Q._over_one_minus([1, 0, 1], 1)  # 1 + q^2 over 1 - q
+    assert Q._over_one_minus([1, 0, 0, -1], 3) == [1]
+
+
+def test_q_binomial_peak_memory_stays_near_its_result():
+    # the coefficient lists of [40003 choose 2]_q hold 80,001 entries; the result dict alone takes about 7.7 MB
+    tracemalloc.start()
+    try:
+        Q.q_binomial(40003, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,12 +117,34 @@ def test_cat_q_equals_the_division_by_the_q_integer():
     for a in range(1, 9):
         for b in range(1, 40):
             if gcd(a, b) == 1:
-                assert Q.cat_q(a, b) == Q.q_binomial(a + b, a).divexact(Q.q_int(a + b)), (a, b)
+                assert Q.cat_q(a, b) == divexact(Q.q_binomial(a + b, a), Q.q_int(a + b)), (a, b)
+
+
+def test_divexact():
+    num = LaurentPoly({0: 1, 1: 2, 2: 1})
+    den = LaurentPoly({0: 1, 1: 1})
+    assert divexact(num, den) == den
+    with pytest.raises(ArithmeticError, match="nonzero remainder"):
+        divexact(LaurentPoly({0: 1, 2: 1}), den)
+    with pytest.raises(ArithmeticError, match="leading coefficient"):
+        divexact(LaurentPoly({0: 1, 1: 3}), LaurentPoly({0: 1, 1: 2}))
+    shifted = LaurentPoly.monomial(-3) * num
+    assert divexact(shifted, den) == LaurentPoly.monomial(-3) * den
+    with pytest.raises(ZeroDivisionError):
+        divexact(num, LaurentPoly.zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys, laurent_polys)
+def test_divexact_inverts_multiplication(p, d):
+    if d.is_zero:
+        return
+    assert divexact(p * d, d) == p
 
 
 def test_divexact_failure_is_loud():
     with pytest.raises(ArithmeticError):
-        Q.q_int(5).divexact(Q.q_int(3))
+        divexact(Q.q_int(5), Q.q_int(3))
 
 
 def test_coset_identity_a3():

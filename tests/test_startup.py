@@ -46,6 +46,8 @@ def loaded_by(*argv):
         (("verify", "oracle", "--a-max", "2", "--b-max", "3"), sorted([*ENUMERATE_SET, "suites"])),
         (("verify", "coset-identities", "--k-max", "1"), sorted([*ENUMERATE_SET, "polys", "qpoly", "suites"])),
         (("verify", "all", "--a-max", "3", "--b-max", "4", "--n-max", "1", "--k-max", "1"), EVERY_MODULE),
+        # the parser and the cap read only ``errors``: the brute force over S_n walks no simplex
+        (("perm", "4"), ["errors", "perms", "polys"]),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
 )
