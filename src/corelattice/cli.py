@@ -6,7 +6,8 @@ other commands reject ``--format``.  Data records are byte-deterministic for
 a fixed configuration; timings go to stderr only.  ``enumerate`` writes its
 records as it walks the simplex, and ``verify`` writes each check's record
 as the check ends (the checks run serially, whatever ``--jobs`` says), so a
-failed internal check can leave partial output; an exceeded cap leaves none.
+failed internal check, or running out of memory, can leave partial output;
+an exceeded cap leaves none.
 
 A command imports only the modules it runs, at the top of its function:
 the parser loads ``errors`` alone, ``enumerate`` loads ``simplex`` and what
@@ -16,10 +17,11 @@ they run in their own bodies.
 
 Exit codes: 0 success, 1 assertion failure (a verify suite, an internal
 check, or held-out samples that contradict a fit), 2 usage or validation
-error, or output that cannot be written, 3 cap exceeded.
+error, or output that cannot be written, 3 cap exceeded or out of memory.
 ``CORELATTICE_CAP`` overrides the default cap of 10^7 cores enumerated (permutations for ``perm``, recursion steps for
 ``ehrhart``, coset labels for ``search-age``); ``verify`` sums its checks' costs per unit: cores, brute-force
-candidates, abacus beads, orbifold cosets, moment-recursion steps, permutations, coefficients, skew-length terms.
+candidates, abacus beads, orbifold cosets, moment-recursion steps, permutations, coefficients, coefficient reads,
+skew-length terms.
 """
 
 from __future__ import annotations
@@ -373,6 +375,9 @@ def main(argv=None) -> int:
                 out.fh.close()
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:  # a limit of the machine, not of --cap; a streamed command may have written part of its output
+        print("error: out of memory; the command needs more memory than this process may use", file=sys.stderr)
         return EXIT_CAP
     except FitValidationError as exc:  # a ValueError, but a failed check rather than a usage error
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,9 @@ candidate and every remaining sample must match it exactly, so a wrong
 degree or period hypothesis surfaces as :class:`FitValidationError` rather
 than a silently bad fit.
 
-The fitted polynomials are the one dense exception to the package's sparse
-:class:`~corelattice.polys.LaurentPoly`: a fit is a coefficient tuple of
-``Fraction`` (low to high), which interpolation needs, while ``LaurentPoly``
+The fitted polynomials are dense, as ``qpoly``'s integer coefficient lists
+are, and hold ``Fraction``: a fit is a coefficient tuple (low to high),
+which interpolation needs, while :class:`~corelattice.polys.LaurentPoly`
 holds ints.  A quasipolynomial of period ``d`` is the tuple of its ``d``
 constituents, the one for the residue class ``r`` at index ``r``, so its
 value at ``t`` is ``poly_eval(fit[t % d], t)``.

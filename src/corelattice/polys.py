@@ -33,11 +33,12 @@ class Exponents(tuple):
 class LaurentPoly:
     """Laurent polynomial ``sum c_e q^e`` (or ``sum c_e q^e_0 t^e_1 ...``) with integer coefficients.
 
-    A tuple exponent is stored as an :class:`Exponents`, so the products and
-    :meth:`sub_shifted` add exponents with one ``+`` in either case.  The
-    exponent bounds, evaluation and :meth:`subs_power` are one-variable
-    operations; :meth:`swapped` exchanges the two variables of a (q, t)
-    polynomial.
+    A tuple exponent is stored as an :class:`Exponents`, so products add
+    exponents with one ``+`` in either case.  Evaluation is a one-variable
+    operation; :meth:`swapped` exchanges the two variables of a (q, t)
+    polynomial.  The age search and the q-binomials work on dense
+    coefficient lists (:mod:`corelattice.qpoly`) and build this type only
+    for what they return.
     """
 
     __slots__ = ("_c",)
@@ -47,10 +48,6 @@ class LaurentPoly:
         if c and isinstance(next(iter(c)), tuple):
             c = {Exponents(e): v for e, v in c.items()}
         self._c = c
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -70,16 +67,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def min_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no exponents")
-        return min(self._c)
-
-    def max_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no exponents")
-        return max(self._c)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self._c == other._c
 
@@ -97,29 +84,6 @@ class LaurentPoly:
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
-
-    def sub_shifted(self, terms, e) -> "LaurentPoly":
-        """``self - q^e * sum(n * p)`` over the ``(p, n)`` pairs of ``terms``, built in one dict.
-
-        A polynomial repeated n times is one pair with multiplier n, so each
-        coefficient is subtracted once; no temporary polynomial is built.
-
-        >>> p = LaurentPoly({0: 1, 1: 3, 2: 2})
-        >>> p.sub_shifted([(LaurentPoly({0: 1, 1: 1}), 2)], 1)
-        LaurentPoly({0: 1, 1: 1})
-        """
-        c = dict(self._c)
-        for p, n in terms:
-            for k, v in p._c.items():
-                k += e
-                nv = c.get(k, 0) - n * v
-                if nv:
-                    c[k] = nv
-                else:
-                    del c[k]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c  # canonical already: a coefficient that reaches zero is deleted above
-        return out
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -139,18 +103,9 @@ class LaurentPoly:
 
         if self.is_zero:
             return 0 * x if isinstance(x, Fraction) else 0
-        if not isinstance(x, Fraction) and self.min_exp() < 0:
+        if not isinstance(x, Fraction) and min(self._c) < 0:
             x = Fraction(x)
         return sum(v * x**e for e, v in self._c.items())
-
-    def subs_power(self, m: int) -> "LaurentPoly":
-        """Substitute ``q -> q^m`` (m >= 1)."""
-        if m < 1:
-            raise ValueError("power substitution needs m >= 1")
-        return LaurentPoly({e * m: v for e, v in self._c.items()})
-
-    def nonnegative(self) -> bool:
-        return min(self._c.values(), default=1) > 0
 
     def total(self) -> int:
         """Sum of all coefficients (the value at q = t = 1)."""

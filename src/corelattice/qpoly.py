@@ -172,13 +172,12 @@ def unimodality_report(poly: LaurentPoly, a: int) -> list[ResidueUnimodality]:
     """
     if a < 1:
         raise ValueError("a must be >= 1")
+    classes = [[] for _ in range(a)]
+    for e, _ in poly.items():  # sorted once, so each class lists its exponents in ascending order
+        classes[e % a].append(e)
     out = []
-    for r in range(a):
-        exps = [e for e, _ in poly.items() if e % a == r]
-        if exps:
-            coeffs = tuple(poly.coefficient(e) for e in range(min(exps), max(exps) + 1, a))
-        else:
-            coeffs = ()
+    for r, exps in enumerate(classes):
+        coeffs = tuple(poly.coefficient(e) for e in range(exps[0], exps[-1] + 1, a)) if exps else ()
         out.append(ResidueUnimodality(r, coeffs, is_unimodal(coeffs)))
     return out
 
@@ -285,13 +284,31 @@ def _multisets(sizes, counts: dict[int, int], batch: int):
             yield ((m, n), *tail) if n else tail
 
 
-def _solve_class(counts: dict[int, int], targets: dict[int, LaurentPoly],
-                 polys, bs, budget: list[int]) -> list[tuple[int, int]] | None:
-    """Greedy-forced backtracking for one exponent class.
+def _minus_shifted(c: list[int], terms, e: int) -> list[int] | None:
+    """``c - q^e * sum(n * t)`` over the ``(t, n)`` pairs of ``terms``, or None where a coefficient goes negative.
+
+    Each term is one window update at offset ``e``.  A term that runs past the
+    end of ``c`` would leave a negative coefficient there; an empty term (a
+    coset with no points) subtracts nothing.
+    """
+    out = c[:]
+    for t, n in terms:
+        end = e + len(t)
+        if t and end > len(out):
+            return None
+        out[e:end] = [v - n * w for v, w in zip(out[e:end], t)]
+    return out if min(out, default=0) >= 0 else None
+
+
+def _solve_class(counts: dict[int, int], targets: dict[int, list[int]],
+                 dense, bs, budget: list[int]) -> list[tuple[int, int]] | None:
+    """Greedy-forced backtracking for one exponent class, on coefficient lists.
 
     ``counts`` maps simplex size to how many cosets of that size this class
-    must absorb.  Each step is driven at the smallest sampled b where an
-    unassigned coset is nonempty.  There each such coset has a unit
+    must absorb; ``targets[b]`` is the class's residual at b and
+    ``dense[(m, b)]`` the binomial of a size-m coset there, both indexed by
+    the exponent of ``q^a``.  Each step is driven at the smallest sampled b
+    where an unassigned coset is nonempty.  There each such coset has a unit
     constant term, the empty ones contribute nothing and no contribution is
     negative, so the residual's coefficient at its minimal exponent is the
     exact number of nonempty cosets taking that shift: the only branching
@@ -305,39 +322,33 @@ def _solve_class(counts: dict[int, int], targets: dict[int, LaurentPoly],
     ascending shift, as the search driven at the largest b placed them.
     """
     if all(v == 0 for v in counts.values()):
-        return [] if all(t.is_zero for t in targets.values()) else None
+        return None if any(map(any, targets.values())) else []
     budget[0] -= 1
     if budget[0] < 0:
         raise CapExceededError("age search exceeded its work limit (inconclusive)")
     for b in bs:
-        visible = sorted((m for m, n in counts.items() if n and not polys[(m, b)].is_zero), reverse=True)
+        visible = sorted((m for m, n in counts.items() if n and dense[(m, b)]), reverse=True)
         if visible:
             break
     ref = targets[b]
-    if ref.is_zero:
+    e = next((i for i, v in enumerate(ref) if v), None)
+    if e is None:
         return None
-    e = ref.min_exp()
-    if e < 0:
-        return None
-    batch = ref.coefficient(e)
-    for chosen in _multisets(visible, counts, batch):
+    for chosen in _multisets(visible, counts, ref[e]):
         trial = {}
-        ok = True
         for b in bs:
-            residual = targets[b].sub_shifted([(polys[(m, b)], n) for m, n in chosen], e)
-            if not residual.nonnegative():
-                ok = False
+            residual = _minus_shifted(targets[b], [(dense[(m, b)], n) for m, n in chosen], e)
+            if residual is None:
                 break
             trial[b] = residual
-        if not ok:
-            continue
-        for m, n in chosen:
-            counts[m] -= n
-        rest = _solve_class(counts, trial, polys, bs, budget)
-        for m, n in chosen:
-            counts[m] += n
-        if rest is not None:
-            return [(m, e) for m, n in chosen for _ in range(n)] + rest
+        else:
+            for m, n in chosen:
+                counts[m] -= n
+            rest = _solve_class(counts, trial, dense, bs, budget)
+            for m, n in chosen:
+                counts[m] += n
+            if rest is not None:
+                return [(m, e) for m, n in chosen for _ in range(n)] + rest
     return None
 
 
@@ -387,15 +398,12 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
     sizes = {(m, b): size_at(m, b) for m in group_sizes for b in bs}
     binomials = {s: _binomial_coefficients(s + a - 1, a - 1) for s in set(sizes.values()) if s >= 0}
     dense = {key: binomials.get(s, []) for key, s in sizes.items()}
-    polys = {key: _poly(c) for key, c in dense.items()}
     points = {key: sum(c) for key, c in dense.items()}
     targets = {b: _cat_q_coefficients(a, b) for b in bs}
-    # the coefficients on exponents r mod a, reindexed by (e - r) / a
-    class_targets = {(r, b): _poly(targets[b][r::a]) for r in range(a) for b in bs}
 
     budget = [max_nodes]
     remaining = {m: len(g) for m, g in groups.items()}
-    class_counts = {key: t.total() for key, t in class_targets.items()}
+    class_counts = {(r, b): sum(targets[b][r::a]) for r in range(a) for b in bs}
     assignment: list[list[tuple[int, int]]] = []
 
     def apportion(r: int, idx: int, counts: dict[int, int], acc: dict[int, int]) -> bool:
@@ -406,8 +414,8 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
         if idx == len(group_sizes):
             if any(acc[b] != class_counts[(r, b)] for b in bs):
                 return False
-            solved = _solve_class(dict(counts), {b: class_targets[(r, b)] for b in bs},
-                                  polys, bs, budget)
+            # the coefficients on exponents r mod a, reindexed by (e - r) / a
+            solved = _solve_class(dict(counts), {b: targets[b][r::a] for b in bs}, dense, bs, budget)
             if solved is None:
                 return False
             # the idx levels above still hold this class's reservations

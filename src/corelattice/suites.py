@@ -40,7 +40,7 @@ from .simplex import (
     armstrong_average,
     core_fold,
     core_moments,
-    enumerate_cores,
+    iter_cores,
     rational_catalan,
     self_conjugate_count,
 )
@@ -101,9 +101,10 @@ def _largest_size(a: int, b: int) -> int:
 
 
 def oracle(a: int, b: int, cap: int):
-    cores = enumerate_cores(SimplexSpec(a, b), cap)
-    enumerated = {core_from_charges(a, c) for c in cores}
-    max_size = max((size_of_charges(a, c) for c in cores), default=0)
+    enumerated, max_size = set(), 0
+    for _, c in iter_cores(SimplexSpec(a, b), cap):  # one pass, keeping no list of cores
+        enumerated.add(core_from_charges(a, c))
+        max_size = max(max_size, size_of_charges(a, c))
     # to the largest core size, not max_size: a dropped core must still be found
     brute = set(brute_force_simultaneous_cores(a, b, _largest_size(a, b)))
     return enumerated == brute, {"count": len(enumerated), "max_size": max_size}
@@ -131,7 +132,7 @@ def statistics(a: int, b: int, cap: int):
     from . import qt
 
     spec = SimplexSpec(a, b)
-    for c in enumerate_cores(spec, cap):
+    for _, c in iter_cores(spec, cap):
         p = core_from_charges(a, c)
         tx = shift(a, c)
         if qt.length_from_x(tx) != len(p) or qt.skew_length_from_x(spec, tx) != skew_length(p, a, b):

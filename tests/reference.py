@@ -177,12 +177,12 @@ def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     rem = dict(num.items())
     terms = den.items()
     dmax, dlead = terms[-1]
     quot: dict[int, int] = {}
-    for e in range(num.max_exp() - dmax, num.min_exp() - den.min_exp() - 1, -1):
+    for e in range(max(rem) - dmax, min(rem) - terms[0][0] - 1, -1):
         v = rem.get(e + dmax)
         if not v:
             continue
@@ -209,9 +209,20 @@ def assignments(res: AgeSearchResult) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((s, res.simplex_sizes[lab]) for lab, s in res.shifts.items()))
 
 
-def solve_class_at_largest_b(counts: dict[int, int], targets: dict[int, LaurentPoly],
-                             polys, bs, budget: list[int]) -> list[tuple[int, int]] | None:
+def solve_class_at_largest_b(counts: dict[int, int], targets: dict[int, list[int]],
+                             dense, bs, budget: list[int]) -> list[tuple[int, int]] | None:
     """``qpoly._solve_class`` driven at the largest b alone, where every unassigned coset is nonempty.
+
+    It takes the package's coefficient lists and turns them into
+    ``LaurentPoly`` here, so the residuals come from the sparse type's own
+    ``-`` and ``*``, not from the list kernel it is compared with.
+    """
+    polys = {key: LaurentPoly(dict(enumerate(c))) for key, c in dense.items()}
+    return _solve_sparse(counts, {b: LaurentPoly(dict(enumerate(t))) for b, t in targets.items()}, polys, bs, budget)
+
+
+def _solve_sparse(counts, targets, polys, bs, budget):
+    """The recursion of :func:`solve_class_at_largest_b`, on ``LaurentPoly``.
 
     There each unassigned coset has a unit constant term, so the residual's
     coefficient at its minimal exponent is the number of cosets taking that
@@ -226,22 +237,22 @@ def solve_class_at_largest_b(counts: dict[int, int], targets: dict[int, LaurentP
     ref = targets[bs[-1]]
     if ref.is_zero:
         return None
-    e = ref.min_exp()
+    e, batch = ref.items()[0]
     if e < 0:
         return None
-    batch = ref.coefficient(e)
     distinct = sorted((m for m, n in counts.items() if n), reverse=True)
     for chosen in _multisets(distinct, counts, batch):
         trial = {}
         for b in bs:
-            residual = targets[b].sub_shifted([(polys[(m, b)], n) for m, n in chosen], e)
-            if not residual.nonnegative():
+            removed = sum((n * polys[(m, b)] for m, n in chosen), LaurentPoly())
+            residual = targets[b] - LaurentPoly.monomial(e) * removed
+            if any(v < 0 for _, v in residual.items()):
                 break
             trial[b] = residual
         else:
             for m, n in chosen:
                 counts[m] -= n
-            rest = solve_class_at_largest_b(counts, trial, polys, bs, budget)
+            rest = _solve_sparse(counts, trial, polys, bs, budget)
             for m, n in chosen:
                 counts[m] += n
             if rest is not None:

@@ -12,6 +12,7 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corelattice import cli
 from corelattice.cli import SUITE_NAMES, main
 
 EXIT_CODES = {0, 1, 2, 3}
@@ -93,3 +94,14 @@ def test_the_contract_covers_every_subcommand_and_each_kind_of_invalid_input():
     assert run(["enumerate", "3", "4", "--format", "xml"])[0] == 2
     assert run(["perm", "-3"])[0] == 2
     assert run(["enumerate", "7", "13", "--cap", "5"])[0] == 3
+
+
+def test_running_out_of_memory_is_one_error_line_and_exit_3(monkeypatch):
+    def exhausted(args, out):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_poly", exhausted)
+    code, err = run(["poly", "2", "3"])
+    assert code == 3
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err

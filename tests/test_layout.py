@@ -1,4 +1,4 @@
-"""``src/`` holds only what the commands run: every module-level function and class is reachable.
+"""``src/`` holds only what the commands run: every module-level function and class, and every method, is reachable.
 
 The reachability is by name, over the ASTs of ``src/corelattice/*.py``.  It
 starts from ``cli.main``, from every module-level statement that is not a
@@ -11,6 +11,11 @@ module's own definitions and its module-level ones, and ``x.y`` through
 through ``__init__``'s table of home modules, read as a literal.  The module
 functions the interpreter calls (``__getattr__``, ``__dir__``) are reached.
 Reference routes that only the tests call belong in ``tests/reference.py``.
+
+A reached class brings its dunder methods, which the interpreter calls, but
+not the bodies of its other methods.  Such a method is reached when reached
+code, or the README's library example, names it as an attribute (``x.name``,
+whatever ``x`` is); only then does its body count.
 """
 
 import ast
@@ -19,7 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "corelattice"
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (*FUNCTIONS, ast.ClassDef)
 IMPORTS = (ast.Import, ast.ImportFrom)
 MODULE_HOOKS = ("__getattr__", "__dir__")  # module-level functions the interpreter calls by name
 
@@ -63,10 +69,23 @@ def _resolve(scopes, mod, name, local=None):
     return target
 
 
-def _references(scopes, mod, node):
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _walk(node, skipped):
+    """``ast.walk`` over ``node``, leaving out the method definitions in ``skipped`` (by id)."""
+    todo = [node]
+    while todo:
+        sub = todo.pop()
+        yield sub
+        todo.extend(child for child in ast.iter_child_nodes(sub) if id(child) not in skipped)
+
+
+def _references(scopes, mod, node, skipped=frozenset()):
     """The definitions that the names in ``node`` resolve to, through the imports in its body first."""
-    local = _relative_imports(ast.walk(node)) if isinstance(node, DEFS) else {}
-    for sub in ast.walk(node):
+    local = _relative_imports(_walk(node, skipped)) if isinstance(node, DEFS) else {}
+    for sub in _walk(node, skipped):
         target = None
         if isinstance(sub, ast.Name):
             target = _resolve(scopes, mod, sub.id, local)
@@ -78,12 +97,21 @@ def _references(scopes, mod, node):
             yield target[1], target[2]
 
 
-def readme_library_imports():
-    """``(module, name)`` for each name the README's library example imports from the package."""
+def _attributes(node, skipped=frozenset()):
+    """The names that ``node`` reads or writes as attributes."""
+    return {sub.attr for sub in _walk(node, skipped) if isinstance(sub, ast.Attribute)}
+
+
+def _readme_library_block():
     library = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     (block,) = re.findall(r"^```python\n(.*?)^```", library.split("\n## ", 1)[0], re.M | re.S)
+    return ast.parse(block)
+
+
+def readme_library_imports():
+    """``(module, name)`` for each name the README's library example imports from the package."""
     out = []
-    for node in ast.walk(ast.parse(block)):
+    for node in ast.walk(_readme_library_block()):
         if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "corelattice":
             mod = node.module.partition(".")[2] or "__init__"
             out.extend((mod, alias.name) for alias in node.names)
@@ -91,26 +119,40 @@ def readme_library_imports():
 
 
 def unreached_definitions():
-    """Sorted ``module.name`` of the module-level functions and classes that nothing reaches."""
+    """Sorted ``module.name`` and ``module.Class.method`` of the definitions that nothing reaches."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     scopes = _scopes(trees)
     nodes = {(mod, node.name): node for mod, tree in trees.items() for node in tree.body if isinstance(node, DEFS)}
+    # the non-dunder methods of module-level classes: reached by attribute name, once their class is
+    methods = {
+        (mod, f"{cls.name}.{node.name}"): node
+        for (mod, _), cls in nodes.items() if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, FUNCTIONS) and not _is_dunder(node.name)
+    }
+    skipped = {id(node) for node in methods.values()}
     roots = [_resolve(scopes, "cli", "main")]
     roots += [_resolve(scopes, mod, name) for mod, name in readme_library_imports()]
     if None in roots:
         raise AssertionError("cli.main or a name of the README example does not resolve")
     todo = [(mod, name) for _, mod, name in roots]
     todo += [key for key in nodes if key[1] in MODULE_HOOKS]
+    named = _attributes(_readme_library_block())
     for mod, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, DEFS + IMPORTS):
                 todo.extend(_references(scopes, mod, node))
+                named |= _attributes(node)
+    nodes.update(methods)
     seen = set()
     while todo:
-        key = todo.pop()
-        if key not in seen:
-            seen.add(key)
-            todo.extend(_references(scopes, key[0], nodes[key]))
+        while todo:
+            key = todo.pop()
+            if key not in seen:
+                seen.add(key)
+                todo.extend(_references(scopes, key[0], nodes[key], skipped))
+                named |= _attributes(nodes[key], skipped)
+        todo = [(mod, name) for mod, name in methods.keys() - seen
+                if (mod, name.partition(".")[0]) in seen and name.partition(".")[2] in named]
     return sorted(f"{mod}.{name}" for mod, name in nodes.keys() - seen)
 
 

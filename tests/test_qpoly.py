@@ -88,7 +88,7 @@ def test_q_binomial_symmetry_and_palindrome(n, data):
     p = Q.q_binomial(n, k)
     assert p == Q.q_binomial(n, n - k)
     assert p(1) == comb(n, k)
-    deg = 0 if p.is_zero else p.max_exp()
+    deg = p.items()[-1][0]
     assert all(p.coefficient(e) == p.coefficient(deg - e) for e in range(deg + 1))
 
 
@@ -106,9 +106,9 @@ def test_cat_q_degree_positivity_count():
             if gcd(a, b) != 1:
                 continue
             p = Q.cat_q(a, b)
-            assert p.nonnegative()
+            assert all(v > 0 for _, v in p.items())
             assert p.coefficient(0) == 1
-            assert p.max_exp() == (a - 1) * (b - 1)
+            assert p.items()[-1][0] == (a - 1) * (b - 1)
             assert p(1) == rational_catalan(a, b)
 
 
@@ -131,7 +131,7 @@ def test_divexact():
     shifted = LaurentPoly.monomial(-3) * num
     assert divexact(shifted, den) == LaurentPoly.monomial(-3) * den
     with pytest.raises(ZeroDivisionError):
-        divexact(num, LaurentPoly.zero())
+        divexact(num, LaurentPoly())
 
 
 @settings(max_examples=200, deadline=None)
