@@ -23,7 +23,7 @@ _HOMES = {
     "cat_q": "qpoly", "q_binomial": "qpoly", "q_int": "qpoly", "search_age_function": "qpoly",
     "unimodality_report": "qpoly",
     "cat_qt": "qt", "length_from_x": "qt", "skew_length_from_x": "qt",
-    "SimplexSpec": "simplex", "armstrong_average": "simplex", "enumerate_cores": "simplex",
+    "SimplexSpec": "simplex", "armstrong_average": "simplex", "iter_cores": "simplex",
     "rational_catalan": "simplex",
 }
 

@@ -15,7 +15,8 @@ making
 
     ``cat_q(a, b) = sum_cosets q^shift * [m + a-1 choose a-1]_{q^a}``
 
-hold across a list of b values, where ``m`` is the per-coset simplex size.
+hold across a list of b values, where ``m`` is the per-coset simplex size
+(checked on real cores by a census that streams the walk).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import add, sub
 from .abacus import shift
 from .errors import DEFAULT_CAP, CapExceededError
 from .polys import LaurentPoly
-from .simplex import SimplexSpec, enumerate_cores, to_z
+from .simplex import SimplexSpec, iter_cores, to_z
 
 
 def q_int(n: int, power: int = 1) -> LaurentPoly:
@@ -244,13 +245,14 @@ def _classify_cosets(a: int, b: int, cap: int) -> dict[tuple[int, ...], int]:
 
     The size ``m = (b - sum(label)) / a`` follows from the label alone; the
     enumeration pass checks that each core lands in a valid label and that
-    each nonempty coset holds exactly ``binom(m + a-1, a-1)`` cores.
+    each nonempty coset holds exactly ``binom(m + a-1, a-1)`` cores.  It streams
+    :func:`iter_cores`, keeping a count per label: its memory is the labels, not the cores.
     """
     if any(a**k > cap for k in range(a - 1)):  # a^(a-2) > cap, without building a^(a-2) for a huge a
         raise CapExceededError(f"the coset census at a={a} builds {a}^{a - 2} labels, over the cap of {cap}")
     spec = SimplexSpec(a, b)
     seen: dict[tuple[int, ...], int] = {}
-    for c in enumerate_cores(spec, cap):
+    for _, c in iter_cores(spec, cap):
         lab = coset_label(spec, c)
         seen[lab] = seen.get(lab, 0) + 1
     sizes: dict[tuple[int, ...], int] = {}

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from corelattice.perms import des_set, inv
 from corelattice.polys import LaurentPoly
-from corelattice.errors import CapExceededError
+from corelattice.errors import DEFAULT_CAP, CapExceededError
 from corelattice.qpoly import AgeSearchResult, _multisets, q_int
-from corelattice.simplex import SimplexSpec, _z_offset
+from corelattice.simplex import SimplexSpec, _z_offset, iter_cores
 
 Parts = tuple[int, ...]
 
@@ -93,6 +93,14 @@ def hook_multiset(parts: Parts) -> tuple[int, ...]:
 def zero_charges(a: int) -> tuple[int, ...]:
     """The origin of the lattice (the empty partition)."""
     return (0,) * a
+
+
+def enumerate_cores(spec: SimplexSpec, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+    """All (a,b)-cores as charge tuples, ordered lexicographically by z: the walk of ``iter_cores`` as a list.
+
+    Raises ``CapExceededError`` when the count exceeds ``cap``.
+    """
+    return [c for _, c in iter_cores(spec, cap)]
 
 
 def shifted_x(tx) -> tuple[Fraction, ...]:

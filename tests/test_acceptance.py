@@ -17,11 +17,10 @@ from corelattice.polys import LaurentPoly
 from corelattice.simplex import (
     SimplexSpec,
     armstrong_average,
-    enumerate_cores,
     rational_catalan,
     self_conjugate_count,
 )
-from reference import conjugation_T, shift_multiset
+from reference import conjugation_T, enumerate_cores, shift_multiset
 
 A_MAX, B_MAX = 6, 20
 

@@ -12,7 +12,8 @@ from corelattice import ehrhart as E
 from corelattice import simplex, suites
 from corelattice.abacus import size_of_charges
 from corelattice.errors import FitValidationError
-from corelattice.simplex import SimplexSpec, enumerate_cores
+from corelattice.simplex import SimplexSpec
+from reference import enumerate_cores
 
 
 def test_lagrange_coefficients():

@@ -157,7 +157,7 @@ def unreached_definitions():
 
 
 def test_readme_example_imports_are_read():
-    assert ("__init__", "enumerate_cores") in readme_library_imports()
+    assert ("__init__", "iter_cores") in readme_library_imports()
 
 
 def test_every_definition_in_src_is_reached():

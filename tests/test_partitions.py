@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from corelattice import partitions as P
 from corelattice.abacus import charges_from_core, core_beads, core_from_charges
-from corelattice.simplex import SimplexSpec, enumerate_cores
-from reference import _bead_mask, conjugate, hook_lengths, hook_multiset
+from corelattice.simplex import SimplexSpec
+from reference import _bead_mask, conjugate, enumerate_cores, hook_lengths, hook_multiset
 
 
 def partitions_of(n):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corelattice import qpoly as Q
+from corelattice.errors import DEFAULT_CAP
 from corelattice.polys import LaurentPoly
 from corelattice.simplex import rational_catalan
 from reference import assignments, divexact, q_factorial, shift_multiset, solve_class_at_largest_b
@@ -200,6 +201,18 @@ def test_coset_labels_census():
     assert set(labels3) == {(1, 0, 0), (0, 2, 2), (2, 1, 1)}
     assert len(Q.coset_labels(4, 1)) == 16
     assert len(Q.coset_labels(5, 2)) == 125
+
+
+def test_coset_census_streams_the_walk():
+    # (5, 41) has 29,799 cores: a list of their charge tuples peaked above 3 MiB, one count per label near 23 KiB
+    tracemalloc.start()
+    try:
+        sizes = Q._classify_cosets(5, 41, DEFAULT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(comb(m + 4, 4) for m in sizes.values() if m >= 0) == rational_catalan(5, 41) == 29799
+    assert peak < 2**20, peak
 
 
 def _filtered_coset_labels(a, b_residue):
