@@ -20,8 +20,7 @@ _HOMES = {
     "CapExceededError": "errors", "FitValidationError": "errors",
     "is_core": "partitions", "skew_length": "partitions",
     "LaurentPoly": "polys",
-    "cat_q": "qpoly", "q_binomial": "qpoly", "q_int": "qpoly", "search_age_function": "qpoly",
-    "unimodality_report": "qpoly",
+    "cat_q": "qpoly", "q_binomial": "qpoly", "search_age_function": "qpoly", "unimodality_report": "qpoly",
     "cat_qt": "qt", "length_from_x": "qt", "skew_length_from_x": "qt",
     "SimplexSpec": "simplex", "armstrong_average": "simplex", "iter_cores": "simplex",
     "rational_catalan": "simplex",

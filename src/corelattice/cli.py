@@ -155,16 +155,16 @@ def cmd_poly(args, out) -> int:
     from .simplex import SimplexSpec, rational_catalan
 
     spec = SimplexSpec(args.a, args.b)
-    catqt = qt.cat_qt(spec, args.cap)  # the one walk of the simplex, which checks the cap first
-    catq = qpoly.cat_q(args.a, args.b)
+    catqt = qt.cat_qt(spec, args.cap)  # the one walk of the simplex, which checks the cap first; a (q,t) LaurentPoly
+    catq = qpoly.cat_q_coefficients(args.a, args.b)  # a list, built once (no q-binomial is cached); not a LaurentPoly
     report = {
         "a": args.a,
         "b": args.b,
         "catalan": rational_catalan(args.a, args.b),
-        "cat_q": catq.to_rows(),
+        "cat_q": [[e, str(v)] for e, v in enumerate(catq) if v],  # LaurentPoly.to_rows: one [e, "c"] per nonzero term
         "cat_qt": catqt.to_rows(),
         "qt_symmetric": qt.check_symmetry(catqt),
-        "qt_specialization": qt.specialization(spec, catqt) == catq,  # cat_q built once: no q-binomial is cached
+        "qt_specialization": qt.specialization(spec, catqt) == catq,
         "unimodality": [
             {"residue": r.residue, "coefficients": list(r.coefficients), "unimodal": r.unimodal}
             for r in qpoly.unimodality_report(catq, args.a)
@@ -268,7 +268,7 @@ def cmd_ehrhart(args, out) -> int:
 def cmd_search_age(args, out) -> int:
     from . import qpoly
 
-    if args.b_list:
+    if args.b_list is not None:  # an empty --b-list is refused, not taken for the default
         try:
             b_list = [int(v) for v in args.b_list.split(",") if v.strip()]
         except ValueError as exc:

@@ -4,6 +4,10 @@ Coefficients are Python ints (arbitrary precision); the zero coefficient is
 never stored, so equality is plain map equality.  An exponent is an int for
 one variable, q, or a tuple for several, (q, t, ...).
 
+It is the (q,t) type of ``cat_qt`` and the permutation distributions, and the type that
+``cat_q`` and ``q_binomial`` return; inside the package, cat_q and the q-binomials stay
+dense coefficient lists (:mod:`corelattice.qpoly`).
+
 >>> p = LaurentPoly({0: 1, 2: 1})
 >>> p * p == LaurentPoly({0: 1, 2: 2, 4: 1})
 True
@@ -36,9 +40,7 @@ class LaurentPoly:
     A tuple exponent is stored as an :class:`Exponents`, so products add
     exponents with one ``+`` in either case.  Evaluation is a one-variable
     operation; :meth:`swapped` exchanges the two variables of a (q, t)
-    polynomial.  The age search and the q-binomials work on dense
-    coefficient lists (:mod:`corelattice.qpoly`) and build this type only
-    for what they return.
+    polynomial.
     """
 
     __slots__ = ("_c",)
@@ -50,15 +52,8 @@ class LaurentPoly:
         self._c = c
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
     def monomial(cls, exp, coeff: int = 1) -> "LaurentPoly":
         return cls({exp: coeff})
-
-    def coefficient(self, exp) -> int:
-        return self._c.get(exp, 0)
 
     def items(self):
         return sorted(self._c.items())

@@ -2,7 +2,9 @@
 
 ``cat_q(a, b)`` is ``[a+b choose a]_q / [a+b]_q``.  It and the q-binomials
 are built on coefficient lists, each exact division multiplied back, so any
-slip raises instead of corrupting coefficients.  No q-binomial is kept
+slip raises instead of corrupting coefficients.  The package reads cat_q as
+that list, :func:`cat_q_coefficients`; :func:`cat_q` and :func:`q_binomial`
+wrap theirs in ``LaurentPoly`` for the library.  No q-binomial is kept
 between calls: a cache would grow with every ``verify`` check past what the
 cap bounds, so a function that needs a binomial twice builds it once.
 
@@ -21,7 +23,7 @@ hold across a list of b values, where ``m`` is the per-coset simplex size
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import accumulate, product
 from math import comb, gcd
 from operator import add, sub
@@ -32,16 +34,9 @@ from .polys import LaurentPoly
 from .simplex import SimplexSpec, iter_cores, to_z
 
 
-def q_int(n: int, power: int = 1) -> LaurentPoly:
-    """``[n]_q = 1 + q + ... + q^(n-1)``, in the variable ``q^power``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return LaurentPoly({power * j: 1 for j in range(n)})
-
-
-def _poly(c: list[int], power: int = 1) -> LaurentPoly:
-    """The polynomial ``sum c[e] q^(power*e)`` of a coefficient list."""
-    return LaurentPoly(dict(zip(range(0, power * len(c), power), c)))
+def _poly(c: list[int]) -> LaurentPoly:
+    """The polynomial ``sum c[e] q^e`` of a coefficient list."""
+    return LaurentPoly(dict(enumerate(c)))
 
 
 def _times_one_minus(c: list[int], m: int) -> list[int]:
@@ -71,8 +66,8 @@ def _binomial_coefficients(n: int, k: int) -> list[int]:
     return c
 
 
-def _cat_q_coefficients(a: int, b: int) -> list[int]:
-    """The coefficients of :func:`cat_q`, from ``q^0`` up."""
+def cat_q_coefficients(a: int, b: int) -> list[int]:
+    """The coefficients of :func:`cat_q`, from ``q^0`` up to ``q^((a-1)(b-1))``, for coprime ``a`` and ``b``."""
     n = a + b
     return _over_one_minus(_times_one_minus(_binomial_coefficients(n, a), 1), n)
 
@@ -89,8 +84,8 @@ def _spread(terms, power: int) -> list[int]:
     return out
 
 
-def q_binomial(n: int, k: int, power: int = 1) -> LaurentPoly:
-    """Gaussian binomial ``[n choose k]_q``, in the variable ``q^power``.
+def q_binomial(n: int, k: int) -> LaurentPoly:
+    """Gaussian binomial ``[n choose k]_q``.
 
     Built by ``k`` multiplications by ``1 - q^m`` and exact divisions by ``1 - q^i``, each multiplied back.
 
@@ -99,9 +94,7 @@ def q_binomial(n: int, k: int, power: int = 1) -> LaurentPoly:
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if power < 1:
-        raise ValueError("power substitution needs m >= 1")
-    return _poly(_binomial_coefficients(n, k), power)
+    return _poly(_binomial_coefficients(n, k))
 
 
 def cat_q(a: int, b: int) -> LaurentPoly:
@@ -113,7 +106,7 @@ def cat_q(a: int, b: int) -> LaurentPoly:
     """
     if gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
-    return _poly(_cat_q_coefficients(a, b))
+    return _poly(cat_q_coefficients(a, b))
 
 
 def check_coset_identity_a3(k: int, delta: int) -> bool:
@@ -122,7 +115,7 @@ def check_coset_identity_a3(k: int, delta: int) -> bool:
         raise ValueError("need k >= 1 and delta in {0, 1}")
     big = _binomial_coefficients(k + 2, 2)
     small = _binomial_coefficients(k + 1, 2)
-    return _spread(((0, big), (2, big if delta else small), (4, small)), 3) == _cat_q_coefficients(3, 3 * k + 1 + delta)
+    return _spread(((0, big), (2, big if delta else small), (4, small)), 3) == cat_q_coefficients(3, 3 * k + 1 + delta)
 
 
 # Sixteen (shift, simplex-size offset) pairs for the a = 4, b = 4k+1 identity:
@@ -144,7 +137,7 @@ def check_coset_identity_a4(k: int) -> bool:
     # the three distinct binomials, one per size offset that is not below 0
     binomials = {off: _binomial_coefficients(k + off + 3, 3) for off in (0, -1, -2) if k + off >= 0}
     rhs = _spread([(s, binomials[off]) for s, off in _A4_TERMS if off in binomials], 4)
-    return rhs == _cat_q_coefficients(4, 4 * k + 1)
+    return rhs == cat_q_coefficients(4, 4 * k + 1)
 
 
 def is_unimodal(seq) -> bool:
@@ -164,21 +157,23 @@ class ResidueUnimodality(namedtuple("ResidueUnimodality", "residue coefficients 
     __slots__ = ()
 
 
-def unimodality_report(poly: LaurentPoly, a: int) -> list[ResidueUnimodality]:
-    """Per residue class mod ``a``: the coefficient subsequence and its verdict.
+def unimodality_report(c: list[int], a: int) -> list[ResidueUnimodality]:
+    """Per residue class mod ``a`` of the coefficient list ``c`` (``c[e]`` at ``q^e``): the subsequence and its verdict.
 
-    The subsequence runs over exponents ``r, r+a, r+2a, ...`` from the first
-    to the last nonzero coefficient in the class, so interior zero gaps
-    count against unimodality but leading and trailing zeros do not.
+    Class ``r`` is ``c[r::a]``, trimmed to its first and last nonzero entry,
+    so interior zero gaps count against unimodality but leading and trailing
+    zeros do not.
+
+    >>> [r.coefficients for r in unimodality_report(cat_q_coefficients(3, 4), 3)]
+    [(1, 1, 1), (1,), (1,)]
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    classes = [[] for _ in range(a)]
-    for e, _ in poly.items():  # sorted once, so each class lists its exponents in ascending order
-        classes[e % a].append(e)
     out = []
-    for r, exps in enumerate(classes):
-        coeffs = tuple(poly.coefficient(e) for e in range(exps[0], exps[-1] + 1, a)) if exps else ()
+    for r in range(a):
+        seq = c[r::a]
+        nonzero = [i for i, v in enumerate(seq) if v]
+        coeffs = tuple(seq[nonzero[0] : nonzero[-1] + 1]) if nonzero else ()
         out.append(ResidueUnimodality(r, coeffs, is_unimodal(coeffs)))
     return out
 
@@ -401,7 +396,7 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
     binomials = {s: _binomial_coefficients(s + a - 1, a - 1) for s in set(sizes.values()) if s >= 0}
     dense = {key: binomials.get(s, []) for key, s in sizes.items()}
     points = {key: sum(c) for key, c in dense.items()}
-    targets = {b: _cat_q_coefficients(a, b) for b in bs}
+    targets = {b: cat_q_coefficients(a, b) for b in bs}
 
     budget = [max_nodes]
     remaining = {m: len(g) for m, g in groups.items()}
@@ -468,8 +463,9 @@ def search_age_function(a: int, b_list, cap: int = DEFAULT_CAP, max_nodes: int =
         total = _spread([(e, dense[(sizes_ref[lab], b)]) for lab, e in shifts.items()], a)
         if total != targets[b]:
             raise AssertionError("solver produced an invalid decomposition")
-    age_poly = LaurentPoly(Counter(shifts.values()))
-    expected = LaurentPoly.one()
+    # the tally of shifts against prod_{j=2}^{a-1} [a]_{q^j}, each factor the a shifts j*i of the product so far
+    expected = [1]
     for j in range(2, a):
-        expected = expected * q_int(a, power=j)
-    return AgeSearchResult(a, bs, "found", nodes_used, shifts, dict(sizes_ref), age_poly == expected)
+        expected = _spread([(j * i, expected) for i in range(a)], 1)
+    tally = _spread([(s, [1]) for s in shifts.values()], 1)
+    return AgeSearchResult(a, bs, "found", nodes_used, shifts, dict(sizes_ref), tally == expected)

@@ -36,7 +36,7 @@ from .errors import DEFAULT_CAP
 from .partitions import skew_length_of_beads
 from .perms import des_set, maj, siz
 from .polys import LaurentPoly
-from .qpoly import cat_q
+from .qpoly import cat_q_coefficients
 from .simplex import SimplexSpec, iter_cores
 
 
@@ -80,22 +80,28 @@ def check_symmetry(poly: LaurentPoly) -> bool:
     return poly == poly.swapped()
 
 
-def specialization(spec: SimplexSpec, poly: LaurentPoly) -> LaurentPoly:
-    """``sum q^(length + skew)`` over cores, read off ``poly = cat_qt(spec)``.
+def specialization(spec: SimplexSpec, poly: LaurentPoly) -> list[int] | None:
+    """The coefficients of ``sum q^(length + skew)`` over cores, read off ``poly = cat_qt(spec)``, from ``q^0`` up.
 
-    Skew is ``(a-1)(b-1)/2 - coskew``, so ``q^e t^f`` becomes
-    ``q^(e + (a-1)(b-1)/2 - f)``.
+    Skew is ``(a-1)(b-1)/2 - coskew``, so ``q^e t^f`` adds to ``q^(e + (a-1)(b-1)/2 - f)``.  The list runs
+    to ``q^((a-1)(b-1))``, as cat_q's does; a term outside it, where no core's length + skew lies, gives None.
+
+    >>> specialization(SimplexSpec(3, 4), cat_qt(SimplexSpec(3, 4)))
+    [1, 0, 1, 1, 1, 0, 1]
     """
-    half = (spec.a - 1) * (spec.b - 1) // 2
-    out: dict[int, int] = {}
+    degree = (spec.a - 1) * (spec.b - 1)
+    out = [0] * (degree + 1)
     for (e, f), coeff in poly.items():
-        out[e + half - f] = out.get(e + half - f, 0) + coeff
-    return LaurentPoly(out)
+        d = e + degree // 2 - f
+        if not 0 <= d <= degree:
+            return None
+        out[d] += coeff
+    return out
 
 
 def check_specialization(spec: SimplexSpec, poly: LaurentPoly) -> bool:
-    """Does :func:`specialization` equal ``cat_q(a, b)``?  The other side, :func:`cat_q`, walks no simplex."""
-    return specialization(spec, poly) == cat_q(spec.a, spec.b)
+    """Does :func:`specialization` equal cat_q(a, b)?  The other side, :func:`~corelattice.qpoly.cat_q_coefficients`, walks no simplex."""
+    return specialization(spec, poly) == cat_q_coefficients(spec.a, spec.b)
 
 
 def _qt(qexp: int, texp: int, coeff: int = 1) -> LaurentPoly:

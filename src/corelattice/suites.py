@@ -222,7 +222,7 @@ def root_structure(a: int, cap: int):
 def unimodality(a: int, b: int):
     from . import qpoly
 
-    bad = [r.residue for r in qpoly.unimodality_report(qpoly.cat_q(a, b), a) if not r.unimodal]
+    bad = [r.residue for r in qpoly.unimodality_report(qpoly.cat_q_coefficients(a, b), a) if not r.unimodal]
     return not bad, {"violations": bad}
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from corelattice.perms import des_set, inv
 from corelattice.polys import LaurentPoly
 from corelattice.errors import DEFAULT_CAP, CapExceededError
-from corelattice.qpoly import AgeSearchResult, _multisets, q_int
+from corelattice.qpoly import AgeSearchResult, ResidueUnimodality, _multisets, is_unimodal
 from corelattice.simplex import SimplexSpec, _z_offset, iter_cores
 
 Parts = tuple[int, ...]
@@ -162,11 +162,22 @@ def conjugation_T(c) -> tuple[int, ...]:
     return tuple(-c[(-1 - i) % a] for i in range(a))
 
 
+def q_int(n: int, power: int = 1) -> LaurentPoly:
+    """``[n]_q = 1 + q + ... + q^(n-1)``, in the variable ``q^power``.
+
+    >>> print(q_int(3, 2))
+    1 + q^2 + q^4
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return LaurentPoly({power * j: 1 for j in range(n)})
+
+
 def q_factorial(n: int, power: int = 1) -> LaurentPoly:
     """``[n]_q!``, in the variable ``q^power``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = LaurentPoly.one()
+    out = LaurentPoly({0: 1})
     for k in range(2, n + 1):
         out = out * q_int(k, power)
     return out
@@ -203,6 +214,23 @@ def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if q * den != num:
         raise ArithmeticError("exact division failed (nonzero remainder)")
     return q
+
+
+def unimodality_report_sparse(poly: LaurentPoly, a: int) -> list[ResidueUnimodality]:
+    """``qpoly.unimodality_report`` on the sparse type: each class's exponents gathered, then read one at a time.
+
+    The subsequence runs over exponents ``r, r+a, r+2a, ...`` from the first
+    to the last nonzero coefficient in the class.
+    """
+    coefficients = dict(poly.items())
+    classes = [[] for _ in range(a)]
+    for e in sorted(coefficients):
+        classes[e % a].append(e)
+    out = []
+    for r, exps in enumerate(classes):
+        coeffs = tuple(coefficients.get(e, 0) for e in range(exps[0], exps[-1] + 1, a)) if exps else ()
+        out.append(ResidueUnimodality(r, coeffs, is_unimodal(coeffs)))
+    return out
 
 
 def shift_multiset(res: AgeSearchResult) -> tuple[int, ...]:

@@ -181,7 +181,7 @@ def test_criterion_11_conjecture_exploration():
         for a in range(2, 6)
         for b in range(1, 31)
         if gcd(a, b) == 1
-        for r in qpoly.unimodality_report(qpoly.cat_q(a, b), a)
+        for r in qpoly.unimodality_report(qpoly.cat_q_coefficients(a, b), a)
         if not r.unimodal
     ]
     print(f"  unimodality sweep a<=5, b<=30: {len(violations)} violation(s) {violations}")

@@ -279,6 +279,26 @@ def test_verify_and_poly_stdout_is_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of the full stdout, recorded before `unimodality_report` and the age-product check read coefficient
+# lists: 408 unimodality checks (967,765 declared coefficient reads), and age products of 0, 1 and 2 factors
+GOLDEN_COEFFICIENT_LIST_STDOUT = [
+    (("verify", "unimodality", "--a-max", "20", "--b-max", "35"),
+     "38b73da3699c1457a6a74a5aee0071a08f346d62a2e6931b5afeabca1a07fcf9"),
+    (("search-age", "2", "--b-list", "3,5,7,9,11,13,15"), "71197cd25684ccd989fcf4428c0d287a85d4f8d9e7ae4d90cfa3ad499c0ead60"),
+    (("search-age", "3"), "5f89853e1acbff679b8f0f858ac5cbe6643fc85833df2235099048a4ee9f7b1b"),
+    (("search-age", "4"), "22ae2a21d49edb13fd81aebb974b065e1d2295032fb38c89de24f7c02abb4025"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_COEFFICIENT_LIST_STDOUT, ids=[" ".join(argv) for argv, _ in GOLDEN_COEFFICIENT_LIST_STDOUT]
+)
+def test_unimodality_and_age_product_stdout_is_byte_identical(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -884,6 +904,13 @@ def test_search_age_rejects_small_a(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: a must be >= 2\n"
+
+
+@pytest.mark.parametrize("b_list", ["", " ", ","], ids=["empty", "space", "comma"])
+def test_search_age_refuses_an_empty_b_list(capsys, b_list):
+    # an empty --b-list is no list at all, not a request for the default a*j + 1
+    code, out, err = run_cli(capsys, "search-age", "5", "--b-list", b_list)
+    assert (code, out, err) == (2, "", "error: b_list must be nonempty\n")
 
 
 def test_search_age_refuses_a_census_over_the_cap_before_any_label(capsys, monkeypatch):

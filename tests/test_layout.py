@@ -22,6 +22,8 @@ import ast
 import re
 from pathlib import Path
 
+import corelattice
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "corelattice"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -158,6 +160,11 @@ def unreached_definitions():
 
 def test_readme_example_imports_are_read():
     assert ("__init__", "iter_cores") in readme_library_imports()
+
+
+def test_every_export_resolves():
+    # an export whose definition left src/ would otherwise fail only on its first use
+    assert [name for name in corelattice.__all__ if not hasattr(corelattice, name)] == []
 
 
 def test_every_definition_in_src_is_reached():

@@ -23,7 +23,8 @@ def test_canonical_form_drops_zeros():
 
 def test_arithmetic_and_evaluation():
     q = LaurentPoly.monomial(1)
-    p = (LaurentPoly.one() + q) * (LaurentPoly.one() + q) * (LaurentPoly.one() + q)
+    one = LaurentPoly({0: 1})
+    p = (one + q) * (one + q) * (one + q)
     assert p == LaurentPoly({0: 1, 1: 3, 2: 3, 3: 1})
     assert p(1) == 8
     assert p(Fraction(1, 2)) == Fraction(27, 8)
@@ -50,7 +51,7 @@ def test_bivariate_arithmetic():
     assert (p - p).is_zero
     inv = LaurentPoly.monomial((-1, 1))
     assert inv * q == t
-    assert p.coefficient((1, 1)) == 1 and p.coefficient((1, 0)) == 0
+    assert dict(p.items()).get((1, 1)) == 1 and (1, 0) not in dict(p.items())
     assert p - q * (q + t) == t * t
     assert (p + q * t) - q * (2 * t + q) == t * t
     assert str(p - 2 * q * t) == "t^2 - qt + q^2"
